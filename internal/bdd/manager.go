@@ -19,6 +19,8 @@ type Manager struct {
 	mask    uint32   // len(buckets) - 1
 	live    int      // number of live nodes, including the terminal
 
+	initBuckets int // configured unique-table size, restored by Reset
+
 	nvars int
 	names []string
 
@@ -105,25 +107,58 @@ func New(nvars int) *Manager {
 	return NewWithConfig(nvars, Config{})
 }
 
-// NewWithConfig creates a Manager with explicit tuning parameters.
+// NewWithConfig creates a Manager with explicit tuning parameters. The
+// fresh state itself is defined by Reset: NewWithConfig only allocates.
 func NewWithConfig(nvars int, cfg Config) *Manager {
+	cfg = cfg.normalize()
+	m := &Manager{
+		buckets:     make([]uint32, cfg.InitialBuckets),
+		initBuckets: cfg.InitialBuckets,
+		roots:       make(map[Ref]int),
+	}
+	m.cache.init(cfg.CacheBits)
+	m.Reset(nvars)
+	return m
+}
+
+// Reset returns m to exactly the state New(nvars) (or NewWithConfig with
+// m's original Config) produces, keeping the backing arrays: the arena, the
+// unique table, the computed cache and the traversal scratch are reused
+// rather than reallocated, so a caller that builds many small, short-lived
+// diagrams pays for those allocations once. Every Ref obtained before the
+// call is invalidated. Reset detaches any budget and zeroes the statistics
+// counters. It panics during an active MatchSession.
+//
+// Because node indexes depend only on allocation order and an invalidated
+// cache behaves exactly like an empty one, a reset manager reproduces a
+// fresh manager's Refs, NodesMade and cache counters operation for
+// operation.
+func (m *Manager) Reset(nvars int) {
 	if nvars < 0 {
 		panic("bdd: negative variable count")
 	}
-	cfg = cfg.normalize()
-	nb := cfg.InitialBuckets
-	m := &Manager{
-		buckets: make([]uint32, nb),
-		mask:    uint32(nb - 1),
-		nvars:   nvars,
-		roots:   make(map[Ref]int),
+	if m.frozen {
+		panic("bdd: Reset during an active MatchSession (see session.go)")
 	}
-	m.cache.init(cfg.CacheBits)
-	m.sigGen = 1
 	// Node 0 is the terminal.
-	m.nodes = append(m.nodes, node{level: terminalLevel})
+	m.nodes = append(m.nodes[:0], node{level: terminalLevel})
+	m.free = m.free[:0]
+	m.buckets = m.buckets[:m.initBuckets]
+	clear(m.buckets)
+	m.mask = uint32(m.initBuckets - 1)
 	m.live = 1
-	return m
+	m.nvars = nvars
+	m.names = m.names[:0]
+	clear(m.roots)
+	m.cache.clear()
+	m.invalidateSignatures()
+	m.budget = nil
+	m.budgetCountdown = 0
+	m.budgetBaseMade = 0
+	m.stGCRuns = 0
+	m.stNodesMade = 0
+	m.stSigComputed = 0
+	m.stSigInvalidated = 0
 }
 
 // ceilPow2 rounds n up to the next power of two, saturating at maxBuckets so
@@ -274,7 +309,11 @@ func (m *Manager) mkNode(level int32, high, low Ref) Ref {
 
 func (m *Manager) growBuckets() {
 	nb := len(m.buckets) * 2
-	m.buckets = make([]uint32, nb)
+	if cap(m.buckets) >= nb {
+		m.buckets = m.buckets[:nb] // capacity kept by Reset; rehash clears it
+	} else {
+		m.buckets = make([]uint32, nb)
+	}
 	m.mask = uint32(nb - 1)
 	m.rehash()
 }

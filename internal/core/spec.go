@@ -18,24 +18,9 @@ import (
 // built over variables 0..n-1 of m (which must have at least n variables).
 // Don't-care leaf positions get the value 0 in the returned F component.
 func ParseSpec(m *bdd.Manager, spec string) (ISF, error) {
-	clean := strings.Map(func(r rune) rune {
-		switch r {
-		case '0', '1', 'd', 'D':
-			return r
-		case ' ', '\t', '\n', '(', ')':
-			return -1
-		}
-		return 'X'
-	}, spec)
-	if strings.ContainsRune(clean, 'X') {
-		return ISF{}, fmt.Errorf("core: spec %q contains invalid characters", spec)
-	}
-	n := 0
-	for 1<<n < len(clean) {
-		n++
-	}
-	if len(clean) == 0 || 1<<n != len(clean) {
-		return ISF{}, fmt.Errorf("core: spec %q has %d symbols, not a power of two", spec, len(clean))
+	clean, n, err := checkSpec(spec)
+	if err != nil {
+		return ISF{}, err
 	}
 	if m.NumVars() < n {
 		return ISF{}, fmt.Errorf("core: spec needs %d variables, manager has %d", n, m.NumVars())
@@ -58,6 +43,38 @@ func ParseSpec(m *bdd.Manager, spec string) (ISF, error) {
 		vs[i] = bdd.Var(i)
 	}
 	return ISF{F: m.FromTruthTable(vs, fVals), C: m.FromTruthTable(vs, cVals)}, nil
+}
+
+// CheckSpec validates spec's syntax without building anything — only
+// value symbols, whitespace and parentheses, and a power-of-two number of
+// value symbols — and returns the number of variables the instance needs.
+// Its errors are exactly the ones ParseSpec reports for malformed specs.
+func CheckSpec(spec string) (nvars int, err error) {
+	_, nvars, err = checkSpec(spec)
+	return nvars, err
+}
+
+// checkSpec is CheckSpec also returning the spec's value symbols.
+func checkSpec(spec string) (clean string, nvars int, err error) {
+	clean = strings.Map(func(r rune) rune {
+		switch r {
+		case '0', '1', 'd', 'D':
+			return r
+		case ' ', '\t', '\n', '(', ')':
+			return -1
+		}
+		return 'X'
+	}, spec)
+	if strings.ContainsRune(clean, 'X') {
+		return "", 0, fmt.Errorf("core: spec %q contains invalid characters", spec)
+	}
+	for 1<<nvars < len(clean) {
+		nvars++
+	}
+	if len(clean) == 0 || 1<<nvars != len(clean) {
+		return "", 0, fmt.Errorf("core: spec %q has %d symbols, not a power of two", spec, len(clean))
+	}
+	return clean, nvars, nil
 }
 
 // MustParseSpec is ParseSpec, panicking on error; for tests and examples.

@@ -47,6 +47,25 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
+// TestCheckSpec: CheckSpec accepts exactly what ParseSpec accepts, with the
+// same variable count and the same error text, without a manager.
+func TestCheckSpec(t *testing.T) {
+	m := bdd.New(4)
+	for _, spec := range []string{"", "1", "01x", "011", "d1 01", "(d1 01) (1d 01)", "01 01 01 01 01 01 01 01", "01\r01", "xyz"} {
+		n, err := CheckSpec(spec)
+		_, perr := ParseSpec(m, spec)
+		if (err == nil) != (perr == nil) || err != nil && err.Error() != perr.Error() {
+			t.Fatalf("CheckSpec(%q) err = %v, ParseSpec err = %v", spec, err, perr)
+		}
+		if err != nil {
+			continue
+		}
+		if want := len(strings.NewReplacer(" ", "", "(", "", ")", "").Replace(spec)); 1<<n != want {
+			t.Fatalf("CheckSpec(%q) = %d variables for %d symbols", spec, n, want)
+		}
+	}
+}
+
 func TestSpecRoundTrip(t *testing.T) {
 	m := bdd.New(3)
 	for _, spec := range []string{"d1 01", "d1 01 1d 01", "1d d1 d0 0d", "11 11 00 00"} {

@@ -5,10 +5,10 @@ import (
 	"bddmin/internal/logic"
 )
 
-// Per-node don't-care approximation inside one window. All BDDs live on a
-// throwaway window manager whose variable order is: the window's boundary
-// variables x_0..x_{nx-1}, then one y variable per target fanin position
-// (duplicate fanin nodes share the first position's variable).
+// Per-node don't-care approximation inside one window. All BDDs live on the
+// run's manager, Reset for the window, with the variable order: the window's
+// boundary variables x_0..x_{nx-1}, then one y variable per target fanin
+// position (duplicate fanin nodes share the first position's variable).
 
 // flexibility is everything the substitution step needs: the node's local
 // function and care set over the y variables, plus the window outputs'

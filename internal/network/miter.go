@@ -14,7 +14,10 @@ import (
 // (The classical miter XORs each output pair and checks the disjunction for
 // Zero; with a canonical BDD per output, comparing the Refs directly is the
 // same test, and the failing observable falls out for free.)
-func Miter(a, b *logic.Network) error {
+func Miter(a, b *logic.Network) error { return miter(bdd.New(0), a, b) }
+
+// miter is Miter on a caller-supplied manager, which it Resets first.
+func miter(m *bdd.Manager, a, b *logic.Network) error {
 	if len(a.Inputs) != len(b.Inputs) {
 		return fmt.Errorf("network: miter: input count %d vs %d", len(a.Inputs), len(b.Inputs))
 	}
@@ -29,7 +32,7 @@ func Miter(a, b *logic.Network) error {
 	if nvars == 0 {
 		nvars = 1
 	}
-	m := bdd.New(nvars)
+	m.Reset(nvars)
 	memoA := make(map[*logic.Node]bdd.Ref, nvars)
 	memoB := make(map[*logic.Node]bdd.Ref, nvars)
 	v := 0

@@ -31,6 +31,10 @@
 // exposed by dropped fanins is swept after each pass. A final miter proves
 // every primary output and next-state function unchanged against a clone
 // of the pre-optimization network.
+//
+// All of this runs on one BDD manager per Optimize call, Reset per window
+// (bdd.Manager.Reset), so thousands of tiny windows do not each allocate a
+// manager's unique table and computed cache.
 package network
 
 import (
@@ -159,21 +163,17 @@ func internalCount(net *logic.Network) int {
 // another's term — so an accepted substitution (strictly smaller local
 // BDD) strictly decreases it, which is what makes the convergence loop
 // terminate.
-func Cost(net *logic.Network) int {
-	maxArity := 1
-	for _, nd := range net.Nodes() {
-		if len(nd.Fanin) > maxArity {
-			maxArity = len(nd.Fanin)
-		}
-	}
-	m := bdd.New(maxArity)
+func Cost(net *logic.Network) int { return cost(bdd.New(0), net) }
+
+// cost is Cost on a caller-supplied manager, which it Resets per node.
+func cost(m *bdd.Manager, net *logic.Network) int {
 	total := 0
 	for _, nd := range net.Nodes() {
 		if nd.Type == logic.Input || nd.Type == logic.Const {
 			continue
 		}
+		m.Reset(len(nd.Fanin))
 		total += m.Size(localFunction(m, nd, 0))
-		m.GC()
 	}
 	return total
 }

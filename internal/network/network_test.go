@@ -2,12 +2,16 @@ package network
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"bddmin/internal/bdd"
+	"bddmin/internal/circuits"
 	"bddmin/internal/logic"
 	"bddmin/internal/obs"
 )
@@ -249,5 +253,68 @@ func TestCostLocal(t *testing.T) {
 	// p,q,r,y are all 2-input gates: AND=3, OR=3, OR=3, AND=3.
 	if got := Cost(net); got != 12 {
 		t.Fatalf("Cost = %d, want 12", got)
+	}
+}
+
+// suiteNet builds a machine of the experiment suite.
+func suiteNet(t *testing.T, name string) *logic.Network {
+	t.Helper()
+	info, err := circuits.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Build()
+}
+
+// TestOptimizeSuitePinned pins Optimize's results on two suite machines:
+// node counts, rewrites, the NodesMade work measure and a digest of the
+// written netlist. Reusing BDD managers across windows must reproduce the
+// fresh-manager run exactly, so none of these may move.
+func TestOptimizeSuitePinned(t *testing.T) {
+	for _, tc := range []struct {
+		name                     string
+		initial, final, rewrites int
+		nodesMade                uint64
+		blifSHA256               string
+	}{
+		{"tlc", 32, 31, 3, 5339, "09e4b82df066985a1c7f96f58f7477ca76413907a4b79bc2cce970b8004ace96"},
+		{"s386", 99, 90, 15, 10600, "104eadf33ceb22874301c301fd9398b71394e6fc5742187e7de55b3819c5116b"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := suiteNet(t, tc.name)
+			res, err := Optimize(net, Options{})
+			if err != nil || !res.MiterOK {
+				t.Fatalf("miter ok %v, err %v", res.MiterOK, err)
+			}
+			if res.InitialNodes != tc.initial || res.FinalNodes != tc.final || res.Rewrites != tc.rewrites || res.NodesMade != tc.nodesMade {
+				t.Fatalf("nodes %d->%d, %d rewrites, %d nodes made; want %d->%d, %d, %d",
+					res.InitialNodes, res.FinalNodes, res.Rewrites, res.NodesMade,
+					tc.initial, tc.final, tc.rewrites, tc.nodesMade)
+			}
+			var sb strings.Builder
+			if err := logic.WriteBLIF(&sb, net); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256([]byte(sb.String()))
+			if got := hex.EncodeToString(sum[:]); got != tc.blifSHA256 {
+				t.Fatalf("written BLIF sha256 %s, want %s", got, tc.blifSHA256)
+			}
+		})
+	}
+}
+
+// TestOptimizeAllocationBound guards the per-window cost: a run that
+// allocated a fresh BDD manager (and its computed cache) per window
+// allocates about 121 MiB on tlc; one manager per run stays near 2 MiB.
+func TestOptimizeAllocationBound(t *testing.T) {
+	net := suiteNet(t, "tlc")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Optimize(net, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 24<<20 {
+		t.Fatalf("Optimize(tlc) allocated %.1f MiB, want under 24 MiB", float64(got)/(1<<20))
 	}
 }

@@ -3,6 +3,7 @@ package network
 import (
 	"time"
 
+	"bddmin/internal/bdd"
 	"bddmin/internal/logic"
 	"bddmin/internal/obs"
 )
@@ -18,16 +19,21 @@ import (
 // the per-substitution verification makes unreachable short of a bug — the
 // network is then left in its final state for post-mortem, with
 // Result.MiterOK false).
+//
+// One BDD manager serves the whole run, Reset per window, per cost
+// evaluation and for the miter. It is private to the call, so concurrent
+// Optimize calls share nothing.
 func Optimize(net *logic.Network, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
+	m := bdd.New(0)
 	baseline := net.Clone()
-	res := &Result{InitialCost: Cost(net), InitialNodes: internalCount(net)}
+	res := &Result{InitialCost: cost(m, net), InitialNodes: internalCount(net)}
 
 	prevCost := res.InitialCost
 	for sweep := 1; sweep <= opts.MaxSweeps; sweep++ {
-		stat := runSweep(net, sweep, opts, res)
+		stat := runSweep(m, net, sweep, opts, res)
 		net.RemoveDead()
-		stat.Cost = Cost(net)
+		stat.Cost = cost(m, net)
 		stat.Nodes = internalCount(net)
 		res.Sweeps = append(res.Sweeps, stat)
 		res.Rewrites += stat.Rewrites
@@ -54,9 +60,9 @@ func Optimize(net *logic.Network, opts Options) (*Result, error) {
 		}
 	}
 
-	res.FinalCost = Cost(net)
+	res.FinalCost = cost(m, net)
 	res.FinalNodes = internalCount(net)
-	err := Miter(baseline, net)
+	err := miter(m, baseline, net)
 	res.MiterOK = err == nil
 	if opts.Trace != nil {
 		opts.Trace.Emit(obs.NetworkEvent{
@@ -70,7 +76,8 @@ func Optimize(net *logic.Network, opts Options) (*Result, error) {
 // runSweep performs one topological minimize-substitute pass. The fanout
 // map is rebuilt after every accepted substitution (rewrites drop fanin
 // edges); the window for each node is always cut from the current network.
-func runSweep(net *logic.Network, sweep int, opts Options, res *Result) SweepStat {
+// Every window is optimized on m, which optimizeNode resets per window.
+func runSweep(m *bdd.Manager, net *logic.Network, sweep int, opts Options, res *Result) SweepStat {
 	var stat SweepStat
 	fanouts := fanoutMap(net)
 	roots := rootSet(net)
@@ -90,7 +97,7 @@ func runSweep(net *logic.Network, sweep int, opts Options, res *Result) SweepSta
 		if len(w.inputs) > opts.MaxWindowInputs {
 			out.skipped = true
 		} else {
-			out = optimizeNode(w, opts)
+			out = optimizeNode(m, w, opts)
 		}
 		res.NodesMade += out.nodesMade
 		res.LeakedProtected += out.leaked

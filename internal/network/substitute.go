@@ -54,11 +54,11 @@ func (s savedNode) restore(nd *logic.Node) {
 // optimizeNode runs the full per-node pipeline on one window: don't-care
 // image, budgeted minimization, SOP lowering, in-place substitution, and a
 // window-level equivalence re-check that reverts on any mismatch. The
-// window's BDDs live on a private throwaway manager; the function never
-// calls GC on it, so every Ref stays valid for the node's whole lifetime.
-// The result is named so the deferred accounting capture below lands in
-// the value actually returned.
-func optimizeNode(w *window, opts Options) (out nodeOutcome) {
+// window's BDDs live on m, the run's manager, which is Reset here to the
+// window's variables; the function never calls GC on it, so every Ref stays
+// valid for the node's whole lifetime. The result is named so the deferred
+// accounting capture below lands in the value actually returned.
+func optimizeNode(m *bdd.Manager, w *window, opts Options) (out nodeOutcome) {
 	target := w.target
 	nx := len(w.inputs)
 	arity := len(target.Fanin)
@@ -68,7 +68,7 @@ func optimizeNode(w *window, opts Options) (out nodeOutcome) {
 		return out
 	}
 
-	m := bdd.New(nx + arity)
+	m.Reset(nx + arity)
 	defer func() {
 		out.nodesMade = m.NodesMade()
 		out.leaked = m.NumProtected()

@@ -64,14 +64,15 @@ type Problem struct {
 	canon  string // normalized identity, computed at construction (CanonicalKey)
 }
 
-// FromSpec builds a Problem from a leaf-notation spec. The spec is parsed
-// eagerly on a scratch manager so malformed input fails here, not at Build.
+// FromSpec builds a Problem from a leaf-notation spec. The spec's syntax is
+// checked eagerly (core.CheckSpec) so malformed input fails here, not at
+// Build; a spec without a single value symbol is reported as empty.
 func FromSpec(spec string) (*Problem, error) {
-	n, err := specVars(spec)
+	n, err := core.CheckSpec(spec)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := core.ParseSpec(bdd.New(n), spec); err != nil {
+		if !strings.ContainsAny(spec, "01dD") {
+			return nil, fmt.Errorf("problem: empty spec %q", spec)
+		}
 		return nil, err
 	}
 	return &Problem{
@@ -81,26 +82,6 @@ func FromSpec(spec string) (*Problem, error) {
 		Raw:   spec,
 		canon: canonicalSpec(spec),
 	}, nil
-}
-
-// specVars computes the variable count of a leaf-notation spec: the
-// base-two logarithm of the number of value symbols.
-func specVars(spec string) (int, error) {
-	symbols := 0
-	for _, r := range spec {
-		switch r {
-		case '0', '1', 'd', 'D':
-			symbols++
-		}
-	}
-	if symbols == 0 {
-		return 0, fmt.Errorf("problem: empty spec %q", spec)
-	}
-	n := 0
-	for 1<<n < symbols {
-		n++
-	}
-	return n, nil
 }
 
 // ParsePLA builds a Problem minimizing output column `output` of an

@@ -59,6 +59,32 @@ func TestFromSpec(t *testing.T) {
 	}
 }
 
+// TestFromSpecErrorTexts pins the exact error strings FromSpec reports: they
+// reach clients verbatim in 400 bodies, so a refactor must not reword them.
+func TestFromSpecErrorTexts(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{"", `problem: empty spec ""`},
+		{"   ", `problem: empty spec "   "`},
+		{"()", `problem: empty spec "()"`},
+		{"xyz", `problem: empty spec "xyz"`},
+		{"x1", `core: spec "x1" contains invalid characters`},
+		{"01\r01", `core: spec "01\r01" contains invalid characters`},
+		{"d1 0", `core: spec "d1 0" has 3 symbols, not a power of two`},
+		{"d1 01 1d", `core: spec "d1 01 1d" has 6 symbols, not a power of two`},
+	} {
+		_, err := FromSpec(tc.spec)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("FromSpec(%q) err = %v, want %s", tc.spec, err, tc.want)
+		}
+	}
+	for spec, vars := range map[string]int{"dd dd": 2, "D1 (01)": 2, "1": 0, "d1 01 1d 01": 3} {
+		p, err := FromSpec(spec)
+		if err != nil || p.Vars != vars {
+			t.Errorf("FromSpec(%q) = %v, %v; want %d vars", spec, p, err, vars)
+		}
+	}
+}
+
 func TestParsePLA(t *testing.T) {
 	p, err := ParsePLA(testPLA, 1, "test.pla")
 	if err != nil {
