@@ -109,7 +109,6 @@ func run() {
 		exact      = flag.Bool("exact", false, "also compute the exact minimum by brute force")
 		dotFile    = flag.String("dot", "", "write the minimized BDD to this DOT file")
 		workersN   = flag.Int("workers", 1, "with -all, run heuristics on this many workers (one BDD manager each; 0 = GOMAXPROCS)")
-		matchWork  = flag.Int("match-workers", 1, "fan level-matching pair matrices across this many concurrent match kernels (opt_lv, sched, robust; results are byte-identical for every setting)")
 		trace      = flag.Bool("trace", false, "stream pipeline events to stderr and print the per-heuristic metrics table")
 		traceOut   = flag.String("trace-out", "", "write the event stream as JSONL to this file")
 		traceTimes = flag.Bool("trace-timings", false, "include nanosecond durations in -trace-out (off keeps traces byte-deterministic)")
@@ -193,7 +192,7 @@ func run() {
 	}
 
 	if *spec == "-" {
-		runBatch(*heuristic, *all, *matchWork, tracer, mkBudget)
+		runBatch(*heuristic, *all, tracer, mkBudget)
 		if metrics != nil {
 			fmt.Println()
 			metrics.Format(os.Stdout)
@@ -216,7 +215,6 @@ func run() {
 	}
 
 	report := func(h core.Minimizer) bdd.Ref {
-		h = core.WithMatchWorkers(h, *matchWork)
 		g, ab := core.MinimizeAnytime(core.Instrument(h, tracer), m, in.F, in.C, mkBudget())
 		if !in.Cover(m, g) {
 			fmt.Fprintf(os.Stderr, "BUG: %s returned a non-cover\n", h.Name())
@@ -231,11 +229,11 @@ func run() {
 	haveResult := false
 	if *all {
 		if *workersN != 1 {
-			runAllParallel(prob, n, *workersN, *matchWork, tracer, mkBudget)
+			runAllParallel(prob, n, *workersN, tracer, mkBudget)
 			// The DOT export needs a Ref on the main manager; recompute the
 			// selected heuristic here (sizes are canonical either way).
 			if h := core.ByName(*heuristic); h != nil {
-				result, _ = core.MinimizeAnytime(core.WithMatchWorkers(h, *matchWork), m, in.F, in.C, mkBudget())
+				result, _ = core.MinimizeAnytime(h, m, in.F, in.C, mkBudget())
 				haveResult = true
 			}
 		} else {
@@ -329,7 +327,7 @@ func loadProblem(spec, plaFile string, plaOutput int, blifFile, nodeName string)
 // fresh manager, reported compactly. With all=true the full registry runs
 // per instance (sequentially; batch throughput comes from the instance
 // stream, not per-instance parallelism).
-func runBatch(heuName string, all bool, matchWorkers int, tracer obs.Tracer, mkBudget func() *bdd.Budget) {
+func runBatch(heuName string, all bool, tracer obs.Tracer, mkBudget func() *bdd.Budget) {
 	probs, err := problem.LoadCorpus(os.Stdin, ".")
 	if err != nil {
 		fail(err)
@@ -344,9 +342,6 @@ func runBatch(heuName string, all bool, matchWorkers int, tracer obs.Tracer, mkB
 			os.Exit(1)
 		}
 		heus = []core.Minimizer{h}
-	}
-	for i := range heus {
-		heus[i] = core.WithMatchWorkers(heus[i], matchWorkers)
 	}
 	for i, p := range probs {
 		currentInput = p.Label
@@ -390,11 +385,8 @@ func degraded(ab core.AbortInfo) string {
 // sequential report. Trace events are buffered per heuristic and replayed
 // into the tracer in registry order after all workers finish, so the
 // merged stream matches a sequential run's.
-func runAllParallel(prob *problem.Problem, n, workers, matchWorkers int, tracer obs.Tracer, mkBudget func() *bdd.Budget) {
+func runAllParallel(prob *problem.Problem, n, workers int, tracer obs.Tracer, mkBudget func() *bdd.Budget) {
 	heus := core.Registry()
-	for i := range heus {
-		heus[i] = core.WithMatchWorkers(heus[i], matchWorkers)
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -7,7 +7,7 @@
 //
 //	bddmind [-addr :8080] [-shards N] [-queue N] [-max-vars N]
 //	        [-req-nodes N] [-live-nodes N] [-timeout D] [-max-timeout D]
-//	        [-max-match-workers N] [-retry-after D] [-cache on|off]
+//	        [-retry-after D] [-cache on|off]
 //	        [-cache-entries N] [-cache-bytes N] [-trace-out serve.jsonl]
 //	        [-drain-timeout D]
 //
@@ -29,9 +29,7 @@
 // request's node allocations (bdd.Budget.MaxNodesMade), -live-nodes
 // bounds each shard's arena, -timeout/-max-timeout set and clamp request
 // deadlines. A tripped budget degrades the request to the best valid
-// intermediate cover instead of failing it. -max-match-workers caps each
-// request's match_workers knob (parallel level matching on its shard);
-// the default 0 keeps every request on the serial matcher.
+// intermediate cover instead of failing it.
 //
 // The result cache is on by default: identical requests are answered from
 // a byte-budgeted LRU (front line) or from a content-addressed store of
@@ -70,7 +68,6 @@ func main() {
 		liveNodes    = flag.Int("live-nodes", 0, "per-shard live-node bound (0 = unlimited)")
 		timeout      = flag.Duration("timeout", 0, "default per-request deadline, e.g. 2s (0 = none)")
 		maxTimeout   = flag.Duration("max-timeout", 0, "clamp on requested deadlines (0 = no clamp)")
-		maxMatchWork = flag.Int("max-match-workers", 0, "cap on per-request match_workers (parallel level matching; 0 = always serial)")
 		retryAfter   = flag.Duration("retry-after", 500*time.Millisecond, "backoff hint attached to 429 responses")
 		cache        = flag.String("cache", "on", "result cache + request coalescing: on or off")
 		cacheEntries = flag.Int("cache-entries", 4096, "result-cache entry cap")
@@ -88,7 +85,6 @@ func main() {
 		MaxLiveNodes:       *liveNodes,
 		DefaultTimeout:     *timeout,
 		MaxTimeout:         *maxTimeout,
-		MaxMatchWorkers:    *maxMatchWork,
 		RetryAfter:         *retryAfter,
 	}
 	switch *cache {

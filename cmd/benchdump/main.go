@@ -6,28 +6,24 @@
 //
 //   - micro: Support / Size / Density / SharedSize / ITE / budgeted ITE
 //     (micro/budget_overhead, the governance tax against micro/ite) /
-//     Constrain / GC / OSM-match / TSM-match / level-match — serial
-//     (micro/levelmatch) and fanned across -match-workers concurrent match
-//     kernels (micro/levelmatch_par) — on a deterministic pool of random
-//     functions, via testing.Benchmark, with ns/op and allocs/op (the
-//     stamped traversals and match kernels must report 0 allocs/op);
+//     Constrain / GC / OSM-match / TSM-match / level-match
+//     (micro/levelmatch) on a deterministic pool of random functions, via
+//     testing.Benchmark, with ns/op and allocs/op (the stamped traversals
+//     and match kernels must report 0 allocs/op);
 //   - suite: one instrumented FSM self-equivalence sweep over the selected
-//     benchmarks, sequential, with the parallel worker pool, and with
-//     parallel level matching inside each benchmark
-//     (suite/matchworkers-N), with NodesMade as the work measure, plus one
-//     whole-network don't-care optimization run (suite/netopt) on the first
-//     selected benchmark, recording the per-sweep node-count trajectory.
+//     benchmarks, sequential and with the parallel worker pool, with
+//     NodesMade as the work measure, plus one whole-network don't-care
+//     optimization run (suite/netopt) on the first selected benchmark,
+//     recording the per-sweep node-count trajectory.
 //
 // The sequential sweep runs with the observability tracer attached, and
 // its aggregated per-heuristic breakdown (applications, acceptances, wins,
 // nodes saved, cumulative time) lands in the report's "heuristics"
-// section (schema bddmin-bench-kernel/5). Benchmarks that fan level
-// matching record their worker count in the match_workers field; their
-// covers are byte-identical to the serial runs, so only runtimes move.
+// section (schema bddmin-bench-kernel/6).
 //
 // Usage:
 //
-//	benchdump [-o BENCH_kernel.json] [-workers N] [-match-workers N]
+//	benchdump [-o BENCH_kernel.json] [-workers N]
 //	          [-bench tlc,tbk,...] [-nosuite] [-q] [-cpuprofile FILE]
 //	          [-memprofile FILE]
 package main
@@ -53,14 +49,13 @@ import (
 
 func main() {
 	var (
-		outFile   = flag.String("o", "BENCH_kernel.json", "output file (\"-\" for stdout)")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker count for the parallel suite run")
-		matchWork = flag.Int("match-workers", 2, "fan-out for the parallel level-matching benchmarks (micro/levelmatch_par, suite/matchworkers-N)")
-		bench     = flag.String("bench", "tlc,minmax5,tbk,s386", "comma-separated suite benchmarks")
-		noSuite   = flag.Bool("nosuite", false, "skip the suite-level runs (micros only)")
-		quiet     = flag.Bool("q", false, "suppress progress output")
-		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file")
+		outFile = flag.String("o", "BENCH_kernel.json", "output file (\"-\" for stdout)")
+		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "worker count for the parallel suite run")
+		bench   = flag.String("bench", "tlc,minmax5,tbk,s386", "comma-separated suite benchmarks")
+		noSuite = flag.Bool("nosuite", false, "skip the suite-level runs (micros only)")
+		quiet   = flag.Bool("q", false, "suppress progress output")
+		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memProf = flag.String("memprofile", "", "write a pprof heap profile to this file")
 	)
 	flag.Parse()
 	if *cpuProf != "" {
@@ -114,15 +109,14 @@ func main() {
 		}
 	}
 
-	for _, mb := range microBenches(*matchWork) {
+	for _, mb := range microBenches() {
 		res := testing.Benchmark(mb.fn)
 		kb := harness.KernelBench{
-			Name:         "micro/" + mb.name,
-			Iterations:   res.N,
-			NsPerOp:      float64(res.NsPerOp()),
-			AllocsPerOp:  res.AllocsPerOp(),
-			BytesPerOp:   res.AllocedBytesPerOp(),
-			MatchWorkers: mb.matchWorkers,
+			Name:        "micro/" + mb.name,
+			Iterations:  res.N,
+			NsPerOp:     float64(res.NsPerOp()),
+			AllocsPerOp: res.AllocsPerOp(),
+			BytesPerOp:  res.AllocedBytesPerOp(),
 		}
 		report.Benchmarks = append(report.Benchmarks, kb)
 		progress("%-24s %12.1f ns/op %6d allocs/op\n", kb.Name, kb.NsPerOp, kb.AllocsPerOp)
@@ -157,22 +151,6 @@ func main() {
 		report.Benchmarks = append(report.Benchmarks, par)
 		progress("%-24s %12.1f ns/op (%.2fs, %.2fx vs sequential)\n",
 			par.Name, par.NsPerOp, par.NsPerOp/1e9, seq.NsPerOp/par.NsPerOp)
-		// Sequential sweep again, but fanning each benchmark's level matching
-		// across the match-kernel pool: measures intra-benchmark parallelism
-		// against suite/sequential (identical covers, identical NodesMade).
-		mwRC := harness.RunConfig{Collector: harness.Config{LowerBoundCubes: 100, MatchWorkers: *matchWork}}
-		mw, err := timeSuite(fmt.Sprintf("suite/matchworkers-%d", *matchWork), func() ([]harness.BenchmarkRun, error) {
-			_, runs, err := harness.RunSuite(names, mwRC)
-			return runs, err
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		mw.MatchWorkers = *matchWork
-		report.Benchmarks = append(report.Benchmarks, mw)
-		progress("%-24s %12.1f ns/op (%.2fs, %.2fx vs sequential)\n",
-			mw.Name, mw.NsPerOp, mw.NsPerOp/1e9, seq.NsPerOp/mw.NsPerOp)
 		// Whole-network don't-care optimization of the first selected
 		// benchmark (package network): wall-clock, kernel work, and the
 		// per-sweep node-count trajectory (sweep_nodes, schema /5). The
@@ -248,9 +226,6 @@ func timeSuite(name string, run func() ([]harness.BenchmarkRun, error)) (harness
 type microBench struct {
 	name string
 	fn   func(b *testing.B)
-	// matchWorkers is recorded in the report entry when the bench fans
-	// level matching (0 = serial matcher).
-	matchWorkers int
 }
 
 // pool builds a deterministic set of random functions over n variables,
@@ -274,7 +249,7 @@ func pool(n, count int, seed int64) (*bdd.Manager, []bdd.Ref) {
 	return m, funcs
 }
 
-func microBenches(matchWorkers int) []microBench {
+func microBenches() []microBench {
 	return []microBench{
 		{"support", func(b *testing.B) {
 			m, fs := pool(14, 16, 7)
@@ -284,7 +259,7 @@ func microBenches(matchWorkers int) []microBench {
 			for i := 0; i < b.N; i++ {
 				buf = m.AppendSupport(buf[:0], fs[i%16])
 			}
-		}, 0},
+		}},
 		{"size", func(b *testing.B) {
 			m, fs := pool(14, 16, 7)
 			b.ReportAllocs()
@@ -292,7 +267,7 @@ func microBenches(matchWorkers int) []microBench {
 			for i := 0; i < b.N; i++ {
 				m.Size(fs[i%16])
 			}
-		}, 0},
+		}},
 		{"density", func(b *testing.B) {
 			m, fs := pool(14, 16, 8)
 			b.ReportAllocs()
@@ -300,7 +275,7 @@ func microBenches(matchWorkers int) []microBench {
 			for i := 0; i < b.N; i++ {
 				m.Density(fs[i%16])
 			}
-		}, 0},
+		}},
 		{"shared_size", func(b *testing.B) {
 			m, fs := pool(14, 16, 9)
 			b.ReportAllocs()
@@ -308,7 +283,7 @@ func microBenches(matchWorkers int) []microBench {
 			for i := 0; i < b.N; i++ {
 				m.SharedSize(fs...)
 			}
-		}, 0},
+		}},
 		{"ite", func(b *testing.B) {
 			m, fs := pool(12, 64, 1)
 			b.ResetTimer()
@@ -318,7 +293,7 @@ func microBenches(matchWorkers int) []microBench {
 				}
 				m.ITE(fs[i%64], fs[(i+7)%64], fs[(i+13)%64])
 			}
-		}, 0},
+		}},
 		{"budget_overhead", func(b *testing.B) {
 			// Identical workload to micro/ite but with a generous (never
 			// firing) kernel budget attached: the delta against micro/ite is
@@ -333,7 +308,7 @@ func microBenches(matchWorkers int) []microBench {
 				}
 				m.ITE(fs[i%64], fs[(i+7)%64], fs[(i+13)%64])
 			}
-		}, 0},
+		}},
 		{"constrain", func(b *testing.B) {
 			m, fs := pool(12, 64, 5)
 			b.ResetTimer()
@@ -347,7 +322,7 @@ func microBenches(matchWorkers int) []microBench {
 				}
 				m.Constrain(fs[i%64], c)
 			}
-		}, 0},
+		}},
 		{"gc", func(b *testing.B) {
 			m, fs := pool(12, 32, 11)
 			for _, f := range fs {
@@ -360,7 +335,7 @@ func microBenches(matchWorkers int) []microBench {
 				_ = m.Xor(fs[i%32], fs[(i+5)%32])
 				m.GC()
 			}
-		}, 0},
+		}},
 		{"osm_match", func(b *testing.B) {
 			m, fs := pool(12, 64, 21)
 			b.ReportAllocs()
@@ -371,7 +346,7 @@ func microBenches(matchWorkers int) []microBench {
 				}
 				m.MatchOSM(fs[i%64], fs[(i+7)%64], fs[(i+13)%64], fs[(i+29)%64])
 			}
-		}, 0},
+		}},
 		{"tsm_match", func(b *testing.B) {
 			m, fs := pool(12, 64, 22)
 			b.ReportAllocs()
@@ -382,7 +357,7 @@ func microBenches(matchWorkers int) []microBench {
 				}
 				m.MatchTSM(fs[i%64], fs[(i+7)%64], fs[(i+13)%64], fs[(i+29)%64])
 			}
-		}, 0},
+		}},
 		{"levelmatch", func(b *testing.B) {
 			// One full opt_lv pass over a random incompletely specified
 			// function: collect + signature + solve at every level. Caches
@@ -398,24 +373,6 @@ func microBenches(matchWorkers int) []microBench {
 				m.FlushCaches()
 				opt.Minimize(m, f, c)
 			}
-		}, 0},
-		{"levelmatch_par", func(b *testing.B) {
-			// The same opt_lv workload with its pair matrices fanned across
-			// the match-kernel pool; the cover is byte-identical to
-			// micro/levelmatch, so the delta is pure session + fan-out cost
-			// (a win only with real parallel hardware; a measured tax on one
-			// CPU).
-			m, fs := pool(12, 2, 23)
-			f, c := fs[0], fs[1]
-			if c == bdd.Zero {
-				c = bdd.One
-			}
-			opt := &core.OptLv{MatchWorkers: matchWorkers}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.FlushCaches()
-				opt.Minimize(m, f, c)
-			}
-		}, matchWorkers},
+		}},
 	}
 }

@@ -77,7 +77,6 @@ func run() {
 		extended  = flag.Bool("extended", false, "also run the extension heuristics (sched, robust)")
 		plainLB   = flag.Bool("plainlb", false, "use the paper's plain DFS cube bound instead of the improved large-cube split")
 		workers   = flag.Int("workers", 1, "run benchmarks across this many workers (one BDD manager each; 0 = GOMAXPROCS)")
-		matchWork = flag.Int("match-workers", 1, "fan level-matching pair matrices across this many concurrent match kernels per benchmark (results are byte-identical for every setting)")
 		outFile   = flag.String("o", "", "also write the report to this file")
 		csvFile   = flag.String("csv", "", "write raw per-call records to this CSV file")
 		quiet     = flag.Bool("q", false, "suppress per-benchmark progress")
@@ -154,7 +153,6 @@ func run() {
 		LowerBoundCubes: *lbCubes,
 		Validate:        *validate,
 		PlainLowerBound: *plainLB,
-		MatchWorkers:    *matchWork,
 	}
 	if *extended {
 		cfg.Heuristics = append(core.ExtendedRegistry(), core.FAndC(), core.FOrNC(), core.FOrig())

@@ -21,7 +21,6 @@ type computedCache struct {
 	entries []cacheEntry // cacheWays * numSets slots; set s is [s*cacheWays, s*cacheWays+cacheWays)
 	setMask uint32       // numSets - 1
 	gen     uint32       // current epoch; entries from older epochs are invalid
-	bits    int          // size exponent, kept so MatchSession shards mirror the geometry
 	stats   [opLast]opCounters
 }
 
@@ -92,7 +91,6 @@ func (c *computedCache) init(bits int) {
 	}
 	c.entries = make([]cacheEntry, total)
 	c.setMask = uint32(total/cacheWays - 1)
-	c.bits = bits
 	c.gen = 1 // zero-value entries carry gen 0 and are therefore invalid
 }
 
@@ -156,18 +154,6 @@ func (c *computedCache) insert(op uint32, f, g, h, k, result Ref) {
 	}
 	copy(set[1:victim+1], set[:victim])
 	set[0] = cacheEntry{op: op, f: f, g: g, h: h, k: k, result: result, gen: c.gen}
-}
-
-// absorbStats folds another cache's per-operation counters into c's.
-// MatchSession.Close uses it to fold every worker shard's counters into the
-// parent manager, so CacheStats and CacheStatsByOp account for parallel
-// matching work with no lost or double-counted hits.
-func (c *computedCache) absorbStats(from *computedCache) {
-	for i := range c.stats {
-		c.stats[i].hits += from.stats[i].hits
-		c.stats[i].misses += from.stats[i].misses
-		c.stats[i].evictions += from.stats[i].evictions
-	}
 }
 
 // FlushCaches clears the computed caches without reclaiming nodes. See the

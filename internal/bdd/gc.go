@@ -32,9 +32,6 @@ func (m *Manager) Unprotect(f Ref) {
 //
 // It returns the number of nodes collected.
 func (m *Manager) GC(extra ...Ref) int {
-	if m.frozen {
-		panic("bdd: GC during an active MatchSession (see session.go)")
-	}
 	m.stGCRuns++
 	// Mark through the shared generation-stamp scratch (stamp.go) with a
 	// reusable explicit stack: the collector allocates nothing after

@@ -9,9 +9,7 @@ import "fmt"
 // A Manager is not safe for concurrent use. The minimization experiments are
 // sequential by design (runtimes of individual heuristics are compared), so
 // no internal locking is provided; callers that want parallelism use one
-// Manager per goroutine — with one structured exception: a MatchSession
-// (session.go) freezes the arena and lets multiple goroutines evaluate the
-// node-free match kernels concurrently through per-worker views.
+// Manager per goroutine.
 type Manager struct {
 	nodes   []node
 	free    []uint32 // recycled node indexes (from GC)
@@ -50,19 +48,11 @@ type Manager struct {
 	budgetCountdown uint32 // steps until the next amortized limit check
 	budgetBaseMade  uint64 // stNodesMade when the budget was attached
 
-	// Parallel match sessions (see session.go). frozen rejects node-creating
-	// entry points and GC while read-only worker views are live; shadows
-	// pools the per-worker view managers across sessions so their cache
-	// shards and signature memos are allocated once.
-	frozen  bool
-	shadows []*Manager
-
 	// statistics
 	stGCRuns    int
 	stNodesMade uint64
 	// Signature-memo statistics (see signature.go). stSigComputed counts
-	// cold per-node signature computations; MatchSession.Close folds the
-	// worker views' counts in here.
+	// cold per-node signature computations.
 	stSigComputed    uint64
 	stSigInvalidated uint64
 }
@@ -127,7 +117,7 @@ func NewWithConfig(nvars int, cfg Config) *Manager {
 // rather than reallocated, so a caller that builds many small, short-lived
 // diagrams pays for those allocations once. Every Ref obtained before the
 // call is invalidated. Reset detaches any budget and zeroes the statistics
-// counters. It panics during an active MatchSession.
+// counters.
 //
 // Because node indexes depend only on allocation order and an invalidated
 // cache behaves exactly like an empty one, a reset manager reproduces a
@@ -136,9 +126,6 @@ func NewWithConfig(nvars int, cfg Config) *Manager {
 func (m *Manager) Reset(nvars int) {
 	if nvars < 0 {
 		panic("bdd: negative variable count")
-	}
-	if m.frozen {
-		panic("bdd: Reset during an active MatchSession (see session.go)")
 	}
 	// Node 0 is the terminal.
 	m.nodes = append(m.nodes[:0], node{level: terminalLevel})
@@ -259,9 +246,6 @@ func (m *Manager) checkRef(f Ref) {
 // (high edge never complemented), and hash-consing through the unique
 // table (merging rule).
 func (m *Manager) mkNode(level int32, high, low Ref) Ref {
-	if m.frozen {
-		panic("bdd: node creation during an active MatchSession (see session.go)")
-	}
 	if m.budget != nil {
 		m.budgetStep()
 	}

@@ -64,8 +64,8 @@ func resetWorkload(t *testing.T, m *Manager, n int) resetTrace {
 }
 
 // dirtyManager leaves m in every non-fresh state Reset must undo: a grown
-// unique table, a non-empty free list, protected roots, variable names, an
-// aborted budget still attached, and a closed match session.
+// unique table, a non-empty free list, protected roots, variable names and
+// an aborted budget still attached.
 func dirtyManager(t *testing.T, m *Manager) {
 	t.Helper()
 	rng := newRand(99)
@@ -85,9 +85,6 @@ func dirtyManager(t *testing.T, m *Manager) {
 	if err := m.Budgeted(func() { randTT(rng, m.NumVars()).build(m) }); err == nil {
 		t.Fatal("FailAfter budget did not abort")
 	}
-	ses := m.BeginMatchSession(2)
-	ses.Run(func(_ int, v *MatchView) { v.Signature(fs[0]) })
-	ses.Close()
 }
 
 func TestResetMatchesNew(t *testing.T) {
@@ -112,21 +109,5 @@ func TestResetMatchesNew(t *testing.T) {
 	dirty.Reset(n)
 	if again := resetWorkload(t, dirty, n); !reflect.DeepEqual(again, want) {
 		t.Fatal("second Reset diverges from a fresh manager")
-	}
-
-	// Reset must refuse to pull the arena out from under an open session.
-	ses := dirty.BeginMatchSession(1)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Reset inside an open MatchSession must panic")
-			}
-		}()
-		dirty.Reset(n)
-	}()
-	ses.Close()
-	dirty.Reset(n) // unfrozen again
-	if dirty.NumNodes() != 1 {
-		t.Fatal("Reset after Close did not empty the arena")
 	}
 }

@@ -93,9 +93,7 @@ func (m *Manager) growSigMemo() {
 
 // SigStats reports signature-memo activity. Computed counts cold per-node
 // signature computations (warm memo hits are deliberately uncounted: they
-// sit on the match kernels' innermost path). When a MatchSession closes,
-// the worker views' Computed counts fold into the parent's, mirroring the
-// computed-cache counter aggregation.
+// sit on the match kernels' innermost path).
 type SigStats struct {
 	Computed      uint64 // cold per-node signature computations
 	Invalidations uint64 // whole-memo invalidations (GC epochs dropped)

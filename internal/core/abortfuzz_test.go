@@ -44,14 +44,14 @@ func FuzzAbortMinimize(f *testing.F) {
 		baseline := m.NumNodes()
 		rootsBefore := m.NumProtected()
 
-		var h Anytime
+		var h Minimizer
 		if pick%2 == 0 {
 			h = &Robust{OnsetThreshold: -1}
 		} else {
 			h = &Scheduler{WindowSize: 2}
 		}
 		b := &bdd.Budget{FailAfter: uint64(failAfter)%4096 + 1}
-		g, info := h.MinimizeBudgeted(m, F, C, b)
+		g, info := MinimizeAnytime(h, m, F, C, b)
 
 		if !in.Cover(m, g) {
 			t.Fatalf("%s failAfter=%d: result is not a cover (aborted=%v phase=%q)",

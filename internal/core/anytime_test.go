@@ -1,21 +1,45 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
 	"bddmin/internal/bdd"
+	"bddmin/internal/obs"
 )
 
-// anytimeDrivers returns fresh instances of every Anytime implementation.
-func anytimeDrivers() []Anytime {
-	return []Anytime{
+// anytimeDrivers returns fresh instances of every step-wise driver plus
+// the sibling matcher, which MinimizeAnytime runs as a single step.
+func anytimeDrivers() []Minimizer {
+	return []Minimizer{
 		NewSiblingHeuristic(OSM, true, true),
 		&OptLv{},
 		&Scheduler{},
 		&Scheduler{WindowSize: 2, SkipLevelMatching: true},
 		&Robust{OnsetThreshold: -1}, // always runs both strategies
 	}
+}
+
+// steppedDrivers returns fresh instances of the step-wise drivers, one per
+// name the entry-point tests pin: opt_lv, opt_lv_osm, sched_w4_s0,
+// sched_w2_s0_nolv and robust (forced to run its level pass too).
+func steppedDrivers() []Minimizer {
+	return []Minimizer{
+		&OptLv{},
+		&OptLv{UseOSM: true},
+		&Scheduler{},
+		&Scheduler{WindowSize: 2, SkipLevelMatching: true},
+		&Robust{OnsetThreshold: -1},
+	}
+}
+
+// freshInstance rebuilds the same random n-variable instance on a new
+// manager, so runs compared against each other start from identical
+// arenas, caches and budget step counts.
+func freshInstance(seed int64, n int) (*bdd.Manager, ISF) {
+	m := bdd.New(n)
+	return m, randISF(newRand(seed), m, n)
 }
 
 // TestAnytimeDegradesToValidCover injects faults at a sweep of op counts
@@ -34,7 +58,7 @@ func TestAnytimeDegradesToValidCover(t *testing.T) {
 		rootsBefore := m.NumProtected()
 		aborted := 0
 		for _, failAfter := range []uint64{1, 2, 3, 7, 25, 90, 400, 2000, 20000} {
-			g, info := h.MinimizeBudgeted(m, in.F, in.C, &bdd.Budget{FailAfter: failAfter})
+			g, info := MinimizeAnytime(h, m, in.F, in.C, &bdd.Budget{FailAfter: failAfter})
 			if info.Aborted {
 				aborted++
 				if info.Err == nil || !errors.Is(info.Err, bdd.ErrBudgetExceeded) {
@@ -50,7 +74,7 @@ func TestAnytimeDegradesToValidCover(t *testing.T) {
 				t.Fatalf("%s: BestSize %d != actual %d", h.Name(), info.BestSize, m.Size(g))
 			}
 			if m.Budget() != nil {
-				t.Fatalf("%s: budget left attached after MinimizeBudgeted", h.Name())
+				t.Fatalf("%s: budget left attached after MinimizeAnytime", h.Name())
 			}
 			if got := m.NumProtected(); got != rootsBefore {
 				t.Fatalf("%s failAfter=%d: protection leak: %d roots, want %d",
@@ -78,7 +102,7 @@ func TestAnytimeWithoutBudgetDoesNotAbort(t *testing.T) {
 	for _, h := range anytimeDrivers() {
 		m := bdd.New(7)
 		in := randISF(rng, m, 7)
-		g, info := h.MinimizeBudgeted(m, in.F, in.C, nil)
+		g, info := MinimizeAnytime(h, m, in.F, in.C, nil)
 		if info.Aborted {
 			t.Fatalf("%s: aborted with no budget: %+v", h.Name(), info)
 		}
@@ -89,8 +113,8 @@ func TestAnytimeWithoutBudgetDoesNotAbort(t *testing.T) {
 	}
 }
 
-// plainMinimizer is a Minimizer that does not implement Anytime, for the
-// generic MinimizeAnytime fallback path.
+// plainMinimizer is a Minimizer with no step loop, for the whole-run
+// MinimizeAnytime path.
 type plainMinimizer struct{}
 
 func (plainMinimizer) Name() string { return "plain_const" }
@@ -116,7 +140,7 @@ func TestMinimizeAnytimeGenericFallback(t *testing.T) {
 		t.Fatalf("expected fault abort, got %+v", info)
 	}
 	if g != in.F {
-		t.Fatal("non-anytime fallback must degrade to f itself")
+		t.Fatal("whole-run fallback must degrade to f itself")
 	}
 }
 
@@ -132,10 +156,11 @@ func TestOptLvAbortKeepsCompletedLevels(t *testing.T) {
 	full := o.Minimize(m, in.F, in.C)
 	fullSize := m.Size(full)
 	for failAfter := uint64(50); ; failAfter *= 4 {
-		g, info := o.MinimizeBudgeted(m, in.F, in.C, &bdd.Budget{FailAfter: failAfter})
+		g, info := MinimizeAnytime(o, m, in.F, in.C, &bdd.Budget{FailAfter: failAfter})
 		requireCover(t, m, g, in, "opt_lv partial")
 		if !info.Aborted {
-			// The budgeted driver additionally clamps to |f| (Prop. 6 trick).
+			// Minimize returns the raw result; MinimizeAnytime clamps it to
+			// |f| (the Proposition 6 comparison safeguard).
 			expected := fullSize
 			if fs := m.Size(in.F); expected > fs {
 				expected = fs
@@ -146,4 +171,140 @@ func TestOptLvAbortKeepsCompletedLevels(t *testing.T) {
 			break
 		}
 	}
+}
+
+// An instrumented driver must keep its step-wise rollback: through
+// Instrument, every budget trip point yields the same cover, phase and best
+// size as the bare driver, never a whole-run fallback to f.
+func TestInstrumentedAnytimeKeepsRollback(t *testing.T) {
+	const n, seed = 8, 41
+	for i := range steppedDrivers() {
+		name := steppedDrivers()[i].Name()
+		midRun := 0
+		for _, failAfter := range []uint64{3, 30, 200, 600, 1500, 4000, 10000, 40000} {
+			run := func(instrument bool) (string, AbortInfo) {
+				m, in := freshInstance(seed, n)
+				h := steppedDrivers()[i]
+				if instrument {
+					h = Instrument(h, &obs.Buffer{})
+				}
+				g, info := MinimizeAnytime(h, m, in.F, in.C, &bdd.Budget{FailAfter: failAfter})
+				requireCover(t, m, g, in, name)
+				return FormatSpec(m, ISF{F: g, C: bdd.One}, n), info
+			}
+			bare, bareInfo := run(false)
+			traced, tracedInfo := run(true)
+			if traced != bare || tracedInfo.Phase != bareInfo.Phase || tracedInfo.BestSize != bareInfo.BestSize ||
+				tracedInfo.Aborted != bareInfo.Aborted {
+				t.Fatalf("%s failAfter=%d: instrumented run (phase %q, best %d) differs from bare run (phase %q, best %d)",
+					name, failAfter, tracedInfo.Phase, tracedInfo.BestSize, bareInfo.Phase, bareInfo.BestSize)
+			}
+			if bareInfo.Aborted && bareInfo.Phase != name {
+				midRun++
+			}
+		}
+		if midRun == 0 {
+			t.Fatalf("%s: no trip point landed inside a step; sweep misses the rollback", name)
+		}
+	}
+}
+
+// Minimize is the unbudgeted step loop: it returns the loop's raw result,
+// and traced, it emits exactly the events of the nil-budget MinimizeAnytime
+// run (final_const included).
+func TestMinimizeIsTheUnbudgetedStepLoop(t *testing.T) {
+	finalConst := 0
+	for seed := int64(60); seed < 66; seed++ {
+		for i := range steppedDrivers() {
+			name := steppedDrivers()[i].Name()
+			m, in := freshInstance(seed, 7)
+			plain := steppedDrivers()[i].Minimize(m, in.F, in.C)
+			raw, info := runSteps(steppedDrivers()[i], m, in.F, in.C, true)
+			if info.Aborted || raw != plain {
+				t.Fatalf("%s seed %d: Minimize %d nodes, unbudgeted step loop %d nodes (aborted %v)",
+					name, seed, m.Size(plain), m.Size(raw), info.Aborted)
+			}
+			events := func(budgeted bool) []byte {
+				var buf bytes.Buffer
+				m, in := freshInstance(seed, 7)
+				h := Instrument(steppedDrivers()[i], obs.NewJSONL(&buf))
+				if budgeted {
+					MinimizeAnytime(h, m, in.F, in.C, nil)
+				} else {
+					h.Minimize(m, in.F, in.C)
+				}
+				return buf.Bytes()
+			}
+			plainEv, budgetedEv := events(false), events(true)
+			if !bytes.Equal(plainEv, budgetedEv) {
+				t.Fatalf("%s seed %d: traced Minimize and nil-budget MinimizeAnytime emit different events:\n%s\nvs\n%s",
+					name, seed, plainEv, budgetedEv)
+			}
+			finalConst += bytes.Count(budgetedEv, []byte(`"name":"final_const"`))
+		}
+	}
+	if finalConst == 0 {
+		t.Fatal("no scheduler run reached its final constrain; the final_const event is untested")
+	}
+}
+
+// Minimize runs its steps directly: a budget attached by an outer caller
+// unwinds out of it as an *AbortError at every trip point, and a run that
+// does not trip returns the full cover — never a silently degraded one.
+func TestMinimizeUnwindsOuterBudget(t *testing.T) {
+	const n, seed = 7, 43
+	for i := range steppedDrivers() {
+		name := steppedDrivers()[i].Name()
+		m, in := freshInstance(seed, n)
+		count := &bdd.Budget{} // all limits zero: never trips, counts steps
+		var full bdd.Ref
+		if err := m.RunBudgeted(count, func() { full = steppedDrivers()[i].Minimize(m, in.F, in.C) }); err != nil {
+			t.Fatalf("%s: limitless budget aborted: %v", name, err)
+		}
+		fullSpec := FormatSpec(m, ISF{F: full, C: bdd.One}, n)
+		total := count.Steps()
+		for _, k := range []uint64{1, 2, total / 7, total / 3, total / 2, total - 1, total, total + 1} {
+			if k == 0 {
+				continue
+			}
+			m, in := freshInstance(seed, n)
+			var g bdd.Ref
+			err := m.RunBudgeted(&bdd.Budget{FailAfter: k}, func() { g = steppedDrivers()[i].Minimize(m, in.F, in.C) })
+			if k <= total {
+				var ae *bdd.AbortError
+				if !errors.As(err, &ae) {
+					t.Fatalf("%s FailAfter=%d of %d steps: Minimize returned (err %v) instead of unwinding",
+						name, k, total, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s FailAfter=%d of %d steps: unexpected abort %v", name, k, total, err)
+			}
+			if got := FormatSpec(m, ISF{F: g, C: bdd.One}, n); got != fullSpec {
+				t.Fatalf("%s: untripped budgeted Minimize differs from the unbudgeted cover", name)
+			}
+		}
+	}
+}
+
+// Minimize is not clamped to |f| — Table 3 records growth — while
+// MinimizeAnytime returns f whenever the raw result is larger.
+func TestMinimizeKeepsGrowthAnytimeClamps(t *testing.T) {
+	rng := newRand(104)
+	for trial := 0; trial < 100; trial++ {
+		m := bdd.New(4)
+		in := randISF(rng, m, 4)
+		g := (&OptLv{}).Minimize(m, in.F, in.C)
+		if m.Size(g) <= m.Size(in.F) {
+			continue
+		}
+		a, info := MinimizeAnytime(&OptLv{}, m, in.F, in.C, nil)
+		if a != in.F || info.Aborted || info.BestSize != m.Size(in.F) {
+			t.Fatalf("trial %d: opt_lv grew f from %d to %d nodes, but MinimizeAnytime returned %d nodes (%+v)",
+				trial, m.Size(in.F), m.Size(g), m.Size(a), info)
+		}
+		return
+	}
+	t.Fatal("no instance where opt_lv grows f; widen the search")
 }

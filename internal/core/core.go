@@ -100,31 +100,3 @@ func MinimizeChecked(h Minimizer, m *bdd.Manager, f, c bdd.Ref) bdd.Ref {
 	}
 	return g
 }
-
-// WithMatchWorkers returns h with its level-match worker count set, for
-// minimizers that have one (OptLv, Scheduler, Robust), reaching through
-// the Traced wrapper; any other minimizer — in particular the sibling
-// matchers, which do no level matching — is returned unchanged. The input
-// is never mutated (a shallow copy carries the knob), so shared registry
-// instances stay safe to use from other goroutines. Worker counts never
-// change results (the parallel matcher is byte-identical to serial), so
-// the call is always safe; values ≤ 1 keep the serial path.
-func WithMatchWorkers(h Minimizer, workers int) Minimizer {
-	switch t := h.(type) {
-	case *OptLv:
-		c := *t
-		c.MatchWorkers = workers
-		return &c
-	case *Scheduler:
-		c := *t
-		c.MatchWorkers = workers
-		return &c
-	case *Robust:
-		c := *t
-		c.MatchWorkers = workers
-		return &c
-	case *tracedMinimizer:
-		return &tracedMinimizer{h: WithMatchWorkers(t.h, workers), tr: t.tr}
-	}
-	return h
-}

@@ -224,13 +224,6 @@ type lvScratch struct {
 	cliques    [][]int         // clique cover: views into the slab
 	repl       map[ISF]ISF     // replacement map of the current level
 	memo       isfMap          // rebuilder memo
-
-	// Parallel matcher state (see matchVerdicts): the per-candidate verdict
-	// bytes the workers fill, and the worker split of the last round for the
-	// tracing layer — accumulated across the batches of one level.
-	verdict     []uint8
-	workerPairs []int
-	lastWorkers int
 }
 
 func newLvScratch() *lvScratch {
@@ -239,7 +232,7 @@ func newLvScratch() *lvScratch {
 
 // lvScratchPool recycles scratches across minimization calls. Only entry
 // points whose results do not alias scratch memory may use it
-// (MinimizeAtLevelStats, OptLv.Minimize); CollectLevelPairs and the level
+// (MinimizeAtLevel, the OptLv level loop); CollectLevelPairs and the level
 // solvers return scratch-backed slices/maps and must keep their scratch.
 var lvScratchPool = sync.Pool{New: func() any { return newLvScratch() }}
 
@@ -265,116 +258,6 @@ func growInt(buf []int, n int) []int {
 		buf[i] = 0
 	}
 	return buf
-}
-
-// growU8 returns buf resized to n zeroed elements, reusing its capacity.
-func growU8(buf []uint8, n int) []uint8 {
-	if cap(buf) < n {
-		return make([]uint8, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// Verdict bytes recorded by the parallel matcher. Zero marks a slot no
-// worker owns (the matrix diagonal), so a freshly zeroed buffer is safe to
-// merge even if a slot was never written.
-const (
-	verdictPruned uint8 = iota + 1 // rejected by the signature filter
-	verdictMiss                    // kernel ran, no match
-	verdictEdge                    // kernel ran, match
-)
-
-// minParallelCandidates is the smallest candidate-matrix size worth a
-// worker-pool round trip: below it the session setup (goroutine spawns plus
-// the per-view signature-memo copy) costs more than the kernel calls it
-// spreads, even on many cores.
-const minParallelCandidates = 16
-
-// parallelWorkers resolves the effective worker count for a batch with the
-// given number of candidate pairs: 1 keeps the serial loop, and more
-// workers than candidates would idle. The decision depends only on the knob
-// and the candidate count, never on timing, so a given configuration always
-// takes the same path.
-func parallelWorkers(workers, candidates int) int {
-	if workers <= 1 || candidates < minParallelCandidates {
-		return 1
-	}
-	if workers > candidates {
-		workers = candidates
-	}
-	return workers
-}
-
-// matchVerdicts fans the candidate-pair evaluations of one matrix across a
-// bdd.MatchSession worker pool and returns the per-worker candidate counts.
-// Candidates are enumerated in the serial loop's order — row-major over
-// (j, k), the upper triangle j < k for TSM (tsm true) and the full
-// off-diagonal matrix for OSM — and candidate t is owned by worker t mod
-// workers: a static partition, so the split is deterministic. Worker w
-// writes the verdict of candidate (j, k) to verdict[j*n+k] and its count to
-// counts[w]; no two workers share a byte or a counter, and the caller's
-// serial merge replays the verdicts in the same row-major order the serial
-// loop evaluates them, making the merged matrix and its edge/prune counts
-// byte-identical to serial execution. A budget abort inside a worker
-// unwinds through Run (one abort, manager left consistent); the deferred
-// Close runs either way.
-func matchVerdicts(m *bdd.Manager, pairs []LevelPair, workers int, tsm bool, verdict []uint8) []int {
-	n := len(pairs)
-	counts := make([]int, workers)
-	ses := m.BeginMatchSession(workers)
-	defer ses.Close()
-	ses.Run(func(w int, v *bdd.MatchView) {
-		t := 0
-		for j := 0; j < n; j++ {
-			kStart := 0
-			if tsm {
-				kStart = j + 1
-			}
-			for k := kStart; k < n; k++ {
-				if j == k {
-					continue
-				}
-				mine := t%workers == w
-				t++
-				if !mine {
-					continue
-				}
-				counts[w]++
-				a, b := &pairs[j], &pairs[k]
-				var res uint8
-				switch {
-				case tsm && !bdd.SigMatchTSM(a.FSig, a.CSig, b.FSig, b.CSig),
-					!tsm && !bdd.SigMatchOSM(a.FSig, a.CSig, b.FSig, b.CSig):
-					res = verdictPruned
-				case tsm && v.MatchTSM(a.F, a.C, b.F, b.C),
-					!tsm && v.MatchOSM(a.F, a.C, b.F, b.C):
-					res = verdictEdge
-				default:
-					res = verdictMiss
-				}
-				verdict[j*n+k] = res
-			}
-		}
-	})
-	return counts
-}
-
-// noteWorkers records a parallel round's worker split for the tracing
-// layer, accumulating elementwise across the batches of one level.
-func (sc *lvScratch) noteWorkers(workers int, counts []int) {
-	if workers > sc.lastWorkers {
-		sc.lastWorkers = workers
-	}
-	for len(sc.workerPairs) < len(counts) {
-		sc.workerPairs = append(sc.workerPairs, 0)
-	}
-	for i, c := range counts {
-		sc.workerPairs[i] += c
-	}
 }
 
 func collectLevelPairs(m *bdd.Manager, in ISF, i bdd.Var, limit int, sc *lvScratch) []LevelPair {
@@ -502,54 +385,33 @@ func PairDistance(a, b LevelPair) uint64 {
 // minimum set of i-covers. The returned map sends every replaced pair's
 // ISF to its i-cover; unreplaced (sink) pairs are absent.
 func SolveOSMLevel(m *bdd.Manager, pairs []LevelPair) map[ISF]ISF {
-	repl, _, _ := solveOSMLevel(m, pairs, 1, newLvScratch())
+	repl, _, _ := solveOSMLevel(m, pairs)
 	return repl
 }
 
 // solveOSMLevel additionally reports the DMG's edge count and the number
-// of candidate pairs rejected by the signature filter, for tracing. With
-// workers > 1 the candidate matrix is evaluated by a MatchSession worker
-// pool and merged deterministically; the resulting graph, and therefore the
-// replacement map, is identical to the serial build.
-func solveOSMLevel(m *bdd.Manager, pairs []LevelPair, workers int, sc *lvScratch) (map[ISF]ISF, int, int) {
+// of candidate pairs rejected by the signature filter, for tracing.
+func solveOSMLevel(m *bdd.Manager, pairs []LevelPair) (map[ISF]ISF, int, int) {
 	n := len(pairs)
 	edges, pruned := 0, 0
 	match := make([][]bool, n)
 	for j := range match {
 		match[j] = make([]bool, n)
 	}
-	if w := parallelWorkers(workers, n*(n-1)); w > 1 {
-		sc.verdict = growU8(sc.verdict, n*n)
-		verdict := sc.verdict
-		sc.noteWorkers(w, matchVerdicts(m, pairs, w, false, verdict))
-		for j := 0; j < n; j++ {
-			row := verdict[j*n : (j+1)*n]
-			for k := 0; k < n; k++ {
-				switch row[k] {
-				case verdictPruned:
-					pruned++
-				case verdictEdge:
-					match[j][k] = true
-					edges++
-				}
+	for j := 0; j < n; j++ {
+		for k := 0; k < n; k++ {
+			if j == k {
+				continue
 			}
-		}
-	} else {
-		for j := 0; j < n; j++ {
-			for k := 0; k < n; k++ {
-				if j == k {
-					continue
-				}
-				// One word operation rejects pairs that provably cannot
-				// match; only survivors pay for a kernel query.
-				if !bdd.SigMatchOSM(pairs[j].FSig, pairs[j].CSig, pairs[k].FSig, pairs[k].CSig) {
-					pruned++
-					continue
-				}
-				if OSM.Matches(m, pairs[j].ISF, pairs[k].ISF) {
-					match[j][k] = true
-					edges++
-				}
+			// One word operation rejects pairs that provably cannot
+			// match; only survivors pay for a kernel query.
+			if !bdd.SigMatchOSM(pairs[j].FSig, pairs[j].CSig, pairs[k].FSig, pairs[k].CSig) {
+				pruned++
+				continue
+			}
+			if OSM.Matches(m, pairs[j].ISF, pairs[k].ISF) {
+				match[j][k] = true
+				edges++
 			}
 		}
 	}
@@ -610,7 +472,7 @@ func solveOSMLevel(m *bdd.Manager, pairs []LevelPair, workers int, sc *lvScratch
 // matches of nearby functions. Each clique is folded into a single common
 // i-cover (Lemma 14 guarantees one exists).
 func SolveTSMLevel(m *bdd.Manager, pairs []LevelPair) map[ISF]ISF {
-	repl, _, _, _ := solveTSMLevel(m, pairs, 1, newLvScratch())
+	repl, _, _, _ := solveTSMLevel(m, pairs, newLvScratch())
 	return repl
 }
 
@@ -618,8 +480,8 @@ func SolveTSMLevel(m *bdd.Manager, pairs []LevelPair) map[ISF]ISF {
 // number of non-singleton cliques folded, and the signature-pruned pair
 // count, for tracing. The returned map is sc.repl: valid until the next
 // solve on the same scratch.
-func solveTSMLevel(m *bdd.Manager, pairs []LevelPair, workers int, sc *lvScratch) (map[ISF]ISF, int, int, int) {
-	cliques, edges, pruned := tsmCliqueCover(m, pairs, true, workers, sc)
+func solveTSMLevel(m *bdd.Manager, pairs []LevelPair, sc *lvScratch) (map[ISF]ISF, int, int, int) {
+	cliques, edges, pruned := tsmCliqueCover(m, pairs, true, sc)
 	folded := 0
 	repl := sc.repl
 	clear(repl)
@@ -647,7 +509,7 @@ func solveTSMLevel(m *bdd.Manager, pairs []LevelPair, workers int, sc *lvScratch
 // vertices and extensions in index order (the baseline the paper's
 // optimizations are measured against — see the ablation benchmarks).
 func TSMCliqueCover(m *bdd.Manager, pairs []LevelPair, optimized bool) [][]int {
-	cliques, _, _ := tsmCliqueCover(m, pairs, optimized, 1, newLvScratch())
+	cliques, _, _ := tsmCliqueCover(m, pairs, optimized, newLvScratch())
 	return cliques
 }
 
@@ -661,7 +523,7 @@ func TSMCliqueCover(m *bdd.Manager, pairs []LevelPair, optimized bool) [][]int {
 // sets with single word operations instead of per-member map probes, and
 // iteration order is index order by construction — no map-order laundering
 // needed for determinism.
-func tsmCliqueCover(m *bdd.Manager, pairs []LevelPair, optimized bool, workers int, sc *lvScratch) ([][]int, int, int) {
+func tsmCliqueCover(m *bdd.Manager, pairs []LevelPair, optimized bool, sc *lvScratch) ([][]int, int, int) {
 	n := len(pairs)
 	edges, pruned := 0, 0
 	words := (n + 63) / 64
@@ -669,43 +531,20 @@ func tsmCliqueCover(m *bdd.Manager, pairs []LevelPair, optimized bool, workers i
 	adj := sc.adj
 	sc.deg = growInt(sc.deg, n)
 	deg := sc.deg
-	if w := parallelWorkers(workers, n*(n-1)/2); w > 1 {
-		// Workers record independent verdict bytes; the read-modify-write
-		// bitset and degree updates happen only here in the serial merge,
-		// replaying the verdicts in the serial loop's order.
-		sc.verdict = growU8(sc.verdict, n*n)
-		verdict := sc.verdict
-		sc.noteWorkers(w, matchVerdicts(m, pairs, w, true, verdict))
-		for j := 0; j < n; j++ {
-			for k := j + 1; k < n; k++ {
-				switch verdict[j*n+k] {
-				case verdictPruned:
-					pruned++
-				case verdictEdge:
-					adj[j*words+k/64] |= 1 << uint(k%64)
-					adj[k*words+j/64] |= 1 << uint(j%64)
-					deg[j]++
-					deg[k]++
-					edges++
-				}
+	for j := 0; j < n; j++ {
+		for k := j + 1; k < n; k++ {
+			// Signature filter first: a nonzero witness word proves the
+			// pair cannot TSM-match, skipping the kernel entirely.
+			if !bdd.SigMatchTSM(pairs[j].FSig, pairs[j].CSig, pairs[k].FSig, pairs[k].CSig) {
+				pruned++
+				continue
 			}
-		}
-	} else {
-		for j := 0; j < n; j++ {
-			for k := j + 1; k < n; k++ {
-				// Signature filter first: a nonzero witness word proves the
-				// pair cannot TSM-match, skipping the kernel entirely.
-				if !bdd.SigMatchTSM(pairs[j].FSig, pairs[j].CSig, pairs[k].FSig, pairs[k].CSig) {
-					pruned++
-					continue
-				}
-				if TSM.Matches(m, pairs[j].ISF, pairs[k].ISF) {
-					adj[j*words+k/64] |= 1 << uint(k%64)
-					adj[k*words+j/64] |= 1 << uint(j%64)
-					deg[j]++
-					deg[k]++
-					edges++
-				}
+			if TSM.Matches(m, pairs[j].ISF, pairs[k].ISF) {
+				adj[j*words+k/64] |= 1 << uint(k%64)
+				adj[k*words+j/64] |= 1 << uint(j%64)
+				deg[j]++
+				deg[k]++
+				edges++
 			}
 		}
 	}
@@ -879,40 +718,6 @@ func (r *rebuilder) rebuild(in ISF) ISF {
 	return out
 }
 
-// MinimizeAtLevel performs one round of "minimizing at level i"
-// (Section 3.3): collect the pairs below i, solve FMM under the given
-// criterion (OSM exactly, TSM heuristically), and rebuild. It returns the
-// transformed i-cover and the number of pairs that were replaced.
-//
-// When limit > 0 the collected set is processed in depth-first-order
-// batches of at most limit pairs, the paper's first method for bounding
-// the set size: "when the limit is reached, the resulting set is
-// processed; then the traversal is continued, building a new set", with
-// the advantage that "subfunctions that are nearby in the BDD will be
-// grouped together". Batches are solved independently and the combined
-// replacement map is applied in a single rebuild.
-func MinimizeAtLevel(m *bdd.Manager, in ISF, i bdd.Var, cr Criterion, limit int) (ISF, int) {
-	out, stats := MinimizeAtLevelStats(m, in, i, cr, limit)
-	return out, stats.Replaced
-}
-
-// MinimizeAtLevelParallel is MinimizeAtLevelStats with the pair matrix
-// evaluated by workers concurrent match-kernel goroutines (values ≤ 1 run
-// serially). The i-cover and the statistics are byte-identical to the
-// serial result for every worker count. The extra return value reports how
-// many candidate pairs each worker evaluated, for the tracing layer; it is
-// nil when the round ran serially (too few candidates, or workers ≤ 1).
-func MinimizeAtLevelParallel(m *bdd.Manager, in ISF, i bdd.Var, cr Criterion, limit, workers int) (ISF, LevelMatchStats, []int) {
-	sc := lvScratchPool.Get().(*lvScratch)
-	out, stats := minimizeAtLevel(m, in, i, cr, limit, workers, sc)
-	var split []int
-	if sc.lastWorkers > 1 {
-		split = append(split, sc.workerPairs...)
-	}
-	lvScratchPool.Put(sc)
-	return out, stats, split
-}
-
 // LevelMatchStats describes one level-matching round for the tracing
 // layer: the matching graph built over the collected pairs (Section 3.3)
 // and how much of it was used. Cliques counts the non-singleton cliques of
@@ -927,19 +732,28 @@ type LevelMatchStats struct {
 	Aborted bool
 }
 
-// MinimizeAtLevelStats is MinimizeAtLevel with the matching-graph
-// statistics of the round. Batched runs (limit > 0) accumulate edge and
-// clique counts across batches.
-func MinimizeAtLevelStats(m *bdd.Manager, in ISF, i bdd.Var, cr Criterion, limit int) (ISF, LevelMatchStats) {
+// MinimizeAtLevel performs one round of "minimizing at level i"
+// (Section 3.3): collect the pairs below i, solve FMM under the given
+// criterion (OSM exactly, TSM heuristically), and rebuild. It returns the
+// transformed i-cover and the matching-graph statistics of the round
+// (Replaced is the number of pairs that were replaced).
+//
+// When limit > 0 the collected set is processed in depth-first-order
+// batches of at most limit pairs, the paper's first method for bounding
+// the set size: "when the limit is reached, the resulting set is
+// processed; then the traversal is continued, building a new set", with
+// the advantage that "subfunctions that are nearby in the BDD will be
+// grouped together". Batches are solved independently, their edge and
+// clique counts accumulate, and the combined replacement map is applied in
+// a single rebuild.
+func MinimizeAtLevel(m *bdd.Manager, in ISF, i bdd.Var, cr Criterion, limit int) (ISF, LevelMatchStats) {
 	sc := lvScratchPool.Get().(*lvScratch)
-	out, stats := minimizeAtLevel(m, in, i, cr, limit, 1, sc)
+	out, stats := minimizeAtLevel(m, in, i, cr, limit, sc)
 	lvScratchPool.Put(sc)
 	return out, stats
 }
 
-func minimizeAtLevel(m *bdd.Manager, in ISF, i bdd.Var, cr Criterion, limit, workers int, sc *lvScratch) (ISF, LevelMatchStats) {
-	sc.lastWorkers = 0
-	sc.workerPairs = sc.workerPairs[:0]
+func minimizeAtLevel(m *bdd.Manager, in ISF, i bdd.Var, cr Criterion, limit int, sc *lvScratch) (ISF, LevelMatchStats) {
 	pairs := collectLevelPairs(m, in, i, 0, sc)
 	stats := LevelMatchStats{Pairs: len(pairs)}
 	if len(pairs) < 2 {
@@ -948,12 +762,12 @@ func minimizeAtLevel(m *bdd.Manager, in ISF, i bdd.Var, cr Criterion, limit, wor
 	solve := func(batch []LevelPair) map[ISF]ISF {
 		switch cr {
 		case OSM:
-			repl, edges, pruned := solveOSMLevel(m, batch, workers, sc)
+			repl, edges, pruned := solveOSMLevel(m, batch)
 			stats.Edges += edges
 			stats.Pruned += pruned
 			return repl
 		case TSM:
-			repl, edges, cliques, pruned := solveTSMLevel(m, batch, workers, sc)
+			repl, edges, cliques, pruned := solveTSMLevel(m, batch, sc)
 			stats.Edges += edges
 			stats.Cliques += cliques
 			stats.Pruned += pruned
@@ -998,10 +812,6 @@ type OptLv struct {
 	Limit int
 	// UseOSM selects the OSM matching criterion instead of TSM.
 	UseOSM bool
-	// MatchWorkers fans each level's pair matrix across this many concurrent
-	// match-kernel goroutines (bdd.MatchSession). Values ≤ 1 keep the serial
-	// path; covers and statistics are byte-identical for every setting.
-	MatchWorkers int
 	// Trace, when non-nil, receives one obs.LevelMatchEvent per level.
 	Trace obs.Tracer
 }
@@ -1016,6 +826,13 @@ func (o *OptLv) Name() string {
 
 // Minimize runs level matching per Section 3.3 at every level, top-down.
 func (o *OptLv) Minimize(m *bdd.Manager, f, c bdd.Ref) bdd.Ref {
+	g, _ := o.steps(m, f, c, false)
+	return g
+}
+
+// steps is the level loop behind Minimize and MinimizeAnytime. Every level
+// is one step; a level cut short by an abort is traced with Aborted set.
+func (o *OptLv) steps(m *bdd.Manager, f, c bdd.Ref, catch bool) (bdd.Ref, AbortInfo) {
 	if c == bdd.Zero {
 		panic("core: opt_lv called with empty care set")
 	}
@@ -1023,39 +840,37 @@ func (o *OptLv) Minimize(m *bdd.Manager, f, c bdd.Ref) bdd.Ref {
 	if o.UseOSM {
 		cr = OSM
 	}
-	cur := ISF{f, c}
+	run := stepRun{m: m, cur: ISF{f, c}, catch: catch}
 	sc := lvScratchPool.Get().(*lvScratch) // one scratch serves every level
 	defer lvScratchPool.Put(sc)
-	for i := 0; i < m.NumVars(); i++ {
-		if cur.C == bdd.One || cur.F.IsConst() {
+	for i := 0; i < m.NumVars() && !run.done(); i++ {
+		var start time.Time
+		if o.Trace != nil {
+			start = time.Now()
+		}
+		var stats LevelMatchStats
+		ok := run.step(run.phase("level %d", i), func(in ISF) (out ISF) {
+			out, stats = minimizeAtLevel(m, in, bdd.Var(i), cr, o.Limit, sc)
+			return out
+		})
+		if o.Trace != nil {
+			stats.Aborted = !ok
+			o.Trace.Emit(levelMatchEvent(i, cr, stats, time.Since(start)))
+		}
+		if !ok {
 			break
 		}
-		if o.Trace == nil {
-			cur, _ = minimizeAtLevel(m, cur, bdd.Var(i), cr, o.Limit, o.MatchWorkers, sc)
-			continue
-		}
-		start := time.Now()
-		var stats LevelMatchStats
-		cur, stats = minimizeAtLevel(m, cur, bdd.Var(i), cr, o.Limit, o.MatchWorkers, sc)
-		o.Trace.Emit(levelMatchEvent(i, cr, stats, sc, time.Since(start)))
 	}
-	return cur.F
+	return run.cur.F, run.info
 }
 
-// levelMatchEvent assembles the per-level trace event, attaching the worker
-// split only when the round actually fanned out — serial rounds emit the
-// exact event shape they always have, keeping golden traces byte-identical.
-func levelMatchEvent(level int, cr Criterion, stats LevelMatchStats, sc *lvScratch, d time.Duration) obs.LevelMatchEvent {
-	ev := obs.LevelMatchEvent{
+// levelMatchEvent assembles the per-level trace event.
+func levelMatchEvent(level int, cr Criterion, stats LevelMatchStats, d time.Duration) obs.LevelMatchEvent {
+	return obs.LevelMatchEvent{
 		Level: level, Criterion: cr.String(),
 		Pairs: stats.Pairs, Edges: stats.Edges, Cliques: stats.Cliques,
 		Replaced: stats.Replaced, Pruned: stats.Pruned,
 		Aborted:  stats.Aborted,
 		Duration: d,
 	}
-	if sc.lastWorkers > 1 {
-		ev.Workers = sc.lastWorkers
-		ev.WorkerPairs = append([]int(nil), sc.workerPairs...)
-	}
-	return ev
 }

@@ -331,8 +331,8 @@ func TestTheorem12OSMPreservesBelowLevelOptimum(t *testing.T) {
 		m := bdd.New(n)
 		in := randISF(rng, m, n)
 		for lvl := 0; lvl < n-1; lvl++ {
-			out, replaced := MinimizeAtLevel(m, in, bdd.Var(lvl), OSM, 0)
-			if replaced == 0 {
+			out, stats := MinimizeAtLevel(m, in, bdd.Var(lvl), OSM, 0)
+			if stats.Replaced == 0 {
 				continue
 			}
 			before := minBelow(m, in, n, bdd.Var(lvl))
@@ -410,8 +410,8 @@ func TestMinimizeAtLevelBatchedIsSound(t *testing.T) {
 		m := bdd.New(n)
 		in := randISF(rng, m, n)
 		for _, limit := range []int{1, 2, 3, 0} {
-			out, replaced := MinimizeAtLevel(m, in, 0, TSM, limit)
-			if limit == 1 && replaced != 0 {
+			out, stats := MinimizeAtLevel(m, in, 0, TSM, limit)
+			if limit == 1 && stats.Replaced != 0 {
 				t.Fatal("singleton batches cannot produce matches")
 			}
 			allCovers(m, out, n, func(g bdd.Ref) {

@@ -21,9 +21,6 @@ type Robust struct {
 	OnsetThreshold float64
 	// Limit bounds the level matcher's collected set size (0 = unlimited).
 	Limit int
-	// MatchWorkers is passed through to the level matcher when it runs; see
-	// OptLv.MatchWorkers.
-	MatchWorkers int
 }
 
 // Name returns "robust".
@@ -32,6 +29,14 @@ func (r *Robust) Name() string { return "robust" }
 // Minimize returns the best cover found by the selected strategies, never
 // larger than f.
 func (r *Robust) Minimize(m *bdd.Manager, f, c bdd.Ref) bdd.Ref {
+	g, _ := r.steps(m, f, c, false)
+	return g
+}
+
+// steps runs the sibling matcher and, above the onset threshold, the level
+// matcher, both sharing whatever budget is attached. When the sibling pass
+// aborts, the level pass is skipped (a crossed limit stays crossed).
+func (r *Robust) steps(m *bdd.Manager, f, c bdd.Ref, catch bool) (bdd.Ref, AbortInfo) {
 	if c == bdd.Zero {
 		panic("core: robust called with empty care set")
 	}
@@ -45,10 +50,11 @@ func (r *Robust) Minimize(m *bdd.Manager, f, c bdd.Ref) bdd.Ref {
 			best = g
 		}
 	}
-	consider(NewSiblingHeuristic(OSM, true, true).Minimize(m, f, c))
-	if m.Density(c) > threshold {
-		lv := &OptLv{Limit: r.Limit, MatchWorkers: r.MatchWorkers}
-		consider(lv.Minimize(m, f, c))
+	g, info := runSteps(NewSiblingHeuristic(OSM, true, true), m, f, c, catch)
+	consider(g)
+	if !info.Aborted && m.Density(c) > threshold {
+		g, info = (&OptLv{Limit: r.Limit}).steps(m, f, c, catch)
+		consider(g)
 	}
-	return best
+	return best, info
 }

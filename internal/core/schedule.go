@@ -37,11 +37,6 @@ type Scheduler struct {
 	// LevelLimit bounds the collected set size per level match
 	// (0 = unlimited).
 	LevelLimit int
-	// MatchWorkers fans each level match's pair matrix across this many
-	// concurrent match-kernel goroutines (bdd.MatchSession). Values ≤ 1 keep
-	// the serial path; results are byte-identical for every setting. Sibling
-	// matching is unaffected.
-	MatchWorkers int
 	// Trace, when non-nil, receives the schedule's event stream: one
 	// obs.WindowEvent pair per window, one obs.HeuristicEvent per sibling
 	// step ("sib_osm", "sib_tsm") and for the final constrain
@@ -76,42 +71,54 @@ func (s *Scheduler) stop() int {
 }
 
 // sibStep runs one windowed sibling-matching step, traced when enabled.
-func (s *Scheduler) sibStep(m *bdd.Manager, cur ISF, cr Criterion, nnv bool, lo, hi int) ISF {
-	if s.Trace == nil {
-		return MatchSiblingsWindow(m, cr, false, nnv, cur, bdd.Var(lo), bdd.Var(hi))
+func (s *Scheduler) sibStep(m *bdd.Manager, in ISF, cr Criterion, nnv bool, lo, hi int) ISF {
+	var inSize int
+	var start time.Time
+	if s.Trace != nil {
+		inSize, start = m.Size(in.F), time.Now()
 	}
-	inSize := m.Size(cur.F)
-	start := time.Now()
-	out, matches := matchSiblingsWindow(m, cr, false, nnv, cur, bdd.Var(lo), bdd.Var(hi))
-	outSize := m.Size(out.F)
-	s.Trace.Emit(obs.HeuristicEvent{
-		Name: "sib_" + cr.String(), Criterion: cr.String(),
-		InSize: inSize, OutSize: outSize, Matches: matches,
-		Accepted: outSize <= inSize, Duration: time.Since(start),
-	})
+	out, matches := matchSiblingsWindow(m, cr, false, nnv, in, bdd.Var(lo), bdd.Var(hi))
+	if s.Trace != nil {
+		outSize := m.Size(out.F)
+		s.Trace.Emit(obs.HeuristicEvent{
+			Name: "sib_" + cr.String(), Criterion: cr.String(),
+			InSize: inSize, OutSize: outSize, Matches: matches,
+			Accepted: outSize <= inSize, Duration: time.Since(start),
+		})
+	}
 	return out
 }
 
 // lvStep runs one level-matching round, traced when enabled.
-func (s *Scheduler) lvStep(m *bdd.Manager, cur ISF, cr Criterion, i int) ISF {
-	if s.Trace == nil {
-		out, _, _ := MinimizeAtLevelParallel(m, cur, bdd.Var(i), cr, s.LevelLimit, s.MatchWorkers)
-		return out
+func (s *Scheduler) lvStep(m *bdd.Manager, in ISF, cr Criterion, i int) ISF {
+	var start time.Time
+	if s.Trace != nil {
+		start = time.Now()
 	}
-	start := time.Now()
-	out, stats, split := MinimizeAtLevelParallel(m, cur, bdd.Var(i), cr, s.LevelLimit, s.MatchWorkers)
-	ev := obs.LevelMatchEvent{
-		Level: i, Criterion: cr.String(),
-		Pairs: stats.Pairs, Edges: stats.Edges, Cliques: stats.Cliques,
-		Replaced: stats.Replaced, Pruned: stats.Pruned,
-		Duration: time.Since(start),
+	out, stats := MinimizeAtLevel(m, in, bdd.Var(i), cr, s.LevelLimit)
+	if s.Trace != nil {
+		s.Trace.Emit(levelMatchEvent(i, cr, stats, time.Since(start)))
 	}
-	if len(split) > 0 {
-		ev.Workers = len(split)
-		ev.WorkerPairs = split
-	}
-	s.Trace.Emit(ev)
 	return out
+}
+
+// finalStep constrains the remaining freedom away, traced when enabled.
+func (s *Scheduler) finalStep(m *bdd.Manager, in ISF) ISF {
+	var inSize int
+	var start time.Time
+	if s.Trace != nil {
+		inSize, start = m.Size(in.F), time.Now()
+	}
+	g := m.Constrain(in.F, in.C)
+	if s.Trace != nil {
+		outSize := m.Size(g)
+		s.Trace.Emit(obs.HeuristicEvent{
+			Name: "final_const", Criterion: OSDM.String(),
+			InSize: inSize, OutSize: outSize,
+			Accepted: outSize <= inSize, Duration: time.Since(start),
+		})
+	}
+	return ISF{F: g, C: bdd.One}
 }
 
 func (s *Scheduler) emitWindow(m *bdd.Manager, phase string, lo, hi int, cur ISF) {
@@ -126,56 +133,39 @@ func (s *Scheduler) emitWindow(m *bdd.Manager, phase string, lo, hi int, cur ISF
 
 // Minimize runs the schedule and returns a cover of [f, c].
 func (s *Scheduler) Minimize(m *bdd.Manager, f, c bdd.Ref) bdd.Ref {
+	g, _ := s.steps(m, f, c, false)
+	return g
+}
+
+// steps is the schedule behind Minimize and MinimizeAnytime. Each windowed
+// sibling match, each level match and the final constrain is one step.
+func (s *Scheduler) steps(m *bdd.Manager, f, c bdd.Ref, catch bool) (bdd.Ref, AbortInfo) {
 	if c == bdd.Zero {
 		panic("core: scheduler called with empty care set")
 	}
-	cur := ISF{f, c}
-	w := s.window()
-	stop := s.stop()
-	n := m.NumVars()
-	for lo := 0; lo < n; lo += w {
-		if cur.C == bdd.One || cur.F.IsConst() {
-			return cur.F
-		}
-		if n-lo <= stop {
+	run := stepRun{m: m, cur: ISF{f, c}, catch: catch}
+	w, stop, n := s.window(), s.stop(), m.NumVars()
+windows:
+	for lo := 0; lo < n && !run.done() && n-lo > stop; lo += w {
+		hi := min(lo+w-1, n-1)
+		s.emitWindow(m, "open", lo, hi, run.cur)
+		sibOSM := func(in ISF) ISF { return s.sibStep(m, in, OSM, true, lo, hi) }
+		sibTSM := func(in ISF) ISF { return s.sibStep(m, in, TSM, false, lo, hi) }
+		if !run.step(run.phase("window %d-%d sib_osm", lo, hi), sibOSM) ||
+			!run.step(run.phase("window %d-%d sib_tsm", lo, hi), sibTSM) {
 			break
 		}
-		hi := lo + w - 1
-		if hi >= n {
-			hi = n - 1
-		}
-		s.emitWindow(m, "open", lo, hi, cur)
-		cur = s.sibStep(m, cur, OSM, true, lo, hi)
-		cur = s.sibStep(m, cur, TSM, false, lo, hi)
-		if !s.SkipLevelMatching {
-			for i := lo; i <= hi && i < n; i++ {
-				if cur.C == bdd.One || cur.F.IsConst() {
-					s.emitWindow(m, "close", lo, hi, cur)
-					return cur.F
-				}
-				cur = s.lvStep(m, cur, OSM, i)
-				cur = s.lvStep(m, cur, TSM, i)
+		for i := lo; i <= hi && !s.SkipLevelMatching && !run.done(); i++ {
+			lvOSM := func(in ISF) ISF { return s.lvStep(m, in, OSM, i) }
+			lvTSM := func(in ISF) ISF { return s.lvStep(m, in, TSM, i) }
+			if !run.step(run.phase("level %d osm", i), lvOSM) || !run.step(run.phase("level %d tsm", i), lvTSM) {
+				break windows
 			}
 		}
-		s.emitWindow(m, "close", lo, hi, cur)
+		s.emitWindow(m, "close", lo, hi, run.cur)
 	}
-	if cur.C == bdd.One || cur.F.IsConst() {
-		return cur.F
+	if !run.info.Aborted && !run.done() && run.cur.C != bdd.Zero {
+		run.step("final constrain", func(in ISF) ISF { return s.finalStep(m, in) })
 	}
-	if cur.C == bdd.Zero {
-		return cur.F
-	}
-	if s.Trace == nil {
-		return m.Constrain(cur.F, cur.C)
-	}
-	inSize := m.Size(cur.F)
-	start := time.Now()
-	g := m.Constrain(cur.F, cur.C)
-	outSize := m.Size(g)
-	s.Trace.Emit(obs.HeuristicEvent{
-		Name: "final_const", Criterion: OSDM.String(),
-		InSize: inSize, OutSize: outSize,
-		Accepted: outSize <= inSize, Duration: time.Since(start),
-	})
-	return g
+	return run.cur.F, run.info
 }

@@ -30,8 +30,9 @@ func CriterionName(name string) string {
 // sibling-match counts themselves (wrapping them too would double-count in
 // the metrics table), while the scheduler and opt_lv emit window and
 // level-round events and still want the overall summary event from the
-// generic Traced wrapper. Everything else is wrapped. A nil tr returns h
-// unchanged.
+// generic Traced wrapper. Everything else is wrapped. The wrapper forwards
+// the driver's step loop, so MinimizeAnytime on an instrumented driver
+// keeps its step-wise rollback. A nil tr returns h unchanged.
 func Instrument(h Minimizer, tr obs.Tracer) Minimizer {
 	if tr == nil {
 		return h
@@ -73,9 +74,17 @@ func (t *tracedMinimizer) Name() string { return t.h.Name() }
 
 // Minimize implements Minimizer.
 func (t *tracedMinimizer) Minimize(m *bdd.Manager, f, c bdd.Ref) bdd.Ref {
+	g, _ := t.steps(m, f, c, false)
+	return g
+}
+
+// steps runs the wrapped minimizer's own step loop, so a budgeted run
+// through the wrapper keeps the driver's rollback, and then emits the
+// summary event with the raw (unclamped) output size.
+func (t *tracedMinimizer) steps(m *bdd.Manager, f, c bdd.Ref, catch bool) (bdd.Ref, AbortInfo) {
 	inSize := m.Size(f)
 	start := time.Now()
-	g := t.h.Minimize(m, f, c)
+	g, info := runSteps(t.h, m, f, c, catch)
 	elapsed := time.Since(start)
 	outSize := m.Size(g)
 	t.tr.Emit(obs.HeuristicEvent{
@@ -86,5 +95,5 @@ func (t *tracedMinimizer) Minimize(m *bdd.Manager, f, c bdd.Ref) bdd.Ref {
 		Accepted:  outSize <= inSize,
 		Duration:  elapsed,
 	})
-	return g
+	return g, info
 }

@@ -20,10 +20,6 @@ type KernelBench struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	NodesMade   uint64  `json:"nodes_made,omitempty"`
-	// MatchWorkers is the level-matching fan-out the benchmark ran with
-	// (0 or 1 = serial matcher). Results are byte-identical across
-	// settings, so the field only contextualizes the runtime.
-	MatchWorkers int `json:"match_workers,omitempty"`
 	// SweepNodes is the per-sweep internal-node trajectory of a network
 	// optimization run (suite/netopt): entry i is the node count after
 	// sweep i+1. Monotonically non-increasing by construction.
@@ -65,12 +61,12 @@ func HeuristicSummaries(mt *obs.Metrics) []HeuristicSummary {
 // interpret the numbers (worker count, GOMAXPROCS, timestamp). Schema /2
 // added the per-heuristic breakdown of the sequential suite sweep; /3 added
 // the match-kernel and level-match micro-benchmarks (micro/osm_match,
-// micro/tsm_match, micro/levelmatch); /4 added the parallel level-matching
-// entries (micro/levelmatch_par, suite/matchworkers-N) and the per-benchmark
-// match_workers field; /5 added the network-optimization suite entry
-// (suite/netopt) and its per-sweep node-count trajectory (sweep_nodes).
+// micro/tsm_match, micro/levelmatch); /4 added parallel level-matching
+// entries, which /6 removed again; /5 added the network-optimization suite
+// entry (suite/netopt) and its per-sweep node-count trajectory
+// (sweep_nodes).
 type BenchReport struct {
-	Schema     string             `json:"schema"` // "bddmin-bench-kernel/5"
+	Schema     string             `json:"schema"` // "bddmin-bench-kernel/6"
 	Timestamp  time.Time          `json:"timestamp"`
 	GoMaxProcs int                `json:"gomaxprocs"`
 	Workers    int                `json:"workers"`
@@ -79,7 +75,7 @@ type BenchReport struct {
 }
 
 // BenchReportSchema identifies the BENCH_kernel.json layout version.
-const BenchReportSchema = "bddmin-bench-kernel/5"
+const BenchReportSchema = "bddmin-bench-kernel/6"
 
 // WriteBenchJSON emits the report as indented JSON.
 func WriteBenchJSON(w io.Writer, r BenchReport) error {

@@ -82,12 +82,6 @@ type Config struct {
 	MaxCallSize int
 	// Validate re-checks every result against the cover definition.
 	Validate bool
-	// MatchWorkers fans level-match pair matrices across this many
-	// concurrent match kernels (bdd.MatchSession) in the heuristics that
-	// level-match (opt_lv, sched, robust). Values ≤ 1 keep the serial path.
-	// Results are byte-identical for every setting, so size tables are
-	// unaffected; only runtimes change.
-	MatchWorkers int
 	// Tracer, when non-nil, receives the pipeline event stream: one
 	// obs.CallEvent per intercepted instance, one obs.HeuristicEvent plus
 	// one computed-cache snapshot per heuristic run, and per-benchmark
@@ -100,13 +94,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Heuristics == nil {
 		c.Heuristics = core.RegistryWithBounds()
-	}
-	if c.MatchWorkers > 1 {
-		hs := make([]core.Minimizer, len(c.Heuristics))
-		for i, h := range c.Heuristics {
-			hs[i] = core.WithMatchWorkers(h, c.MatchWorkers)
-		}
-		c.Heuristics = hs
 	}
 	if c.LowerBoundCubes == 0 {
 		c.LowerBoundCubes = 1000

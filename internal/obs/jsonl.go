@@ -67,11 +67,7 @@ type (
 		Replaced  int    `json:"replaced"`
 		Pruned    int    `json:"pruned"`
 		Aborted   bool   `json:"aborted,omitempty"`
-		// Worker fields are omitted for serial rounds, keeping serial traces
-		// byte-identical to those written before parallel matching existed.
-		Workers     int   `json:"workers,omitempty"`
-		WorkerPairs []int `json:"worker_pairs,omitempty"`
-		Ns          int64 `json:"ns,omitempty"`
+		Ns        int64  `json:"ns,omitempty"`
 	}
 	wireCacheOp struct {
 		Op        string `json:"op"`
@@ -176,7 +172,6 @@ func (s *JSONL) Emit(ev Event) {
 			Ev: e.Kind(), Level: e.Level, Criterion: e.Criterion,
 			Pairs: e.Pairs, Edges: e.Edges, Cliques: e.Cliques,
 			Replaced: e.Replaced, Pruned: e.Pruned, Aborted: e.Aborted,
-			Workers: e.Workers, WorkerPairs: e.WorkerPairs,
 		}
 		if s.Timings {
 			w.Ns = e.Duration.Nanoseconds()

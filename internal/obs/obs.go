@@ -86,13 +86,7 @@ type LevelMatchEvent struct {
 	Replaced  int    // pairs replaced by an i-cover
 	Pruned    int    // candidate pairs rejected by the signature filter
 	Aborted   bool   // round cut short by a budget abort; result discarded
-	// Workers is the match-kernel worker count when the round's pair matrix
-	// was evaluated by a parallel session, and 0 for a serial round;
-	// WorkerPairs then holds the candidate pairs each worker evaluated.
-	// Serial rounds leave both unset, so serial traces are unchanged.
-	Workers     int
-	WorkerPairs []int
-	Duration    time.Duration
+	Duration  time.Duration
 }
 
 // Kind implements Event.
@@ -301,11 +295,6 @@ func (b *Buffer) Emit(ev Event) {
 	case CacheEvent:
 		e.Ops = append([]CacheOpStats(nil), e.Ops...)
 		ev = e
-	case LevelMatchEvent:
-		if e.WorkerPairs != nil {
-			e.WorkerPairs = append([]int(nil), e.WorkerPairs...)
-			ev = e
-		}
 	}
 	b.Events = append(b.Events, ev)
 }

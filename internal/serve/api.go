@@ -31,13 +31,6 @@ type MinimizeRequest struct {
 	// the server default. A tripped deadline degrades to the best valid
 	// intermediate cover (HTTP 200 with degraded=true), never an error.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
-	// MatchWorkers fans the level-matching pair matrices of this request
-	// across that many concurrent match kernels on its shard, clamped by
-	// the server's MaxMatchWorkers cap (0 or 1 keeps the serial path).
-	// Worker counts never change the result — the parallel matcher is
-	// byte-identical to serial — so this knob is not part of either result
-	// cache key.
-	MatchWorkers int `json:"match_workers,omitempty"`
 	// Trace returns the request's pipeline event trace in the response.
 	Trace bool `json:"trace,omitempty"`
 }
@@ -219,15 +212,12 @@ type CacheSnapshot struct {
 
 // MetricsSnapshot is the body of GET /metrics.
 type MetricsSnapshot struct {
-	UptimeNs   int64           `json:"uptime_ns"`
-	Shards     []ShardSnapshot `json:"shards"`
-	QueueDepth int             `json:"queue_depth"`
-	QueueCap   int             `json:"queue_cap"`
-	// MaxMatchWorkers is the server's per-request cap on the match_workers
-	// knob (0 = parallel matching disabled, every request runs serial).
-	MaxMatchWorkers int              `json:"max_match_workers"`
-	Counters        CounterSnapshot  `json:"counters"`
-	Cache           CacheSnapshot    `json:"cache"`
-	Latency         LatencySnapshot  `json:"latency"`
-	Heuristics      []HeuristicStats `json:"heuristics"`
+	UptimeNs   int64            `json:"uptime_ns"`
+	Shards     []ShardSnapshot  `json:"shards"`
+	QueueDepth int              `json:"queue_depth"`
+	QueueCap   int              `json:"queue_cap"`
+	Counters   CounterSnapshot  `json:"counters"`
+	Cache      CacheSnapshot    `json:"cache"`
+	Latency    LatencySnapshot  `json:"latency"`
+	Heuristics []HeuristicStats `json:"heuristics"`
 }

@@ -142,16 +142,15 @@ func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
 	}
 
 	t := &task{
-		id:           id,
-		prob:         prob,
-		heu:          heu,
-		trace:        req.Trace,
-		nodesCap:     nodesCap,
-		deadline:     headerDeadline(r, deadlineFrom(timeout)),
-		matchWorkers: clampWorkers(req.MatchWorkers, s.cfg.MaxMatchWorkers),
-		ctx:          r.Context(),
-		enq:          enq,
-		resp:         make(chan *MinimizeResponse, 1),
+		id:       id,
+		prob:     prob,
+		heu:      heu,
+		trace:    req.Trace,
+		nodesCap: nodesCap,
+		deadline: headerDeadline(r, deadlineFrom(timeout)),
+		ctx:      r.Context(),
+		enq:      enq,
+		resp:     make(chan *MinimizeResponse, 1),
 	}
 	switch s.enqueue(t) {
 	case drainRefused:
@@ -238,21 +237,6 @@ func clampNodes(req, server uint64) uint64 {
 		return req
 	case req == 0 || req > server:
 		return server
-	}
-	return req
-}
-
-// clampWorkers combines the request's match_workers knob with the server
-// cap: the smaller wins, and a zero cap (parallel matching disabled) or an
-// absent knob resolves to 1, the serial path. Unlike the budget limits this
-// is NOT part of the cache keys — worker counts never change the result,
-// so a cached cover is correct for every worker setting.
-func clampWorkers(req, max int) int {
-	if max <= 1 || req <= 1 {
-		return 1
-	}
-	if req > max {
-		return max
 	}
 	return req
 }

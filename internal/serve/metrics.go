@@ -89,10 +89,9 @@ func (h *latencyHist) snapshot() LatencySnapshot {
 func (s *Server) metricsSnapshot() MetricsSnapshot {
 	uptime := time.Since(s.start)
 	snap := MetricsSnapshot{
-		UptimeNs:        uptime.Nanoseconds(),
-		QueueDepth:      len(s.queue),
-		QueueCap:        s.cfg.QueueDepth,
-		MaxMatchWorkers: s.cfg.MaxMatchWorkers,
+		UptimeNs:   uptime.Nanoseconds(),
+		QueueDepth: len(s.queue),
+		QueueCap:   s.cfg.QueueDepth,
 		Counters: CounterSnapshot{
 			Accepted: s.counters.accepted.Load(),
 			Finished: s.counters.finished.Load(),

