@@ -19,10 +19,10 @@ import (
 // exhausting memory first.
 //
 // Unwinding uses an internal panic carrying a *AbortError, recovered at the
-// public boundary: Budgeted, RunBudgeted and the Try* wrappers convert it to
-// an ordinary error; it never escapes them. A caller that attaches a budget
-// and then calls a plain kernel entry point (ITE, Constrain, ...) directly
-// must therefore wrap the call in Budgeted, or be prepared for the panic.
+// public boundary: Budgeted and RunBudgeted convert it to an ordinary error;
+// it never escapes them. A caller that attaches a budget and then calls a
+// plain kernel entry point (ITE, Constrain, ...) directly must therefore
+// wrap the call in Budgeted, or be prepared for the panic.
 //
 // Aborts are raised *before* any arena mutation, so an aborted operation
 // leaves the Manager fully consistent: the unique table, caches and root
@@ -70,8 +70,7 @@ func (e *AbortError) Error() string {
 func (e *AbortError) Unwrap() error { return e.Cause }
 
 // budgetAbort is the internal panic payload used to unwind a kernel
-// recursion; it is recovered by Budgeted and never escapes the package's
-// error-returning wrappers.
+// recursion; it is recovered by Budgeted and never escapes it.
 type budgetAbort struct{ err *AbortError }
 
 // defaultCheckEvery is the amortization interval: the expensive limit
@@ -134,9 +133,9 @@ func (b *Budget) interval() uint32 {
 // allocation count.
 //
 // While a budget is attached, kernel entry points may unwind with an
-// internal panic when a limit is crossed; use Budgeted, RunBudgeted or the
-// Try* wrappers to receive that as an error. Nested scopes restore the
-// previous budget: prev := m.SetBudget(b); defer m.SetBudget(prev).
+// internal panic when a limit is crossed; use Budgeted or RunBudgeted to
+// receive that as an error. Nested scopes restore the previous budget:
+// prev := m.SetBudget(b); defer m.SetBudget(prev).
 func (m *Manager) SetBudget(b *Budget) *Budget {
 	prev := m.budget
 	m.budget = b
@@ -218,57 +217,4 @@ func (m *Manager) RunBudgeted(b *Budget, fn func()) error {
 		defer m.SetBudget(prev)
 	}
 	return m.Budgeted(fn)
-}
-
-// Try* wrappers: error-returning forms of the kernel entry points for use
-// with an attached budget. On abort the Ref result is invalid and must be
-// discarded.
-
-// TryITE is ITE returning ErrBudgetExceeded/ErrCanceled (wrapped in
-// *AbortError) instead of unwinding by panic when the attached budget trips.
-func (m *Manager) TryITE(f, g, h Ref) (r Ref, err error) {
-	err = m.Budgeted(func() { r = m.ITE(f, g, h) })
-	return r, err
-}
-
-// TryConstrain is Constrain with budget aborts surfaced as errors.
-func (m *Manager) TryConstrain(f, c Ref) (r Ref, err error) {
-	err = m.Budgeted(func() { r = m.Constrain(f, c) })
-	return r, err
-}
-
-// TryRestrict is Restrict with budget aborts surfaced as errors.
-func (m *Manager) TryRestrict(f, c Ref) (r Ref, err error) {
-	err = m.Budgeted(func() { r = m.Restrict(f, c) })
-	return r, err
-}
-
-// TryExists is Exists with budget aborts surfaced as errors.
-func (m *Manager) TryExists(f, cube Ref) (r Ref, err error) {
-	err = m.Budgeted(func() { r = m.Exists(f, cube) })
-	return r, err
-}
-
-// TryAndExists is AndExists with budget aborts surfaced as errors.
-func (m *Manager) TryAndExists(f, g, cube Ref) (r Ref, err error) {
-	err = m.Budgeted(func() { r = m.AndExists(f, g, cube) })
-	return r, err
-}
-
-// TryCompose is Compose with budget aborts surfaced as errors.
-func (m *Manager) TryCompose(f Ref, v Var, g Ref) (r Ref, err error) {
-	err = m.Budgeted(func() { r = m.Compose(f, v, g) })
-	return r, err
-}
-
-// TryMatchOSM is MatchOSM with budget aborts surfaced as errors.
-func (m *Manager) TryMatchOSM(f1, c1, f2, c2 Ref) (ok bool, err error) {
-	err = m.Budgeted(func() { ok = m.MatchOSM(f1, c1, f2, c2) })
-	return ok, err
-}
-
-// TryMatchTSM is MatchTSM with budget aborts surfaced as errors.
-func (m *Manager) TryMatchTSM(f1, c1, f2, c2 Ref) (ok bool, err error) {
-	err = m.Budgeted(func() { ok = m.MatchTSM(f1, c1, f2, c2) })
-	return ok, err
 }

@@ -21,7 +21,7 @@ func TestBudgetFailAfterDeterministic(t *testing.T) {
 	f, g := buildHard(t, m, 10, 1)
 	h := randTT(newRand(2), 10).build(m)
 
-	run := func(failAfter uint64) (Ref, error) {
+	run := func(failAfter uint64) error {
 		m2 := New(10)
 		f2 := m.TruthTable(f, vars(10))
 		g2 := m.TruthTable(g, vars(10))
@@ -29,13 +29,10 @@ func TestBudgetFailAfterDeterministic(t *testing.T) {
 		ff := m2.FromTruthTable(vars(10), f2)
 		gg := m2.FromTruthTable(vars(10), g2)
 		hh := m2.FromTruthTable(vars(10), h2)
-		b := &Budget{FailAfter: failAfter}
-		prev := m2.SetBudget(b)
-		defer m2.SetBudget(prev)
-		return m2.TryITE(ff, gg, hh)
+		return m2.RunBudgeted(&Budget{FailAfter: failAfter}, func() { m2.ITE(ff, gg, hh) })
 	}
-	_, err1 := run(100)
-	_, err2 := run(100)
+	err1 := run(100)
+	err2 := run(100)
 	if err1 == nil || err2 == nil {
 		t.Fatalf("expected deterministic aborts, got %v / %v", err1, err2)
 	}
@@ -134,12 +131,7 @@ func TestBudgetAbortLeavesManagerConsistent(t *testing.T) {
 		m.Protect(g)
 		m.GC()
 		baseline := m.NumNodes()
-		_, err := func() (Ref, error) {
-			b := &Budget{FailAfter: failAfter}
-			prev := m.SetBudget(b)
-			defer m.SetBudget(prev)
-			return m.TryITE(f, g.Not(), g)
-		}()
+		err := m.RunBudgeted(&Budget{FailAfter: failAfter}, func() { m.ITE(f, g.Not(), g) })
 		if err == nil {
 			// Budget generous enough for the whole computation.
 			continue
@@ -156,22 +148,22 @@ func TestBudgetAbortLeavesManagerConsistent(t *testing.T) {
 	}
 }
 
-func TestTryWrappersNoBudget(t *testing.T) {
+func TestBudgetedNoBudget(t *testing.T) {
 	m := New(8)
 	f, g := buildHard(t, m, 8, 9)
-	r, err := m.TryITE(f, g, Zero)
-	if err != nil {
-		t.Fatalf("TryITE without budget errored: %v", err)
+	var r Ref
+	if err := m.Budgeted(func() { r = m.ITE(f, g, Zero) }); err != nil {
+		t.Fatalf("ITE without budget errored: %v", err)
 	}
 	if r != m.And(f, g) {
-		t.Fatal("TryITE result mismatch")
+		t.Fatal("ITE result mismatch")
 	}
-	if _, err := m.TryConstrain(f, m.Or(g, f)); err != nil {
-		t.Fatalf("TryConstrain: %v", err)
+	if err := m.Budgeted(func() { m.Constrain(f, m.Or(g, f)) }); err != nil {
+		t.Fatalf("Constrain: %v", err)
 	}
-	ok, err := m.TryMatchTSM(f, One, f, One)
-	if err != nil || !ok {
-		t.Fatalf("TryMatchTSM: ok=%v err=%v", ok, err)
+	var ok bool
+	if err := m.Budgeted(func() { ok = m.MatchTSM(f, One, f, One) }); err != nil || !ok {
+		t.Fatalf("MatchTSM: ok=%v err=%v", ok, err)
 	}
 }
 

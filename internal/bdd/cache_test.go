@@ -2,59 +2,39 @@ package bdd
 
 import "testing"
 
-// singleSetCache builds the smallest cache (one set of cacheWays entries) so
-// every key collides and the associative behavior is directly observable.
-func singleSetCache() *computedCache {
+// tinyCache builds the smallest cache, two slots, so colliding keys are
+// easy to find.
+func tinyCache() *computedCache {
 	var c computedCache
-	c.init(2)
+	c.init(1)
 	return &c
 }
 
-func TestCacheAssociativityRetainsCollidingEntries(t *testing.T) {
-	c := singleSetCache()
-	// cacheWays distinct keys, all forced into the same (only) set. A
-	// direct-mapped cache would keep just the last one.
-	for i := 0; i < cacheWays; i++ {
-		c.insert(opITE, Ref(2*i+2), One, Zero, 0, Ref(100+2*i))
+func TestCacheCollisionReplacesResident(t *testing.T) {
+	c := tinyCache()
+	c.insert(opITE, Ref(2), One, Zero, 0, Ref(100))
+	// Find a constrain key that shares the ITE key's slot.
+	f := Ref(4)
+	for c.slot(opConstrain, f, Ref(6), 0, 0) != c.slot(opITE, Ref(2), One, Zero, 0) {
+		f += 2
 	}
-	for i := 0; i < cacheWays; i++ {
-		r, ok := c.lookup(opITE, Ref(2*i+2), One, Zero, 0)
-		if !ok {
-			t.Fatalf("entry %d lost despite %d-way associativity", i, cacheWays)
-		}
-		if r != Ref(100+2*i) {
-			t.Fatalf("entry %d: got %v, want %v", i, r, Ref(100+2*i))
-		}
-	}
-}
-
-func TestCacheEvictsColdestWay(t *testing.T) {
-	c := singleSetCache()
-	for i := 0; i < cacheWays; i++ {
-		c.insert(opITE, Ref(2*i+2), One, Zero, 0, Ref(100+2*i))
-	}
-	// Touch every entry except the first, so key 0 becomes the LRU way.
-	for i := 1; i < cacheWays; i++ {
-		if _, ok := c.lookup(opITE, Ref(2*i+2), One, Zero, 0); !ok {
-			t.Fatalf("warm-up lookup %d missed", i)
-		}
-	}
-	c.insert(opITE, Ref(2*cacheWays+2), One, Zero, 0, Ref(200))
+	c.insert(opConstrain, f, Ref(6), 0, 0, Ref(200))
 	if _, ok := c.lookup(opITE, Ref(2), One, Zero, 0); ok {
-		t.Fatal("coldest entry must be the eviction victim")
+		t.Fatal("the resident entry must be replaced by the colliding insert")
 	}
-	for i := 1; i < cacheWays; i++ {
-		if _, ok := c.lookup(opITE, Ref(2*i+2), One, Zero, 0); !ok {
-			t.Fatalf("recently used entry %d was evicted", i)
-		}
+	if r, ok := c.lookup(opConstrain, f, Ref(6), 0, 0); !ok || r != Ref(200) {
+		t.Fatalf("colliding insert not stored: ok=%v r=%v", ok, r)
 	}
 	if got := c.stats[opITE].evictions; got != 1 {
-		t.Fatalf("evictions = %d, want 1", got)
+		t.Fatalf("ite evictions = %d, want 1 (charged to the displaced op)", got)
+	}
+	if got := c.stats[opConstrain].evictions; got != 0 {
+		t.Fatalf("constrain evictions = %d, want 0", got)
 	}
 }
 
 func TestCacheInsertSameKeyUpdatesInPlace(t *testing.T) {
-	c := singleSetCache()
+	c := tinyCache()
 	c.insert(opConstrain, Ref(2), Ref(4), 0, 0, Ref(6))
 	c.insert(opConstrain, Ref(2), Ref(4), 0, 0, Ref(8))
 	if r, ok := c.lookup(opConstrain, Ref(2), Ref(4), 0, 0); !ok || r != Ref(8) {
@@ -83,16 +63,6 @@ func TestCachePerOpCounters(t *testing.T) {
 	}
 	if s := byOp["constrain"]; s.Misses == 0 {
 		t.Fatalf("constrain misses must accumulate: %+v", s)
-	}
-	// Totals agree with the legacy two-counter view.
-	hits, misses := m.CacheStats()
-	var sh, sm uint64
-	for _, s := range stats {
-		sh += s.Hits
-		sm += s.Misses
-	}
-	if sh != hits || sm != misses {
-		t.Fatalf("per-op sums (%d,%d) disagree with CacheStats (%d,%d)", sh, sm, hits, misses)
 	}
 	m.FlushCaches()
 	if got := m.CacheStatsByOp(); len(got) != 0 {

@@ -37,17 +37,6 @@ func (m *Manager) MatchTSM(f1, c1, f2, c2 Ref) bool {
 	return m.xorProdZero(f1, f2, c1, c2)
 }
 
-// kernelCacheCutoff is the number of bottom levels on which the boolean
-// kernels (disjoint, xorCareZero, xorProdZero) recurse without touching the
-// computed cache. A subproblem whose top level is within the cutoff of the
-// terminals spans at most 2^kernelCacheCutoff paths, and the signature
-// filter short-circuits most of them — redoing that is cheaper than the two
-// random-access cache probes (lookup + insert) it would replace, which miss
-// the CPU cache on nearly every visit. Correctness is unaffected: the memo
-// is lossy anyway, and parents above the cutoff still cache, bounding the
-// recomputation per cached parent.
-const kernelCacheCutoff = 4
-
 // xorCareZero reports (f ⊕ g)·c = 0: f and g agree on all of c. This is
 // the OSM kernel's agreement half and the reduced form of the TSM kernel
 // once one care operand is exhausted.
@@ -98,6 +87,9 @@ func (m *Manager) xorCareZero(f, g, c Ref) bool {
 	if f.IsComplement() {
 		f, g = f.Not(), g.Not()
 	}
+	if r, ok := m.cache.lookup(opMatchXor, f, g, c, 0); ok {
+		return r == One
+	}
 	top := m.Level(f)
 	if l := m.Level(g); l < top {
 		top = l
@@ -105,19 +97,11 @@ func (m *Manager) xorCareZero(f, g, c Ref) bool {
 	if l := m.Level(c); l < top {
 		top = l
 	}
-	cached := int(top) < m.nvars-kernelCacheCutoff
-	if cached {
-		if r, ok := m.cache.lookup(opMatchXor, f, g, c, 0); ok {
-			return r == One
-		}
-	}
 	fT, fE := m.branches(f, top)
 	gT, gE := m.branches(g, top)
 	cT, cE := m.branches(c, top)
 	res := m.xorCareZero(fT, gT, cT) && m.xorCareZero(fE, gE, cE)
-	if cached {
-		m.cache.insert(opMatchXor, f, g, c, 0, boolRef(res))
-	}
+	m.cache.insert(opMatchXor, f, g, c, 0, boolRef(res))
 	return res
 }
 
@@ -172,6 +156,9 @@ func (m *Manager) xorProdZero(f, g, c1, c2 Ref) bool {
 	if c2 < c1 {
 		c1, c2 = c2, c1
 	}
+	if r, ok := m.cache.lookup(opMatchTSM, f, g, c1, c2); ok {
+		return r == One
+	}
 	top := m.Level(f)
 	if l := m.Level(g); l < top {
 		top = l
@@ -182,19 +169,11 @@ func (m *Manager) xorProdZero(f, g, c1, c2 Ref) bool {
 	if l := m.Level(c2); l < top {
 		top = l
 	}
-	cached := int(top) < m.nvars-kernelCacheCutoff
-	if cached {
-		if r, ok := m.cache.lookup(opMatchTSM, f, g, c1, c2); ok {
-			return r == One
-		}
-	}
 	fT, fE := m.branches(f, top)
 	gT, gE := m.branches(g, top)
 	c1T, c1E := m.branches(c1, top)
 	c2T, c2E := m.branches(c2, top)
 	res := m.xorProdZero(fT, gT, c1T, c2T) && m.xorProdZero(fE, gE, c1E, c2E)
-	if cached {
-		m.cache.insert(opMatchTSM, f, g, c1, c2, boolRef(res))
-	}
+	m.cache.insert(opMatchTSM, f, g, c1, c2, boolRef(res))
 	return res
 }

@@ -61,12 +61,7 @@ func (m *Manager) leq(f, g Ref) bool {
 	if m.sigRefuteLeq(f, g) {
 		return false
 	}
-	// f ≤ g  ⇔  f·g = f: a conjunction cached under the *uncomplemented*
-	// operand answers containment directly, so probe it before falling back
-	// to the complemented-operand formulation f·¬g = 0.
-	if r, ok := m.cacheAndProbe(f, g); ok {
-		return r == f
-	}
+	// f ≤ g  ⇔  f·¬g = 0.
 	return m.disjoint(f, g.Not())
 }
 
@@ -110,61 +105,24 @@ func (m *Manager) disjoint(f, g Ref) bool {
 	if m.budget != nil {
 		m.budgetStep()
 	}
-	// Reuse the computed cache through an AND probe when available: a
-	// cached conjunction answers the question for free.
-	if r, ok := m.cacheAndProbe(f, g); ok {
-		return r == Zero
-	}
 	// Boolean-result slot: disjointness is symmetric, so canonicalize the
 	// operand order before probing the memoized verdict.
 	a, b := f, g
 	if b < a {
 		a, b = b, a
 	}
+	if r, ok := m.cache.lookup(opDisjoint, a, b, 0, 0); ok {
+		return r == One
+	}
 	top := m.Level(f)
 	if l := m.Level(g); l < top {
 		top = l
 	}
-	// Near-terminal subproblems skip the memo entirely; see
-	// kernelCacheCutoff (match.go).
-	cached := int(top) < m.nvars-kernelCacheCutoff
-	if cached {
-		if r, ok := m.cache.lookup(opDisjoint, a, b, 0, 0); ok {
-			return r == One
-		}
-	}
 	fT, fE := m.branches(f, top)
 	gT, gE := m.branches(g, top)
 	res := m.disjoint(fT, gT) && m.disjoint(fE, gE)
-	if cached {
-		m.cache.insert(opDisjoint, a, b, 0, 0, boolRef(res))
-	}
+	m.cache.insert(opDisjoint, a, b, 0, 0, boolRef(res))
 	return res
-}
-
-// cacheAndProbe checks whether the conjunction of f and g is already in the
-// computed cache under ITE normalization, without performing any work.
-func (m *Manager) cacheAndProbe(f, g Ref) (Ref, bool) {
-	h := Zero
-	// Mirror the AND branch of the ITE normalizer.
-	if m.before(g, f) {
-		f, g = g, f
-	}
-	if f.IsComplement() {
-		f, g, h = f.Not(), h, g
-	}
-	neg := false
-	if g.IsComplement() {
-		g, h = g.Not(), h.Not()
-		neg = true
-	}
-	if r, ok := m.cache.lookup(opITE, f, g, h, 0); ok {
-		if neg {
-			return r.Not(), true
-		}
-		return r, true
-	}
-	return 0, false
 }
 
 // Cover reports whether g is a cover of the incompletely specified

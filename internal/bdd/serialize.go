@@ -137,8 +137,12 @@ func (m *Manager) ReadFunctions(r io.Reader) (map[string]Ref, error) {
 	if _, err := fmt.Fscanf(br, "nodes %d\n", &nnodes); err != nil {
 		return nil, fmt.Errorf("bdd: bad nodes line: %v", err)
 	}
-	refs := make([]Ref, nnodes+1)
-	refs[0] = One
+	if nnodes < 0 {
+		return nil, fmt.Errorf("bdd: negative node count %d", nnodes)
+	}
+	// The counts come from the input, so refs grows with the node lines
+	// actually read instead of being sized up front from the header.
+	refs := []Ref{One}
 	resolve := func(raw uint32, upTo int) (Ref, error) {
 		idx := raw >> 1
 		if int(idx) > upTo {
@@ -170,13 +174,13 @@ func (m *Manager) ReadFunctions(r io.Reader) (map[string]Ref, error) {
 		if m.Level(h) <= level || m.Level(l) <= level {
 			return nil, fmt.Errorf("bdd: node %d violates the variable order", i)
 		}
-		refs[i] = m.mkNode(level, h, l)
+		refs = append(refs, m.mkNode(level, h, l))
 	}
 	var nroots int
 	if _, err := fmt.Fscanf(br, "roots %d\n", &nroots); err != nil {
 		return nil, fmt.Errorf("bdd: bad roots line: %v", err)
 	}
-	out := make(map[string]Ref, nroots)
+	out := make(map[string]Ref)
 	for i := 0; i < nroots; i++ {
 		var name string
 		var raw uint32

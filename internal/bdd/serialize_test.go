@@ -82,6 +82,10 @@ func TestSerializeRejectsBadInput(t *testing.T) {
 		"bad level":       "bddmin-bdd 1\nvars 2\nnodes 1\n7 0 1\nroots 0\n",
 		"order violation": "bddmin-bdd 1\nvars 2\nnodes 2\n1 0 1\n1 2 1\nroots 0\n",
 		"truncated":       "bddmin-bdd 1\nvars 2\nnodes 3\n1 0 1\n",
+		"negative count":  "bddmin-bdd 1\nvars 2\nnodes -1\nroots 0\n",
+		// A header count far beyond the lines that follow must fail on the
+		// missing lines, not try to allocate for the count up front.
+		"huge count": "bddmin-bdd 1\nvars 0\nnodes 11111111111",
 	}
 	for name, src := range cases {
 		if _, err := m.ReadFunctions(strings.NewReader(src)); err == nil {

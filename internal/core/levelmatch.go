@@ -56,17 +56,13 @@ func CollectLevelPairs(m *bdd.Manager, in ISF, i bdd.Var, limit int) []LevelPair
 	return collectLevelPairs(m, in, i, limit, newLvScratch())
 }
 
-// lvScratch pools the per-level allocations of the level matcher — the
-// collector's visited set and path buffers, the clique cover's bitsets and
-// the replacement/rebuild maps — so a full per-level sweep (OptLv) pays
-// for them once per Minimize call instead of once per level. A scratch is
-// single-goroutine like the Manager; public entry points allocate a fresh
-// one, OptLv.Minimize reuses one across its levels.
 // isfSet is an open-addressing hash set of ISF pairs used as the
 // collector's visited set: the walk probes it once per reachable (F, C)
-// pair, and the Go map's hashing and bucket indirection were a measurable
-// slice of level-matching time. Keys pack both Refs into one word, offset
-// by one so the zero word can mark empty slots.
+// pair. Keys pack both Refs into one word, offset by one so the zero word
+// can mark empty slots. isfSet and isfMap stay hand-rolled because Go
+// maps emptied with clear() made opt_lv slower in every one of six
+// alternating Table 3 runs (median 0.33 s against 0.50 s over 714 calls;
+// EXPERIMENTS.md, "Level-matching tables").
 type isfSet struct {
 	slots []uint64
 	used  int
@@ -205,6 +201,12 @@ func (t *isfMap) grow() {
 	}
 }
 
+// lvScratch pools the per-level allocations of the level matcher — the
+// collector's visited set and path buffers, the clique cover's bitsets and
+// the replacement/rebuild maps — so a full per-level sweep (OptLv) pays
+// for them once per Minimize call instead of once per level. A scratch is
+// single-goroutine like the Manager; public entry points allocate a fresh
+// one, OptLv.Minimize reuses one across its levels.
 type lvScratch struct {
 	seen       isfSet          // collector's visited set
 	path       []bdd.CubeValue // collector's current path

@@ -47,14 +47,24 @@ func (q quickISF) build(m *bdd.Manager) ISF {
 var quickConfig = &quick.Config{MaxCount: 200}
 
 // TestQuickEveryHeuristicCovers: the fundamental soundness property, as a
-// quick property over biased random instances.
+// quick property over biased random instances. Every heuristic also runs on
+// a manager with a two-slot computed cache, where almost every probe
+// collides, and must return the same function there: a cover never depends
+// on a cache hit, including the match kernels' memoized verdicts.
 func TestQuickEveryHeuristicCovers(t *testing.T) {
 	heus := append(RegistryWithBounds(), &Scheduler{SkipLevelMatching: true}, &Robust{})
+	vs := []bdd.Var{0, 1, 2, 3, 4}
 	prop := func(q quickISF) bool {
 		m := bdd.New(5)
-		in := q.build(m)
+		tiny := bdd.NewWithConfig(5, bdd.Config{CacheBits: 1})
+		in, inTiny := q.build(m), q.build(tiny)
 		for _, h := range heus {
-			if !in.Cover(m, h.Minimize(m, in.F, in.C)) {
+			g, gTiny := h.Minimize(m, in.F, in.C), h.Minimize(tiny, inTiny.F, inTiny.C)
+			if !in.Cover(m, g) {
+				return false
+			}
+			if !reflect.DeepEqual(m.TruthTable(g, vs), tiny.TruthTable(gTiny, vs)) {
+				t.Logf("%s: cover differs on a two-slot computed cache", h.Name())
 				return false
 			}
 		}
