@@ -61,7 +61,7 @@ func buildCorpus(b *testing.B) ([]instance, []harness.CallRecord) {
 		}
 		col, _, err := harness.RunSuite([]string{"tlc", "minmax5", "tbk"}, harness.RunConfig{
 			Collector: harness.Config{LowerBoundCubes: 100},
-		})
+		}, 1)
 		if err != nil {
 			panic(err)
 		}
@@ -111,7 +111,7 @@ func BenchmarkTable3VerifyFsm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, _, err := harness.RunSuite([]string{"tlc", "tbk"}, harness.RunConfig{
 			Collector: harness.Config{LowerBoundCubes: 100},
-		})
+		}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,33 +203,6 @@ func BenchmarkAblationComplementMatch(b *testing.B) {
 				total += int64(in.m.Size(g))
 			}
 			b.ReportMetric(float64(total)/float64(b.N), "nodes/op")
-		})
-	}
-}
-
-// BenchmarkAblationCliqueOrder compares the clique construction with and
-// without the Section 3.3.2 optimizations (degree-ordered seeds,
-// distance-weighted extension).
-func BenchmarkAblationCliqueOrder(b *testing.B) {
-	insts, _ := buildCorpus(b)
-	for _, optimized := range []bool{false, true} {
-		optimized := optimized
-		name := "naive"
-		if optimized {
-			name = "optimized"
-		}
-		b.Run(name, func(b *testing.B) {
-			var cliques int64
-			for i := 0; i < b.N; i++ {
-				in := insts[i%len(insts)]
-				pairs := core.CollectLevelPairs(in.m, core.ISF{F: in.f, C: in.c}, 1, 0)
-				if len(pairs) < 2 {
-					continue
-				}
-				cs := core.TSMCliqueCover(in.m, pairs, optimized)
-				cliques += int64(len(cs))
-			}
-			b.ReportMetric(float64(cliques)/float64(b.N), "cliques/op")
 		})
 	}
 }

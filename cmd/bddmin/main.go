@@ -18,10 +18,11 @@
 //
 // With -all, every registered heuristic plus the lower bound is reported;
 // with -exact (instances up to 20 don't-care minterms), the brute-force
-// exact minimum is included. With -all and -workers > 1 (0 = GOMAXPROCS)
-// the heuristics run concurrently, each on its own BDD manager rebuilt from
-// the input (managers are not safe for concurrent use); sizes and reported
-// covers are identical to a sequential run because BDD sizes are canonical.
+// exact minimum is included. -all runs the heuristics on a pool of -workers
+// workers (default 1, 0 = GOMAXPROCS), each heuristic on a fresh BDD
+// manager rebuilt from the input, so no heuristic inherits its
+// predecessors' nodes or caches (nor, under -budget-nodes, their live-node
+// count); the report is the same for every worker count.
 //
 // With -blif the instance comes from a logic network: the named internal
 // node's function is minimized against the complement of its observability
@@ -192,7 +193,7 @@ func run() {
 	}
 
 	if *spec == "-" {
-		runBatch(*heuristic, *all, tracer, mkBudget)
+		runBatch(*heuristic, *all, *workersN, tracer, mkBudget)
 		if metrics != nil {
 			fmt.Println()
 			metrics.Format(os.Stdout)
@@ -214,36 +215,17 @@ func run() {
 		return
 	}
 
-	report := func(h core.Minimizer) bdd.Ref {
-		g, ab := core.MinimizeAnytime(core.Instrument(h, tracer), m, in.F, in.C, mkBudget())
-		if !in.Cover(m, g) {
-			fmt.Fprintf(os.Stderr, "BUG: %s returned a non-cover\n", h.Name())
-			os.Exit(1)
-		}
-		fmt.Printf("  %-8s size %3d   %s%s\n", h.Name(), m.Size(g),
-			core.FormatSpec(m, core.ISF{F: g, C: bdd.One}, n), degraded(ab))
-		return g
-	}
-
 	var result bdd.Ref
 	haveResult := false
 	if *all {
-		if *workersN != 1 {
-			runAllParallel(prob, n, *workersN, tracer, mkBudget)
-			// The DOT export needs a Ref on the main manager; recompute the
-			// selected heuristic here (sizes are canonical either way).
-			if h := core.ByName(*heuristic); h != nil {
-				result, _ = core.MinimizeAnytime(h, m, in.F, in.C, mkBudget())
-				haveResult = true
-			}
-		} else {
-			for _, h := range core.Registry() {
-				g := report(h)
-				if h.Name() == *heuristic || !haveResult {
-					result = g
-					haveResult = true
-				}
-			}
+		for _, r := range runAll(prob, *workersN, tracer, mkBudget, true) {
+			fmt.Printf("  %-8s size %3d   %s%s\n", r.name, r.size, r.spec, degraded(r.ab))
+		}
+		// The DOT export needs a Ref on the main manager; recompute the
+		// selected heuristic here (sizes are canonical either way).
+		if h := core.ByName(*heuristic); h != nil && *dotFile != "" {
+			result, _ = core.MinimizeAnytime(h, m, in.F, in.C, mkBudget())
+			haveResult = true
 		}
 		fmt.Printf("  %-8s size %3d\n", "low_bd", core.LowerBound(m, in.F, in.C, 1000))
 	} else {
@@ -252,8 +234,10 @@ func run() {
 			fmt.Fprintf(os.Stderr, "unknown heuristic %q\n", *heuristic)
 			os.Exit(1)
 		}
-		result = report(h)
-		haveResult = true
+		g, ab := minimize(h, m, in, tracer, mkBudget(), prob.Label)
+		fmt.Printf("  %-8s size %3d   %s%s\n", h.Name(), m.Size(g),
+			core.FormatSpec(m, core.ISF{F: g, C: bdd.One}, n), degraded(ab))
+		result, haveResult = g, true
 	}
 	if *exact {
 		g, size := core.ExactMinimize(m, in.F, in.C, n)
@@ -325,23 +309,16 @@ func loadProblem(spec, plaFile string, plaOutput int, blifFile, nodeName string)
 
 // runBatch is `-spec -`: every stdin corpus line becomes one instance on a
 // fresh manager, reported compactly. With all=true the full registry runs
-// per instance (sequentially; batch throughput comes from the instance
-// stream, not per-instance parallelism).
-func runBatch(heuName string, all bool, tracer obs.Tracer, mkBudget func() *bdd.Budget) {
+// per instance through runAll, like -all on a single instance.
+func runBatch(heuName string, all bool, workers int, tracer obs.Tracer, mkBudget func() *bdd.Budget) {
 	probs, err := problem.LoadCorpus(os.Stdin, ".")
 	if err != nil {
 		fail(err)
 	}
-	var heus []core.Minimizer
-	if all {
-		heus = core.Registry()
-	} else {
-		h := core.ByName(heuName)
-		if h == nil {
-			fmt.Fprintf(os.Stderr, "unknown heuristic %q\n", heuName)
-			os.Exit(1)
-		}
-		heus = []core.Minimizer{h}
+	h := core.ByName(heuName)
+	if !all && h == nil {
+		fmt.Fprintf(os.Stderr, "unknown heuristic %q\n", heuName)
+		os.Exit(1)
 	}
 	for i, p := range probs {
 		currentInput = p.Label
@@ -353,16 +330,28 @@ func runBatch(heuName string, all bool, tracer obs.Tracer, mkBudget func() *bdd.
 			fmt.Printf("%3d  %-36s trivial: constant %v\n", i, p.Label, g == bdd.One)
 			continue
 		}
-		for _, h := range heus {
-			g, ab := core.MinimizeAnytime(core.Instrument(h, tracer), m, in.F, in.C, mkBudget())
-			if !in.Cover(m, g) {
-				fmt.Fprintf(os.Stderr, "BUG: %s returned a non-cover on %s\n", h.Name(), p.Label)
-				os.Exit(1)
-			}
+		var results []heuristicResult
+		if all {
+			results = runAll(p, workers, tracer, mkBudget, false)
+		} else {
+			g, ab := minimize(h, m, in, tracer, mkBudget(), p.Label)
+			results = []heuristicResult{{name: h.Name(), size: m.Size(g), ab: ab}}
+		}
+		for _, r := range results {
 			fmt.Printf("%3d  %-36s |f|=%4d  %-8s size %4d%s\n",
-				i, p.Label, m.Size(in.F), h.Name(), m.Size(g), degraded(ab))
+				i, p.Label, m.Size(in.F), r.name, r.size, degraded(r.ab))
 		}
 	}
+}
+
+// minimize runs h on the instance under budget b, traced into tracer, and
+// exits on a result that is not a cover.
+func minimize(h core.Minimizer, m *bdd.Manager, in core.ISF, tracer obs.Tracer, b *bdd.Budget, label string) (bdd.Ref, core.AbortInfo) {
+	g, ab := core.MinimizeAnytime(core.Instrument(h, tracer), m, in.F, in.C, b)
+	if !in.Cover(m, g) {
+		fail(fmt.Errorf("BUG: %s returned a non-cover on %s", h.Name(), label))
+	}
+	return g, ab
 }
 
 func fail(err error) {
@@ -379,27 +368,52 @@ func degraded(ab core.AbortInfo) string {
 	return fmt.Sprintf("  [degraded: budget %s at %s]", ab.Reason, ab.Phase)
 }
 
-// runAllParallel fans the registered heuristics out over a worker pool, one
-// fresh manager per heuristic run (managers are not goroutine-safe, so
-// nothing is shared). Results print in registry order, identical to the
-// sequential report. Trace events are buffered per heuristic and replayed
-// into the tracer in registry order after all workers finish, so the
-// merged stream matches a sequential run's.
-func runAllParallel(prob *problem.Problem, n, workers int, tracer obs.Tracer, mkBudget func() *bdd.Budget) {
+// heuristicResult is one heuristic's report line: the cover's size, its
+// leaf-notation spec (when asked for) and the budget-abort annotation.
+type heuristicResult struct {
+	name  string
+	size  int
+	spec  string
+	ab    core.AbortInfo
+	crash any // a panic in the worker, re-raised on the caller's goroutine
+}
+
+// runAll is -all: it fans the registered heuristics out over a worker pool
+// (workers <= 0 selects GOMAXPROCS), one fresh manager and one fresh
+// budget per heuristic run, so no heuristic is charged for the nodes its
+// predecessors left behind, and managers, which are not goroutine-safe,
+// are never shared. Results come back in registry order whatever the
+// worker count. Trace events are buffered per heuristic and replayed into
+// the tracer in registry order after all workers finish, so the merged
+// stream does not depend on scheduling either. withSpec renders each
+// cover in leaf notation.
+func runAll(prob *problem.Problem, workers int, tracer obs.Tracer, mkBudget func() *bdd.Budget, withSpec bool) []heuristicResult {
 	heus := core.Registry()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(heus) {
-		workers = len(heus)
-	}
-	type outcome struct {
-		size int
-		text string
-		err  error
-	}
-	results := make([]outcome, len(heus))
+	workers = min(workers, len(heus))
+	results := make([]heuristicResult, len(heus))
 	buffers := make([]*obs.Buffer, len(heus))
+	run := func(i int) (r heuristicResult) {
+		r.name = heus[i].Name()
+		defer func() { r.crash = recover() }()
+		m, in, err := prob.NewManager()
+		if err != nil {
+			fail(err)
+		}
+		var tr obs.Tracer
+		if tracer != nil {
+			buffers[i] = &obs.Buffer{}
+			tr = buffers[i]
+		}
+		g, ab := minimize(heus[i], m, in, tr, mkBudget(), prob.Label)
+		r.size, r.ab = m.Size(g), ab
+		if withSpec {
+			r.spec = core.FormatSpec(m, core.ISF{F: g, C: bdd.One}, prob.Vars)
+		}
+		return r
+	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -407,25 +421,7 @@ func runAllParallel(prob *problem.Problem, n, workers int, tracer obs.Tracer, mk
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				m, in, err := prob.NewManager()
-				if err != nil {
-					results[i] = outcome{err: err}
-					continue
-				}
-				h := heus[i]
-				if tracer != nil {
-					buffers[i] = &obs.Buffer{}
-					h = core.Instrument(h, buffers[i])
-				}
-				g, ab := core.MinimizeAnytime(h, m, in.F, in.C, mkBudget())
-				if !in.Cover(m, g) {
-					results[i] = outcome{err: fmt.Errorf("BUG: %s returned a non-cover", h.Name())}
-					continue
-				}
-				results[i] = outcome{
-					size: m.Size(g),
-					text: core.FormatSpec(m, core.ISF{F: g, C: bdd.One}, n) + degraded(ab),
-				}
+				results[i] = run(i)
 			}
 		}()
 	}
@@ -434,14 +430,13 @@ func runAllParallel(prob *problem.Problem, n, workers int, tracer obs.Tracer, mk
 	}
 	close(jobs)
 	wg.Wait()
-	for i, h := range heus {
-		if results[i].err != nil {
-			fmt.Fprintln(os.Stderr, results[i].err)
-			os.Exit(1)
+	for i, r := range results {
+		if r.crash != nil {
+			panic(r.crash)
 		}
 		if buffers[i] != nil {
 			buffers[i].ReplayTo(tracer)
 		}
-		fmt.Printf("  %-8s size %3d   %s\n", h.Name(), results[i].size, results[i].text)
 	}
+	return results
 }

@@ -11,7 +11,7 @@
 //     testing.Benchmark, with ns/op and allocs/op (the stamped traversals
 //     and match kernels must report 0 allocs/op);
 //   - suite: one instrumented FSM self-equivalence sweep over the selected
-//     benchmarks, sequential and with the parallel worker pool, with
+//     benchmarks, with one worker and with -workers workers, with
 //     NodesMade as the work measure, plus one whole-network don't-care
 //     optimization run (suite/netopt) on the first selected benchmark,
 //     recording the per-sweep node-count trajectory.
@@ -130,7 +130,7 @@ func main() {
 		seqRC := harness.RunConfig{Collector: harness.Config{LowerBoundCubes: 100, Tracer: &metrics}}
 		rc := harness.RunConfig{Collector: harness.Config{LowerBoundCubes: 100}}
 		seq, err := timeSuite("suite/sequential", func() ([]harness.BenchmarkRun, error) {
-			_, runs, err := harness.RunSuite(names, seqRC)
+			_, runs, err := harness.RunSuite(names, seqRC, 1)
 			return runs, err
 		})
 		if err != nil {
@@ -141,7 +141,7 @@ func main() {
 		report.Heuristics = harness.HeuristicSummaries(&metrics)
 		progress("%-24s %12.1f ns/op (%.2fs)\n", seq.Name, seq.NsPerOp, seq.NsPerOp/1e9)
 		par, err := timeSuite(fmt.Sprintf("suite/parallel-%d", *workers), func() ([]harness.BenchmarkRun, error) {
-			_, runs, err := harness.RunSuiteParallel(names, rc, *workers)
+			_, runs, err := harness.RunSuite(names, rc, *workers)
 			return runs, err
 		})
 		if err != nil {

@@ -13,9 +13,9 @@
 //	            [-validate] [-o FILE] [-workers N] [-trace-dir DIR]
 //	            [-cpuprofile FILE]
 //
-// With -workers > 1 (0 = GOMAXPROCS) the benchmarks run on a worker pool,
-// one BDD manager per worker; tables and records are identical to a
-// sequential run (only wall-clock changes).
+// The benchmarks run on a pool of -workers workers (default 1, 0 =
+// GOMAXPROCS), one BDD manager per benchmark; tables and records are
+// identical for every worker count (only wall-clock changes).
 //
 // With -trace-dir the harness writes one structured JSONL trace file per
 // benchmark (<name>.trace.jsonl): the intercepted calls, every heuristic
@@ -172,16 +172,7 @@ func run() {
 		TraceDir:      *traceDir,
 		TraceTimings:  *traceTime,
 	}
-	var (
-		col  *harness.Collector
-		runs []harness.BenchmarkRun
-		err  error
-	)
-	if *workers == 1 {
-		col, runs, err = harness.RunSuite(names, rc)
-	} else {
-		col, runs, err = harness.RunSuiteParallel(names, rc, *workers)
-	}
+	col, runs, err := harness.RunSuite(names, rc, *workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -219,14 +219,6 @@ func (m *Manager) MkVar(v Var) Ref {
 // MkNotVar returns the function of the single negative literal v.
 func (m *Manager) MkNotVar(v Var) Ref { return m.MkVar(v).Not() }
 
-// MkLiteral returns the function of the given literal.
-func (m *Manager) MkLiteral(l Literal) Ref {
-	if l.Phase {
-		return m.MkVar(l.Var)
-	}
-	return m.MkNotVar(l.Var)
-}
-
 func (m *Manager) checkVar(v Var) {
 	if int(v) < 0 || int(v) >= m.nvars {
 		panic(fmt.Sprintf("bdd: variable x%d out of range [0,%d)", v, m.nvars))

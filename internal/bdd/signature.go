@@ -22,6 +22,12 @@ package bdd
 // fixed sigSeed: no per-Manager state, no source of nondeterminism.
 // Deterministic runs therefore prune identically, keeping traces
 // byte-identical — a property the golden-trace test pins.
+//
+// The filters earn their code on uncached work: with the kernel guards
+// and the level matcher's pair fingerprints both removed, bddmind's
+// serve-cold benchmark had lower throughput and fewer requests inside its
+// latency limit in six of six alternating pairs, while table3 stayed flat
+// (EXPERIMENTS.md, "Semantic signatures").
 
 // sigSeed fixes the pseudo-random assignment matrix for all Managers.
 // Changing it changes which pairs are pruned (never the results), so it is

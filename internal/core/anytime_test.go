@@ -22,12 +22,11 @@ func anytimeDrivers() []Minimizer {
 }
 
 // steppedDrivers returns fresh instances of the step-wise drivers, one per
-// name the entry-point tests pin: opt_lv, opt_lv_osm, sched_w4_s0,
-// sched_w2_s0_nolv and robust (forced to run its level pass too).
+// name the entry-point tests pin: opt_lv, sched_w4_s0, sched_w2_s0_nolv
+// and robust (forced to run its level pass too).
 func steppedDrivers() []Minimizer {
 	return []Minimizer{
 		&OptLv{},
-		&OptLv{UseOSM: true},
 		&Scheduler{},
 		&Scheduler{WindowSize: 2, SkipLevelMatching: true},
 		&Robust{OnsetThreshold: -1},

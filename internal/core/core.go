@@ -31,11 +31,7 @@
 // oracle on small instances.
 package core
 
-import (
-	"fmt"
-
-	"bddmin/internal/bdd"
-)
+import "bddmin/internal/bdd"
 
 // ISF is an incompletely specified function [F, C]: the onset is F·C, the
 // offset is ¬F·C, and the don't-care set is ¬C. The paper writes [f; c].
@@ -89,14 +85,4 @@ type Minimizer interface {
 	// Minimize returns a cover of [f, c]. It panics if c is Zero (the
 	// trivial instance is excluded upstream, as in the paper).
 	Minimize(m *bdd.Manager, f, c bdd.Ref) bdd.Ref
-}
-
-// MinimizeChecked runs h and verifies the result is a cover, panicking
-// otherwise; used by tests and the harness in paranoid mode.
-func MinimizeChecked(h Minimizer, m *bdd.Manager, f, c bdd.Ref) bdd.Ref {
-	g := h.Minimize(m, f, c)
-	if !m.Cover(g, f, c) {
-		panic(fmt.Sprintf("core: heuristic %s returned a non-cover", h.Name()))
-	}
-	return g
 }

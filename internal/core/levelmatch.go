@@ -10,7 +10,7 @@ import (
 )
 
 // LevelPair is one incompletely specified subfunction [fj, cj] gathered by
-// CollectLevelPairs, together with the path on which it was first reached
+// collectLevelPairs, together with the path on which it was first reached
 // (used by the distance weighting of Section 3.3.2).
 type LevelPair struct {
 	ISF
@@ -20,13 +20,13 @@ type LevelPair struct {
 	// "2").
 	Path []bdd.CubeValue
 	// FSig and CSig are the 64-assignment semantic signatures of F and C
-	// (bdd.Signature), filled by CollectLevelPairs. The solvers use them to
+	// (bdd.Signature), filled by collectLevelPairs. The solvers use them to
 	// reject provably non-matching pairs with one word operation before any
 	// kernel recursion runs; zero signatures (pairs built by hand) disable
 	// pruning and are always safe.
 	FSig, CSig uint64
 	// pathVal/pathCare pack Path into words (level i at bit k−i−1, so the
-	// masked XOR below *is* the distance sum): filled by CollectLevelPairs
+	// masked XOR below *is* the distance sum): filled by collectLevelPairs
 	// when the path fits in 64 bits, signalled by pathLen > 0. Hand-built
 	// pairs leave pathLen 0 and take the slice-walking PairDistance.
 	pathVal, pathCare uint64
@@ -40,20 +40,6 @@ func pairDist(a, b *LevelPair) uint64 {
 		return (a.pathVal ^ b.pathVal) & a.pathCare & b.pathCare
 	}
 	return PairDistance(*a, *b)
-}
-
-// CollectLevelPairs gathers the incompletely specified subfunctions of
-// [f, c] that are rooted strictly below level i and pointed to from level
-// i or above (Section 3.3.1). The traversal walks f and c in lock-step
-// depth-first order, splitting at the smaller top level, and terminates
-// when both components lie below i. Only unique pairs are recorded, with
-// the path of their first visit.
-//
-// If limit > 0 at most limit pairs are collected (the paper proposes this
-// runtime guard; its experiments ran unlimited, observing a maximum set
-// size of 513).
-func CollectLevelPairs(m *bdd.Manager, in ISF, i bdd.Var, limit int) []LevelPair {
-	return collectLevelPairs(m, in, i, limit, newLvScratch())
 }
 
 // isfSet is an open-addressing hash set of ISF pairs used as the
@@ -205,8 +191,8 @@ func (t *isfMap) grow() {
 // collector's visited set and path buffers, the clique cover's bitsets and
 // the replacement/rebuild maps — so a full per-level sweep (OptLv) pays
 // for them once per Minimize call instead of once per level. A scratch is
-// single-goroutine like the Manager; public entry points allocate a fresh
-// one, OptLv.Minimize reuses one across its levels.
+// single-goroutine like the Manager; MinimizeAtLevel takes one from the
+// pool per round, OptLv.Minimize reuses one across its levels.
 type lvScratch struct {
 	seen       isfSet          // collector's visited set
 	path       []bdd.CubeValue // collector's current path
@@ -234,8 +220,9 @@ func newLvScratch() *lvScratch {
 
 // lvScratchPool recycles scratches across minimization calls. Only entry
 // points whose results do not alias scratch memory may use it
-// (MinimizeAtLevel, the OptLv level loop); CollectLevelPairs and the level
-// solvers return scratch-backed slices/maps and must keep their scratch.
+// (MinimizeAtLevel, the OptLv level loop); collectLevelPairs and the level
+// solvers return scratch-backed slices/maps, valid until the scratch's
+// next use.
 var lvScratchPool = sync.Pool{New: func() any { return newLvScratch() }}
 
 // growU64 returns buf resized to n zeroed elements, reusing its capacity.
@@ -262,7 +249,16 @@ func growInt(buf []int, n int) []int {
 	return buf
 }
 
-func collectLevelPairs(m *bdd.Manager, in ISF, i bdd.Var, limit int, sc *lvScratch) []LevelPair {
+// collectLevelPairs gathers the incompletely specified subfunctions of
+// [f, c] that are rooted strictly below level i and pointed to from level
+// i or above (Section 3.3.1). The traversal walks f and c in lock-step
+// depth-first order, splitting at the smaller top level, and terminates
+// when both components lie below i. Only unique pairs are recorded, with
+// the path of their first visit. The set is unbounded, as in the paper's
+// experiments (largest observed: 513 pairs); the paper's proposed set-size
+// limit is left to the kernel budget, which bounds opt_lv's work at every
+// entry point.
+func collectLevelPairs(m *bdd.Manager, in ISF, i bdd.Var, sc *lvScratch) []LevelPair {
 	sc.seen.reset(sc.seen.used) // last round's population sizes this one
 	if cap(sc.path) < int(i)+1 {
 		sc.path = make([]bdd.CubeValue, int(i)+1)
@@ -274,7 +270,7 @@ func collectLevelPairs(m *bdd.Manager, in ISF, i bdd.Var, limit int, sc *lvScrat
 	}
 	sc.pairs = sc.pairs[:0]
 	sc.pathBuf = sc.pathBuf[:0]
-	c := &collector{m: m, level: int32(i), limit: limit, sc: sc}
+	c := &collector{m: m, level: int32(i), sc: sc}
 	c.walk(in)
 	pairs := sc.pairs
 	if len(pairs) > 0 {
@@ -295,15 +291,13 @@ func collectLevelPairs(m *bdd.Manager, in ISF, i bdd.Var, limit int, sc *lvScrat
 type collector struct {
 	m     *bdd.Manager
 	level int32
-	limit int
 	sc    *lvScratch
 }
 
-// walk returns false when the limit has been hit.
-func (c *collector) walk(in ISF) bool {
+func (c *collector) walk(in ISF) {
 	sc := c.sc
 	if sc.seen.visit(in) {
-		return true
+		return
 	}
 	fl, cl := c.m.Level(in.F), c.m.Level(in.C)
 	top := fl
@@ -335,18 +329,15 @@ func (c *collector) walk(in ISF) bool {
 			p.pathVal, p.pathCare, p.pathLen = val, care, uint8(k)
 		}
 		sc.pairs = append(sc.pairs, p)
-		return c.limit <= 0 || len(sc.pairs) < c.limit
+		return
 	}
 	fT, fE := branchAt(c.m, in.F, top)
 	cT, cE := branchAt(c.m, in.C, top)
 	sc.path[top] = bdd.CubeOne
-	ok := c.walk(ISF{fT, cT})
+	c.walk(ISF{fT, cT})
 	sc.path[top] = bdd.CubeZero
-	if ok {
-		ok = c.walk(ISF{fE, cE})
-	}
+	c.walk(ISF{fE, cE})
 	sc.path[top] = bdd.DontCare
-	return ok
 }
 
 func branchAt(m *bdd.Manager, f bdd.Ref, top int32) (bdd.Ref, bdd.Ref) {
@@ -380,19 +371,14 @@ func PairDistance(a, b LevelPair) uint64 {
 	return d
 }
 
-// SolveOSMLevel solves the function matching minimization (FMM) problem
+// solveOSMLevel solves the function matching minimization (FMM) problem
 // exactly for the OSM criterion (Proposition 10): build the directed
 // matching graph (DMG) with an edge j→k iff pair j OSM-matches pair k,
 // then map every vertex to a sink reachable from it. The sinks are the
 // minimum set of i-covers. The returned map sends every replaced pair's
-// ISF to its i-cover; unreplaced (sink) pairs are absent.
-func SolveOSMLevel(m *bdd.Manager, pairs []LevelPair) map[ISF]ISF {
-	repl, _, _ := solveOSMLevel(m, pairs)
-	return repl
-}
-
-// solveOSMLevel additionally reports the DMG's edge count and the number
-// of candidate pairs rejected by the signature filter, for tracing.
+// ISF to its i-cover; unreplaced (sink) pairs are absent. It also reports
+// the DMG's edge count and the number of candidate pairs rejected by the
+// signature filter, for tracing.
 func solveOSMLevel(m *bdd.Manager, pairs []LevelPair) (map[ISF]ISF, int, int) {
 	n := len(pairs)
 	edges, pruned := 0, 0
@@ -465,7 +451,7 @@ func solveOSMLevel(m *bdd.Manager, pairs []LevelPair) (map[ISF]ISF, int, int) {
 	return repl, edges, pruned
 }
 
-// SolveTSMLevel solves FMM for the TSM criterion heuristically via clique
+// solveTSMLevel solves FMM for the TSM criterion heuristically via clique
 // partitioning of the undirected matching graph (Theorem 15 reduces exact
 // FMM-TSM to minimum clique cover, which is NP-complete). The
 // implementation uses the two optimizations of Section 3.3.2: seed
@@ -473,15 +459,11 @@ func solveOSMLevel(m *bdd.Manager, pairs []LevelPair) (map[ISF]ISF, int, int) {
 // extensions are tried in ascending order of path distance, favoring
 // matches of nearby functions. Each clique is folded into a single common
 // i-cover (Lemma 14 guarantees one exists).
-func SolveTSMLevel(m *bdd.Manager, pairs []LevelPair) map[ISF]ISF {
-	repl, _, _, _ := solveTSMLevel(m, pairs, newLvScratch())
-	return repl
-}
-
-// solveTSMLevel additionally reports the matching graph's edge count, the
-// number of non-singleton cliques folded, and the signature-pruned pair
-// count, for tracing. The returned map is sc.repl: valid until the next
-// solve on the same scratch.
+//
+// It also reports the matching graph's edge count, the number of
+// non-singleton cliques folded, and the signature-pruned pair count, for
+// tracing. The returned map is sc.repl: valid until the next solve on the
+// same scratch.
 func solveTSMLevel(m *bdd.Manager, pairs []LevelPair, sc *lvScratch) (map[ISF]ISF, int, int, int) {
 	cliques, edges, pruned := tsmCliqueCover(m, pairs, true, sc)
 	folded := 0
@@ -505,20 +487,14 @@ func solveTSMLevel(m *bdd.Manager, pairs []LevelPair, sc *lvScratch) (map[ISF]IS
 	return repl, edges, folded, pruned
 }
 
-// TSMCliqueCover partitions the vertices of the undirected TSM matching
+// tsmCliqueCover partitions the vertices of the undirected TSM matching
 // graph into cliques. With optimized true it applies the degree ordering
 // and distance weighting of Section 3.3.2; with optimized false it scans
 // vertices and extensions in index order (the baseline the paper's
-// optimizations are measured against — see the ablation benchmarks).
-func TSMCliqueCover(m *bdd.Manager, pairs []LevelPair, optimized bool) [][]int {
-	cliques, _, _ := tsmCliqueCover(m, pairs, optimized, newLvScratch())
-	return cliques
-}
-
-// tsmCliqueCover additionally reports the undirected edge count and the
-// signature-pruned pair count for tracing. The returned cliques are views
-// into the scratch's member slab: valid until the next cover on the same
-// scratch.
+// optimizations are measured against — BenchmarkAblationCliqueOrder). It
+// also reports the undirected edge count and the signature-pruned pair
+// count for tracing. The returned cliques are views into the scratch's
+// member slab: valid until the next cover on the same scratch.
 //
 // The matching graph is stored as bitset adjacency rows (word w of row j
 // holds vertices 64w..64w+63), so growing a clique intersects candidate
@@ -670,17 +646,11 @@ func tsmCliqueCover(m *bdd.Manager, pairs []LevelPair, optimized bool, sc *lvScr
 	return sc.cliques, edges, pruned
 }
 
-// RebuildWithReplacements reconstructs [f, c] after level matching:
+// rebuildWithReplacements reconstructs [f, c] after level matching:
 // whenever the lock-step traversal reaches a collected pair that a match
 // replaced, the replacement i-cover is substituted; the superstructure at
 // and above level i is rebuilt node by node. The result is an i-cover of
-// the input.
-func RebuildWithReplacements(m *bdd.Manager, in ISF, i bdd.Var, repl map[ISF]ISF) ISF {
-	var memo isfMap
-	memo.reset(0)
-	return rebuildWithReplacements(m, in, i, repl, &memo)
-}
-
+// the input. memo must be reset by the caller.
 func rebuildWithReplacements(m *bdd.Manager, in ISF, i bdd.Var, repl map[ISF]ISF, memo *isfMap) ISF {
 	r := &rebuilder{m: m, level: int32(i), repl: repl, memo: memo}
 	return r.rebuild(in)
@@ -739,60 +709,27 @@ type LevelMatchStats struct {
 // criterion (OSM exactly, TSM heuristically), and rebuild. It returns the
 // transformed i-cover and the matching-graph statistics of the round
 // (Replaced is the number of pairs that were replaced).
-//
-// When limit > 0 the collected set is processed in depth-first-order
-// batches of at most limit pairs, the paper's first method for bounding
-// the set size: "when the limit is reached, the resulting set is
-// processed; then the traversal is continued, building a new set", with
-// the advantage that "subfunctions that are nearby in the BDD will be
-// grouped together". Batches are solved independently, their edge and
-// clique counts accumulate, and the combined replacement map is applied in
-// a single rebuild.
-func MinimizeAtLevel(m *bdd.Manager, in ISF, i bdd.Var, cr Criterion, limit int) (ISF, LevelMatchStats) {
+func MinimizeAtLevel(m *bdd.Manager, in ISF, i bdd.Var, cr Criterion) (ISF, LevelMatchStats) {
 	sc := lvScratchPool.Get().(*lvScratch)
-	out, stats := minimizeAtLevel(m, in, i, cr, limit, sc)
+	out, stats := minimizeAtLevel(m, in, i, cr, sc)
 	lvScratchPool.Put(sc)
 	return out, stats
 }
 
-func minimizeAtLevel(m *bdd.Manager, in ISF, i bdd.Var, cr Criterion, limit int, sc *lvScratch) (ISF, LevelMatchStats) {
-	pairs := collectLevelPairs(m, in, i, 0, sc)
+func minimizeAtLevel(m *bdd.Manager, in ISF, i bdd.Var, cr Criterion, sc *lvScratch) (ISF, LevelMatchStats) {
+	pairs := collectLevelPairs(m, in, i, sc)
 	stats := LevelMatchStats{Pairs: len(pairs)}
 	if len(pairs) < 2 {
 		return in, stats
 	}
-	solve := func(batch []LevelPair) map[ISF]ISF {
-		switch cr {
-		case OSM:
-			repl, edges, pruned := solveOSMLevel(m, batch)
-			stats.Edges += edges
-			stats.Pruned += pruned
-			return repl
-		case TSM:
-			repl, edges, cliques, pruned := solveTSMLevel(m, batch, sc)
-			stats.Edges += edges
-			stats.Cliques += cliques
-			stats.Pruned += pruned
-			return repl
-		}
-		panic("core: level matching supports OSM and TSM")
-	}
 	var repl map[ISF]ISF
-	if limit <= 0 || len(pairs) <= limit {
-		repl = solve(pairs)
-	} else {
-		// Batched mode merges per-batch maps; solve reuses sc.repl per
-		// batch, so the merge target must be a separate map.
-		repl = make(map[ISF]ISF)
-		for start := 0; start < len(pairs); start += limit {
-			end := start + limit
-			if end > len(pairs) {
-				end = len(pairs)
-			}
-			for from, to := range solve(pairs[start:end]) {
-				repl[from] = to
-			}
-		}
+	switch cr {
+	case OSM:
+		repl, stats.Edges, stats.Pruned = solveOSMLevel(m, pairs)
+	case TSM:
+		repl, stats.Edges, stats.Cliques, stats.Pruned = solveTSMLevel(m, pairs, sc)
+	default:
+		panic("core: level matching supports OSM and TSM")
 	}
 	stats.Replaced = len(repl)
 	if len(repl) == 0 {
@@ -804,27 +741,15 @@ func minimizeAtLevel(m *bdd.Manager, in ISF, i bdd.Var, cr Criterion, limit int,
 
 // OptLv is the level-matching heuristic evaluated in the paper ("opt_lv"):
 // it visits the levels in increasing order and matches the functions at
-// each level, then returns the function part of the final i-cover. The
-// paper's configuration uses TSM; the OSM variant (exact FMM per level,
-// Proposition 10, and safe below the level by Theorem 12) is available via
-// the Criterion field.
+// each level under TSM, then returns the function part of the final
+// i-cover. OSM level matching runs inside the Scheduler.
 type OptLv struct {
-	// Limit bounds the collected set size per level (0 = unlimited, the
-	// paper's configuration).
-	Limit int
-	// UseOSM selects the OSM matching criterion instead of TSM.
-	UseOSM bool
 	// Trace, when non-nil, receives one obs.LevelMatchEvent per level.
 	Trace obs.Tracer
 }
 
-// Name returns "opt_lv" (TSM) or "opt_lv_osm".
-func (o *OptLv) Name() string {
-	if o.UseOSM {
-		return "opt_lv_osm"
-	}
-	return "opt_lv"
-}
+// Name returns "opt_lv".
+func (o *OptLv) Name() string { return "opt_lv" }
 
 // Minimize runs level matching per Section 3.3 at every level, top-down.
 func (o *OptLv) Minimize(m *bdd.Manager, f, c bdd.Ref) bdd.Ref {
@@ -838,10 +763,6 @@ func (o *OptLv) steps(m *bdd.Manager, f, c bdd.Ref, catch bool) (bdd.Ref, AbortI
 	if c == bdd.Zero {
 		panic("core: opt_lv called with empty care set")
 	}
-	cr := TSM
-	if o.UseOSM {
-		cr = OSM
-	}
 	run := stepRun{m: m, cur: ISF{f, c}, catch: catch}
 	sc := lvScratchPool.Get().(*lvScratch) // one scratch serves every level
 	defer lvScratchPool.Put(sc)
@@ -852,12 +773,12 @@ func (o *OptLv) steps(m *bdd.Manager, f, c bdd.Ref, catch bool) (bdd.Ref, AbortI
 		}
 		var stats LevelMatchStats
 		ok := run.step(run.phase("level %d", i), func(in ISF) (out ISF) {
-			out, stats = minimizeAtLevel(m, in, bdd.Var(i), cr, o.Limit, sc)
+			out, stats = minimizeAtLevel(m, in, bdd.Var(i), TSM, sc)
 			return out
 		})
 		if o.Trace != nil {
 			stats.Aborted = !ok
-			o.Trace.Emit(levelMatchEvent(i, cr, stats, time.Since(start)))
+			o.Trace.Emit(levelMatchEvent(i, TSM, stats, time.Since(start)))
 		}
 		if !ok {
 			break

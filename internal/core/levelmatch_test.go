@@ -10,7 +10,7 @@ func TestCollectLevelPairsBasics(t *testing.T) {
 	m := bdd.New(4)
 	f := m.Or(m.And(m.MkVar(0), m.MkVar(2)), m.And(m.MkVar(1), m.MkVar(3)))
 	c := bdd.One
-	pairs := CollectLevelPairs(m, ISF{f, c}, 1, 0)
+	pairs := collectLevelPairs(m, ISF{f, c}, 1, newLvScratch())
 	if len(pairs) == 0 {
 		t.Fatal("expected pairs below level 1")
 	}
@@ -30,20 +30,6 @@ func TestCollectLevelPairsBasics(t *testing.T) {
 			t.Fatal("duplicate pair collected")
 		}
 		seen[p.ISF] = true
-	}
-}
-
-func TestCollectLevelPairsLimit(t *testing.T) {
-	m := bdd.New(6)
-	rng := newRand(300)
-	in := randISF(rng, m, 6)
-	all := CollectLevelPairs(m, in, 2, 0)
-	if len(all) < 3 {
-		t.Skip("instance too small to test the limit")
-	}
-	limited := CollectLevelPairs(m, in, 2, 2)
-	if len(limited) != 2 {
-		t.Fatalf("limited collection returned %d pairs, want 2", len(limited))
 	}
 }
 
@@ -70,7 +56,7 @@ func TestCollectLevelPairsSignatures(t *testing.T) {
 	rng := newRand(310)
 	m := bdd.New(6)
 	in := randISF(rng, m, 6)
-	pairs := CollectLevelPairs(m, in, 2, 0)
+	pairs := collectLevelPairs(m, in, 2, newLvScratch())
 	if len(pairs) == 0 {
 		t.Skip("no pairs collected")
 	}
@@ -89,7 +75,7 @@ func TestSignaturePruningSound(t *testing.T) {
 		n := 4 + rng.Intn(3)
 		m := bdd.New(n)
 		in := randISF(rng, m, n)
-		pairs := CollectLevelPairs(m, in, bdd.Var(rng.Intn(n-1)), 0)
+		pairs := collectLevelPairs(m, in, bdd.Var(rng.Intn(n-1)), newLvScratch())
 		for j := range pairs {
 			for k := range pairs {
 				if j == k {
@@ -116,7 +102,7 @@ func TestSignaturePruningPreservesResults(t *testing.T) {
 		n := 4 + rng.Intn(3)
 		m := bdd.New(n)
 		in := randISF(rng, m, n)
-		pairs := CollectLevelPairs(m, in, bdd.Var(rng.Intn(n-1)), 0)
+		pairs := collectLevelPairs(m, in, bdd.Var(rng.Intn(n-1)), newLvScratch())
 		if len(pairs) < 2 {
 			continue
 		}
@@ -125,8 +111,8 @@ func TestSignaturePruningPreservesResults(t *testing.T) {
 		for i := range unpruned {
 			unpruned[i].FSig, unpruned[i].CSig = 0, 0
 		}
-		osmA := SolveOSMLevel(m, pairs)
-		osmB := SolveOSMLevel(m, unpruned)
+		osmA, _, _ := solveOSMLevel(m, pairs)
+		osmB, _, _ := solveOSMLevel(m, unpruned)
 		if len(osmA) != len(osmB) {
 			t.Fatalf("trial %d: OSM replacements differ: %d vs %d", trial, len(osmA), len(osmB))
 		}
@@ -135,8 +121,8 @@ func TestSignaturePruningPreservesResults(t *testing.T) {
 				t.Fatalf("trial %d: OSM replacement for %v differs", trial, from)
 			}
 		}
-		tsmA := SolveTSMLevel(m, pairs)
-		tsmB := SolveTSMLevel(m, unpruned)
+		tsmA, _, _, _ := solveTSMLevel(m, pairs, newLvScratch())
+		tsmB, _, _, _ := solveTSMLevel(m, unpruned, newLvScratch())
 		if len(tsmA) != len(tsmB) {
 			t.Fatalf("trial %d: TSM replacements differ: %d vs %d", trial, len(tsmA), len(tsmB))
 		}
@@ -155,7 +141,49 @@ func BenchmarkMinimizeAtLevelTSM(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.FlushCaches()
-		MinimizeAtLevel(m, in, 5, TSM, 0)
+		MinimizeAtLevel(m, in, 5, TSM)
+	}
+}
+
+// BenchmarkAblationCliqueOrder compares the clique construction with and
+// without the Section 3.3.2 optimizations (degree-ordered seeds,
+// distance-weighted extension) on the pairs below level 1 of random
+// non-trivial instances over 6 to 10 variables.
+func BenchmarkAblationCliqueOrder(b *testing.B) {
+	rng := newRand(1994)
+	type instance struct {
+		m  *bdd.Manager
+		in ISF
+	}
+	var insts []instance
+	for len(insts) < 40 {
+		n := 6 + rng.Intn(5)
+		m := bdd.New(n)
+		in := randISF(rng, m, n)
+		if m.IsCube(in.C) || m.Leq(in.C, in.F) || m.Disjoint(in.C, in.F) {
+			continue
+		}
+		insts = append(insts, instance{m, in})
+	}
+	for _, optimized := range []bool{false, true} {
+		name := "naive"
+		if optimized {
+			name = "optimized"
+		}
+		b.Run(name, func(b *testing.B) {
+			sc := newLvScratch()
+			var cliques int64
+			for i := 0; i < b.N; i++ {
+				inst := insts[i%len(insts)]
+				pairs := collectLevelPairs(inst.m, inst.in, 1, sc)
+				if len(pairs) < 2 {
+					continue
+				}
+				cs, _, _ := tsmCliqueCover(inst.m, pairs, optimized, sc)
+				cliques += int64(len(cs))
+			}
+			b.ReportMetric(float64(cliques)/float64(b.N), "cliques/op")
+		})
 	}
 }
 
@@ -180,11 +208,11 @@ func TestSolveOSMLevelSinks(t *testing.T) {
 		m := bdd.New(n)
 		in := randISF(rng, m, n)
 		lvl := bdd.Var(rng.Intn(n - 1))
-		pairs := CollectLevelPairs(m, in, lvl, 0)
+		pairs := collectLevelPairs(m, in, lvl, newLvScratch())
 		if len(pairs) < 2 {
 			continue
 		}
-		repl := SolveOSMLevel(m, pairs)
+		repl, _, _ := solveOSMLevel(m, pairs)
 		// Independent oracle for the minimum FMM size (Proposition 10):
 		// the number of sink classes of the DMG quotiented by mutual
 		// matching. A vertex is in a sink class iff every match it makes
@@ -233,12 +261,12 @@ func TestTSMCliqueCoverIsValidPartition(t *testing.T) {
 		m := bdd.New(n)
 		in := randISF(rng, m, n)
 		lvl := bdd.Var(rng.Intn(n - 1))
-		pairs := CollectLevelPairs(m, in, lvl, 0)
+		pairs := collectLevelPairs(m, in, lvl, newLvScratch())
 		if len(pairs) < 2 {
 			continue
 		}
 		for _, optimized := range []bool{false, true} {
-			cliques := TSMCliqueCover(m, pairs, optimized)
+			cliques, _, _ := tsmCliqueCover(m, pairs, optimized, newLvScratch())
 			covered := make([]bool, len(pairs))
 			for _, clique := range cliques {
 				for i, v := range clique {
@@ -271,11 +299,11 @@ func TestTSMCliqueFoldIsCommonICover(t *testing.T) {
 		n := 3
 		m := bdd.New(n)
 		in := randISF(rng, m, n)
-		pairs := CollectLevelPairs(m, in, 0, 0)
+		pairs := collectLevelPairs(m, in, 0, newLvScratch())
 		if len(pairs) < 2 {
 			continue
 		}
-		repl := SolveTSMLevel(m, pairs)
+		repl, _, _, _ := solveTSMLevel(m, pairs, newLvScratch())
 		for from, to := range repl {
 			checked++
 			allCovers(m, to, n, func(g bdd.Ref) {
@@ -300,7 +328,7 @@ func TestMinimizeAtLevelProducesICover(t *testing.T) {
 		in := randISF(rng, m, n)
 		for _, cr := range []Criterion{OSM, TSM} {
 			for lvl := 0; lvl < n; lvl++ {
-				out, _ := MinimizeAtLevel(m, in, bdd.Var(lvl), cr, 0)
+				out, _ := MinimizeAtLevel(m, in, bdd.Var(lvl), cr)
 				allCovers(m, out, n, func(g bdd.Ref) {
 					if !in.Cover(m, g) {
 						t.Fatalf("%v level %d: cover of output is not a cover of input", cr, lvl)
@@ -331,7 +359,7 @@ func TestTheorem12OSMPreservesBelowLevelOptimum(t *testing.T) {
 		m := bdd.New(n)
 		in := randISF(rng, m, n)
 		for lvl := 0; lvl < n-1; lvl++ {
-			out, stats := MinimizeAtLevel(m, in, bdd.Var(lvl), OSM, 0)
+			out, stats := MinimizeAtLevel(m, in, bdd.Var(lvl), OSM)
 			if stats.Replaced == 0 {
 				continue
 			}
@@ -349,7 +377,9 @@ func TestRebuildIdentityWhenNoReplacements(t *testing.T) {
 	m := bdd.New(4)
 	rng := newRand(306)
 	in := randISF(rng, m, 4)
-	out := RebuildWithReplacements(m, in, 1, map[ISF]ISF{})
+	var memo isfMap
+	memo.reset(0)
+	out := rebuildWithReplacements(m, in, 1, map[ISF]ISF{}, &memo)
 	if out != in {
 		t.Fatal("rebuild with no replacements must be the identity")
 	}
@@ -371,54 +401,5 @@ func TestOptLvReturnsCoverAndShrinks(t *testing.T) {
 	}
 	if !shrunk {
 		t.Fatal("opt_lv never reduced any instance; something is off")
-	}
-}
-
-func TestOptLvLimit(t *testing.T) {
-	m := bdd.New(6)
-	rng := newRand(308)
-	in := randISF(rng, m, 6)
-	o := &OptLv{Limit: 3}
-	g := o.Minimize(m, in.F, in.C)
-	requireCover(t, m, g, in, "opt_lv limited")
-}
-
-func TestOptLvOSMVariant(t *testing.T) {
-	rng := newRand(309)
-	o := &OptLv{UseOSM: true}
-	if o.Name() != "opt_lv_osm" {
-		t.Fatalf("name = %q", o.Name())
-	}
-	for trial := 0; trial < 50; trial++ {
-		n := 3 + rng.Intn(3)
-		m := bdd.New(n)
-		in := randISF(rng, m, n)
-		g := o.Minimize(m, in.F, in.C)
-		requireCover(t, m, g, in, "opt_lv_osm")
-		// Note: growth is possible — Theorem 12 protects only the nodes
-		// below the matched level; the superstructure can lose sharing.
-	}
-}
-
-func TestMinimizeAtLevelBatchedIsSound(t *testing.T) {
-	// The batched set-limiting method must still produce i-covers, and
-	// with a batch size of 1 it degenerates to no replacements at all
-	// (singleton batches cannot match).
-	rng := newRand(310)
-	for trial := 0; trial < 40; trial++ {
-		n := 3
-		m := bdd.New(n)
-		in := randISF(rng, m, n)
-		for _, limit := range []int{1, 2, 3, 0} {
-			out, stats := MinimizeAtLevel(m, in, 0, TSM, limit)
-			if limit == 1 && stats.Replaced != 0 {
-				t.Fatal("singleton batches cannot produce matches")
-			}
-			allCovers(m, out, n, func(g bdd.Ref) {
-				if !in.Cover(m, g) {
-					t.Fatalf("limit %d: output not an i-cover", limit)
-				}
-			})
-		}
 	}
 }

@@ -155,7 +155,7 @@ func TestQuickWindowedTransformSound(t *testing.T) {
 		lo := bdd.Var(loRaw % 5)
 		hi := lo + bdd.Var(hiRaw%3)
 		cr := Criteria()[int(crRaw)%3]
-		out := MatchSiblingsWindow(m, cr, compl, nnv, in, lo, hi)
+		out, _ := matchSiblingsWindow(m, cr, compl, nnv, in, lo, hi)
 		if !m.Leq(in.C, out.C) {
 			return false
 		}

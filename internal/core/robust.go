@@ -19,8 +19,6 @@ type Robust struct {
 	// OnsetThreshold is the care-onset density above which level matching
 	// is also tried (0 means the 0.95 default; negative means always).
 	OnsetThreshold float64
-	// Limit bounds the level matcher's collected set size (0 = unlimited).
-	Limit int
 }
 
 // Name returns "robust".
@@ -53,7 +51,7 @@ func (r *Robust) steps(m *bdd.Manager, f, c bdd.Ref, catch bool) (bdd.Ref, Abort
 	g, info := runSteps(NewSiblingHeuristic(OSM, true, true), m, f, c, catch)
 	consider(g)
 	if !info.Aborted && m.Density(c) > threshold {
-		g, info = (&OptLv{Limit: r.Limit}).steps(m, f, c, catch)
+		g, info = (&OptLv{}).steps(m, f, c, catch)
 		consider(g)
 	}
 	return best, info

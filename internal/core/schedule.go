@@ -34,9 +34,6 @@ type Scheduler struct {
 	// expensive, so steps 4 and 5 should be skipped if runtime is a
 	// concern").
 	SkipLevelMatching bool
-	// LevelLimit bounds the collected set size per level match
-	// (0 = unlimited).
-	LevelLimit int
 	// Trace, when non-nil, receives the schedule's event stream: one
 	// obs.WindowEvent pair per window, one obs.HeuristicEvent per sibling
 	// step ("sib_osm", "sib_tsm") and for the final constrain
@@ -95,7 +92,7 @@ func (s *Scheduler) lvStep(m *bdd.Manager, in ISF, cr Criterion, i int) ISF {
 	if s.Trace != nil {
 		start = time.Now()
 	}
-	out, stats := MinimizeAtLevel(m, in, bdd.Var(i), cr, s.LevelLimit)
+	out, stats := MinimizeAtLevel(m, in, bdd.Var(i), cr)
 	if s.Trace != nil {
 		s.Trace.Emit(levelMatchEvent(i, cr, stats, time.Since(start)))
 	}

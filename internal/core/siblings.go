@@ -73,12 +73,11 @@ func (h *SiblingHeuristic) Minimize(m *bdd.Manager, f, c bdd.Ref) bdd.Ref {
 		panic(fmt.Sprintf("core: %s called with empty care set", h.name))
 	}
 	t := &tdTraversal{
-		m:      m,
-		crit:   h.Criterion,
-		compl:  h.MatchCompl,
-		nnv:    h.NoNewVars,
-		memo:   make(map[ISF]bdd.Ref),
-		window: fullWindow,
+		m:     m,
+		crit:  h.Criterion,
+		compl: h.MatchCompl,
+		nnv:   h.NoNewVars,
+		memo:  make(map[ISF]bdd.Ref),
 	}
 	if h.Trace == nil {
 		return t.run(f, c)
@@ -94,16 +93,6 @@ func (h *SiblingHeuristic) Minimize(m *bdd.Manager, f, c bdd.Ref) bdd.Ref {
 	return g
 }
 
-// window restricts at which levels sibling matches may be made; the
-// scheduler narrows it, the plain heuristics use the full range.
-type window struct {
-	lo, hi int32
-}
-
-var fullWindow = window{lo: 0, hi: 1<<31 - 2}
-
-func (w window) contains(level int32) bool { return level >= w.lo && level <= w.hi }
-
 // tdTraversal carries the state of one generic_td invocation. The memo
 // table is per-call, so timing measurements of distinct heuristics are
 // independent (the manager-level ITE cache is flushed by the harness
@@ -114,7 +103,6 @@ type tdTraversal struct {
 	compl   bool
 	nnv     bool
 	memo    map[ISF]bdd.Ref
-	window  window
 	matches int
 }
 
@@ -145,12 +133,12 @@ func (t *tdTraversal) run(f, c bdd.Ref) bdd.Ref {
 	default:
 		tp := ISF{fT, cT}
 		ep := ISF{fE, cE}
-		if ic, ok := matchSiblings(m, t.crit, false, tp, ep); ok && t.window.contains(top) {
+		if ic, ok := matchSiblings(m, t.crit, false, tp, ep); ok {
 			// Both children are replaced by the common i-cover; the
 			// parent node disappears.
 			t.matches++
 			ret = t.runISF(ic)
-		} else if t.compl && t.window.contains(top) {
+		} else if t.compl {
 			if ic, ok := matchSiblings(m, t.crit, true, tp, ep); ok {
 				// A cover h of ic covers [fT,cT] and the complement of
 				// [fE,cE]: the parent survives as ite(x, h, ¬h), costing

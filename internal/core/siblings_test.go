@@ -268,15 +268,6 @@ func TestZeroCareSetPanics(t *testing.T) {
 	}
 }
 
-// TestMinimizeCheckedPasses: the paranoid wrapper accepts sound heuristics.
-func TestMinimizeCheckedPasses(t *testing.T) {
-	m := bdd.New(3)
-	in := MustParseSpec(m, "d1 01 1d 01")
-	for _, h := range Registry() {
-		_ = MinimizeChecked(h, m, in.F, in.C)
-	}
-}
-
 // TestHeuristicsSurviveGC: results are identical before and after a
 // garbage collection reshuffles the arena's free list — canonicity is a
 // property of the function, not the allocation history.

@@ -16,7 +16,7 @@ func CriterionName(name string) string {
 	switch {
 	case name == "const" || name == "restr":
 		return OSDM.String()
-	case strings.HasPrefix(name, "osm_") || name == "opt_lv_osm":
+	case strings.HasPrefix(name, "osm_"):
 		return OSM.String()
 	case strings.HasPrefix(name, "tsm_") || name == "opt_lv":
 		return TSM.String()

@@ -113,7 +113,7 @@ func TestTracedSchedulerMatchesUntraced(t *testing.T) {
 func TestCriterionName(t *testing.T) {
 	cases := map[string]string{
 		"const": "osdm", "restr": "osdm",
-		"osm_bt": "osm", "osm_td": "osm", "opt_lv_osm": "osm",
+		"osm_bt": "osm", "osm_td": "osm",
 		"tsm_cp": "tsm", "opt_lv": "tsm",
 		"sched_w4_s0": "", "robust": "", "f_orig": "",
 	}

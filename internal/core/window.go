@@ -2,7 +2,7 @@ package core
 
 import "bddmin/internal/bdd"
 
-// MatchSiblingsWindow applies the sibling-matching transformation of
+// matchSiblingsWindow applies the sibling-matching transformation of
 // Figure 2 restricted to a window of levels [lo, hi], and — unlike the
 // cover-returning heuristics — returns a new incompletely specified
 // function [f', c'] that preserves the unconsumed don't-care freedom:
@@ -11,15 +11,9 @@ import "bddmin/internal/bdd"
 //
 // This is the building block of the scheduler (Section 3.4): safe
 // transformations are applied first and the remaining freedom is handed to
-// the next transformation, rather than being consumed greedily.
-func MatchSiblingsWindow(m *bdd.Manager, cr Criterion, compl, nnv bool, in ISF, lo, hi bdd.Var) ISF {
-	out, _ := matchSiblingsWindow(m, cr, compl, nnv, in, lo, hi)
-	return out
-}
-
-// matchSiblingsWindow additionally reports how many sibling matches were
-// applied (plain and complement), the per-step work measure the scheduler
-// traces.
+// the next transformation, rather than being consumed greedily. It also
+// reports how many sibling matches were applied (plain and complement),
+// the per-step work measure the scheduler traces.
 func matchSiblingsWindow(m *bdd.Manager, cr Criterion, compl, nnv bool, in ISF, lo, hi bdd.Var) (ISF, int) {
 	t := &windowTraversal{
 		m:     m,
@@ -27,7 +21,8 @@ func matchSiblingsWindow(m *bdd.Manager, cr Criterion, compl, nnv bool, in ISF, 
 		compl: compl,
 		nnv:   nnv,
 		memo:  make(map[ISF]ISF),
-		win:   window{lo: int32(lo), hi: int32(hi)},
+		lo:    int32(lo),
+		hi:    int32(hi),
 	}
 	return t.run(in), t.matches
 }
@@ -38,7 +33,7 @@ type windowTraversal struct {
 	compl   bool
 	nnv     bool
 	memo    map[ISF]ISF
-	win     window
+	lo, hi  int32 // the window: levels at which matches may be made
 	matches int
 }
 
@@ -56,7 +51,7 @@ func (t *windowTraversal) run(in ISF) ISF {
 		top = cl
 	}
 	var ret ISF
-	if top > t.win.hi {
+	if top > t.hi {
 		// Entirely below the window: leave the freedom untouched.
 		ret = in
 	} else {
@@ -64,7 +59,7 @@ func (t *windowTraversal) run(in ISF) ISF {
 		cT, cE := t.branch(in.C, top)
 		tp := ISF{fT, cT}
 		ep := ISF{fE, cE}
-		inWindow := t.win.contains(top)
+		inWindow := top >= t.lo
 		switch {
 		case inWindow && t.nnv && cl < fl:
 			ret = t.run(ISF{in.F, m.Or(cT, cE)})

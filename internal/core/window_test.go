@@ -17,7 +17,7 @@ func TestWindowTransformationIsICover(t *testing.T) {
 		for _, cr := range Criteria() {
 			for lo := 0; lo < n; lo++ {
 				for hi := lo; hi < n; hi++ {
-					out := MatchSiblingsWindow(m, cr, trial%2 == 0, trial%3 == 0, in, bdd.Var(lo), bdd.Var(hi))
+					out, _ := matchSiblingsWindow(m, cr, trial%2 == 0, trial%3 == 0, in, bdd.Var(lo), bdd.Var(hi))
 					allCovers(m, out, n, func(g bdd.Ref) {
 						if !in.Cover(m, g) {
 							t.Fatalf("%v window [%d,%d]: output cover is not an input cover", cr, lo, hi)
@@ -37,7 +37,7 @@ func TestWindowBelowLeavesUntouched(t *testing.T) {
 	f := m.Or(m.And(m.MkVar(3), m.MkVar(4)), m.MkVar(5))
 	c := m.Xor(m.MkVar(3), m.MkVar(5))
 	in := ISF{f, c}
-	out := MatchSiblingsWindow(m, TSM, true, true, in, 0, 2)
+	out, _ := matchSiblingsWindow(m, TSM, true, true, in, 0, 2)
 	if out != in {
 		t.Fatal("window above the support must not change the instance")
 	}
@@ -54,7 +54,7 @@ func TestWindowComposesWithConstrain(t *testing.T) {
 		n := 2 + rng.Intn(4)
 		m := bdd.New(n)
 		in := randISF(rng, m, n)
-		out := MatchSiblingsWindow(m, OSM, true, true, in, 0, bdd.Var(n-1))
+		out, _ := matchSiblingsWindow(m, OSM, true, true, in, 0, bdd.Var(n-1))
 		var g bdd.Ref
 		if out.C == bdd.Zero {
 			g = out.F
@@ -74,7 +74,7 @@ func TestWindowMonotoneCare(t *testing.T) {
 		m := bdd.New(n)
 		in := randISF(rng, m, n)
 		for _, cr := range Criteria() {
-			out := MatchSiblingsWindow(m, cr, true, false, in, 0, bdd.Var(n-1))
+			out, _ := matchSiblingsWindow(m, cr, true, false, in, 0, bdd.Var(n-1))
 			if !m.Leq(in.C, out.C) {
 				t.Fatalf("%v: window transformation enlarged the DC set", cr)
 			}
@@ -102,7 +102,7 @@ func TestSchedulerReturnsCoversAcrossConfigs(t *testing.T) {
 		{WindowSize: 1},
 		{WindowSize: 2, StopTopDown: 2},
 		{WindowSize: 8, SkipLevelMatching: true},
-		{WindowSize: 3, StopTopDown: 1, LevelLimit: 4},
+		{WindowSize: 3, StopTopDown: 1},
 	}
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(5)
@@ -150,8 +150,8 @@ func TestWindowSequenceConsumesAllLevels(t *testing.T) {
 		in := randISF(rng, m, n)
 		cur := in
 		for lo := 0; lo < n; lo++ {
-			cur = MatchSiblingsWindow(m, OSM, false, true, cur, bdd.Var(lo), bdd.Var(lo))
-			cur = MatchSiblingsWindow(m, TSM, false, false, cur, bdd.Var(lo), bdd.Var(lo))
+			cur, _ = matchSiblingsWindow(m, OSM, false, true, cur, bdd.Var(lo), bdd.Var(lo))
+			cur, _ = matchSiblingsWindow(m, TSM, false, false, cur, bdd.Var(lo), bdd.Var(lo))
 		}
 		var g bdd.Ref
 		if cur.C == bdd.Zero {
@@ -176,7 +176,7 @@ func TestWindowComplMatchPair(t *testing.T) {
 	f := m.ITE(m.MkVar(0), g, g.Not())
 	c := m.Or(m.MkVar(0), m.MkVar(1)) // cT = 1, cE = x1 ≠ 0
 	in := ISF{F: f, C: c}
-	out := MatchSiblingsWindow(m, OSM, true, false, in, 0, 0)
+	out, _ := matchSiblingsWindow(m, OSM, true, false, in, 0, 0)
 	// The result's function part must still be of the ite(x0, h, ¬h) shape.
 	hi, lo := m.Branches(out.F)
 	if m.TopVar(out.F) != 0 || hi != lo.Not() {

@@ -12,24 +12,14 @@ var benchNames = []string{"tlc", "minmax5", "tbk", "s386"}
 
 var benchRC = RunConfig{Collector: Config{LowerBoundCubes: 100}}
 
-// BenchmarkRunSuiteSequential is the baseline the parallel runner is
-// measured against.
-func BenchmarkRunSuiteSequential(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := RunSuite(benchNames, benchRC); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunSuiteParallel sweeps the worker count; with 4 workers on 4+
-// cores the suite wall-clock should beat sequential by the slowest
-// benchmark's share (the acceptance guard of this PR's perf pass).
-func BenchmarkRunSuiteParallel(b *testing.B) {
-	for _, workers := range []int{2, 4} {
+// BenchmarkRunSuite sweeps the worker count; one worker is the baseline,
+// and with 4 workers on 4+ cores the suite wall-clock should beat it by
+// the slowest benchmark's share.
+func BenchmarkRunSuite(b *testing.B) {
+	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := RunSuiteParallel(benchNames, benchRC, workers); err != nil {
+				if _, _, err := RunSuite(benchNames, benchRC, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

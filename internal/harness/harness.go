@@ -76,18 +76,14 @@ type Config struct {
 	// the large-cube enumeration the paper suggests in Section 4.1.1,
 	// which tightens the bound.
 	PlainLowerBound bool
-	// MaxCallSize skips instrumentation on calls where |f| exceeds the
-	// bound (0 = never skip); skipped calls still get constrain applied
-	// for the traversal.
-	MaxCallSize int
 	// Validate re-checks every result against the cover definition.
 	Validate bool
 	// Tracer, when non-nil, receives the pipeline event stream: one
 	// obs.CallEvent per intercepted instance, one obs.HeuristicEvent plus
 	// one computed-cache snapshot per heuristic run, and per-benchmark
 	// bracketing/GC events from the runner. Tracers follow the manager's
-	// concurrency model (single-goroutine); the parallel runner gives
-	// each worker a private obs.Buffer and merges deterministically.
+	// concurrency model (single-goroutine); RunSuite gives each
+	// worker a private obs.Buffer and merges deterministically.
 	Tracer obs.Tracer
 }
 
@@ -109,10 +105,8 @@ type Collector struct {
 	// FilteredTrivial counts calls skipped by the paper's filter
 	// (c cube, c ≤ f, or c ≤ ¬f).
 	FilteredTrivial int
-	// FilteredSize counts calls skipped by MaxCallSize.
-	FilteredSize int
-	benchmark    string
-	iteration    int
+	benchmark       string
+	iteration       int
 }
 
 // NewCollector builds a collector with the given configuration.
@@ -173,10 +167,6 @@ func (c *Collector) record(m *bdd.Manager, f, cc bdd.Ref) {
 		return
 	}
 	fSize := m.Size(f)
-	if c.cfg.MaxCallSize > 0 && fSize > c.cfg.MaxCallSize {
-		c.FilteredSize++
-		return
-	}
 	c.iteration++
 	rec := CallRecord{
 		Benchmark: c.benchmark,

@@ -21,7 +21,7 @@ func suiteRecords(t *testing.T) *Collector {
 	}
 	col, runs, err := RunSuite([]string{"tlc", "minmax5", "tbk"}, RunConfig{
 		Collector: Config{Validate: true, LowerBoundCubes: 200},
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,19 +71,6 @@ func TestCollectorFiltersTrivial(t *testing.T) {
 	}
 	if rec.COnsetPct <= 0 || rec.COnsetPct >= 100 {
 		t.Fatalf("c_onset = %v", rec.COnsetPct)
-	}
-}
-
-func TestCollectorMaxCallSize(t *testing.T) {
-	m := bdd.New(6)
-	col := NewCollector(Config{MaxCallSize: 2})
-	col.SetBenchmark("unit")
-	hook := col.Hook()
-	f := m.Xor(m.Xor(m.MkVar(0), m.MkVar(1)), m.MkVar(2))
-	c := m.Or(m.Xor(m.MkVar(0), m.MkVar(3)), m.MkVar(1))
-	hook(m, f, c)
-	if col.FilteredSize != 1 || len(col.Records) != 0 {
-		t.Fatalf("size filter: %d/%d", col.FilteredSize, len(col.Records))
 	}
 }
 
@@ -262,7 +249,7 @@ func TestOrthogonality(t *testing.T) {
 }
 
 func TestRunBenchmarkRejectsUnknown(t *testing.T) {
-	_, _, err := RunSuite([]string{"nope"}, RunConfig{})
+	_, _, err := RunSuite([]string{"nope"}, RunConfig{}, 1)
 	if err == nil {
 		t.Fatal("unknown benchmark must error")
 	}
@@ -338,7 +325,7 @@ func TestSuiteRunsAreDeterministic(t *testing.T) {
 	run := func() *Collector {
 		col, _, err := RunSuite([]string{"tlc", "tbk"}, RunConfig{
 			Collector: Config{LowerBoundCubes: 100},
-		})
+		}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

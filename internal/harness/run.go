@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"time"
 
 	"bddmin/internal/bdd"
@@ -27,9 +29,6 @@ type RunConfig struct {
 	// budget (0 = none). An expired benchmark reports an aborted result
 	// instead of running away.
 	Timeout time.Duration
-	// GCEvery collects garbage every k iterations (default 1 — the
-	// instrumented heuristics generate a lot of transient nodes).
-	GCEvery int
 	// Progress, when non-nil, receives one line per benchmark.
 	Progress io.Writer
 	// TraceDir, when non-empty, writes one structured JSONL trace file
@@ -47,9 +46,6 @@ func (rc RunConfig) withDefaults() RunConfig {
 	}
 	if rc.MaxNodes == 0 {
 		rc.MaxNodes = 2_000_000
-	}
-	if rc.GCEvery == 0 {
-		rc.GCEvery = 1
 	}
 	return rc
 }
@@ -107,7 +103,9 @@ func RunBenchmark(info circuits.BenchmarkInfo, col *Collector, rc RunConfig) (Be
 		MaxIterations: rc.MaxIterations,
 		MaxNodes:      rc.MaxNodes,
 		Deadline:      deadline,
-		GCEvery:       rc.GCEvery,
+		// Collect every iteration: the instrumented heuristics leave a
+		// lot of transient nodes behind.
+		GCEvery: 1,
 	})
 	if !res.Equal {
 		return BenchmarkRun{}, fmt.Errorf("harness: %s: self-equivalence failed (instrumentation bug)", info.Name)
@@ -126,28 +124,108 @@ func RunBenchmark(info circuits.BenchmarkInfo, col *Collector, rc RunConfig) (Be
 	return BenchmarkRun{Name: info.Name, Result: res, Calls: len(col.Records) - before, NodesMade: m.NodesMade()}, nil
 }
 
-// RunSuite runs every named benchmark (nil = the full paper suite) and
-// returns the per-benchmark traversal results alongside the collector.
-func RunSuite(names []string, rc RunConfig) (*Collector, []BenchmarkRun, error) {
-	col := NewCollector(rc.Collector)
+// RunSuite runs every named benchmark (nil = the full paper suite) across a
+// pool of workers and returns the merged per-call records alongside the
+// per-benchmark traversal results.
+//
+// Parallelism follows the bdd package's concurrency model: a Manager is not
+// safe for concurrent use, so nothing manager-owned is shared. Each
+// benchmark run builds its own Manager (inside RunBenchmark) and records
+// into its own private Collector; the workers only share the job queue and
+// disjoint slots of the result slices. Merging happens after all workers
+// have finished.
+//
+// The output is deterministic regardless of scheduling: runs and records
+// appear in the order of the requested names for every worker count
+// (per-call runtimes differ, sizes and bounds do not — see
+// TestParallelMatchesSequential). workers <= 0 selects GOMAXPROCS; one
+// worker runs the benchmarks one after another.
+//
+// Tracing follows the same discipline: a configured rc.Collector.Tracer
+// is never written concurrently. Each worker records its benchmark's
+// events into a private obs.Buffer, and after all workers finish the
+// buffers are replayed into the tracer in request order, so the merged
+// stream is byte-identical for every worker count (modulo durations; see
+// TestParallelTraceMergeDeterministic).
+func RunSuite(names []string, rc RunConfig, workers int) (*Collector, []BenchmarkRun, error) {
 	if names == nil {
 		names = circuits.Names()
 	}
-	var runs []BenchmarkRun
-	for _, name := range names {
+	// Resolve all names up front so an unknown benchmark fails before any
+	// work is spawned.
+	infos := make([]circuits.BenchmarkInfo, len(names))
+	for i, name := range names {
 		info, err := circuits.ByName(name)
 		if err != nil {
 			return nil, nil, err
 		}
-		run, err := RunBenchmark(info, col, rc)
+		infos[i] = info
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(infos) {
+		workers = len(infos)
+	}
+	if workers < 1 {
+		workers = 1
+	}
+
+	var (
+		cols    = make([]*Collector, len(infos))
+		runs    = make([]BenchmarkRun, len(infos))
+		errs    = make([]error, len(infos))
+		buffers = make([]*obs.Buffer, len(infos))
+		jobs    = make(chan int)
+		wg      sync.WaitGroup
+		outMu   sync.Mutex // serializes Progress lines only
+	)
+	mergedTracer := rc.Collector.Tracer
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				cfg := rc.Collector
+				if mergedTracer != nil {
+					buffers[i] = &obs.Buffer{}
+					cfg.Tracer = buffers[i]
+				}
+				col := NewCollector(cfg)
+				run, err := RunBenchmark(infos[i], col, rc)
+				cols[i], runs[i], errs[i] = col, run, err
+				if rc.Progress != nil {
+					outMu.Lock()
+					if err != nil {
+						fmt.Fprintf(rc.Progress, "%-10s FAILED: %v\n", infos[i].Name, err)
+					} else {
+						fmt.Fprintf(rc.Progress, "%-10s %s (%d minimize calls recorded)\n",
+							infos[i].Name, run.Result.String(), run.Calls)
+					}
+					outMu.Unlock()
+				}
+			}
+		}()
+	}
+	for i := range infos {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
+
+	// First error in request order, for determinism.
+	for _, err := range errs {
 		if err != nil {
 			return nil, nil, err
 		}
-		runs = append(runs, run)
-		if rc.Progress != nil {
-			fmt.Fprintf(rc.Progress, "%-10s %s (%d minimize calls recorded)\n",
-				name, run.Result.String(), run.Calls)
+	}
+	merged := NewCollector(rc.Collector)
+	for i, col := range cols {
+		merged.Records = append(merged.Records, col.Records...)
+		merged.FilteredTrivial += col.FilteredTrivial
+		if buffers[i] != nil {
+			buffers[i].ReplayTo(mergedTracer)
 		}
 	}
-	return col, runs, nil
+	return merged, runs, nil
 }

@@ -30,38 +30,38 @@ func serializeTrace(t *testing.T, buf *obs.Buffer) []byte {
 	return out.Bytes()
 }
 
-// The parallel runner must merge per-worker trace buffers in request
-// order: the merged stream is byte-identical (modulo durations, which
-// the serialization omits) to a sequential run's, for every worker
-// count. This is the contract documented on RunSuiteParallel.
+// The suite runner must merge per-worker trace buffers in request order:
+// the merged stream is byte-identical (modulo durations, which the
+// serialization omits) to a one-worker run's, for every worker count.
+// This is the contract documented on RunSuite.
 func TestParallelTraceMergeDeterministic(t *testing.T) {
 	rcSeq, bufSeq := traceRC()
-	if _, _, err := RunSuite(parallelNames, rcSeq); err != nil {
-		t.Fatalf("sequential suite: %v", err)
+	if _, _, err := RunSuite(parallelNames, rcSeq, 1); err != nil {
+		t.Fatalf("one-worker suite: %v", err)
 	}
 	want := serializeTrace(t, bufSeq)
 	if len(want) == 0 {
-		t.Fatal("sequential run emitted no trace events")
+		t.Fatal("one-worker run emitted no trace events")
 	}
 
-	for _, workers := range []int{1, 2, 3} {
+	for _, workers := range []int{2, 3} {
 		rc, buf := traceRC()
-		if _, _, err := RunSuiteParallel(parallelNames, rc, workers); err != nil {
+		if _, _, err := RunSuite(parallelNames, rc, workers); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		got := serializeTrace(t, buf)
 		if !bytes.Equal(got, want) {
-			t.Errorf("workers=%d: merged trace differs from sequential run (%d vs %d bytes)",
+			t.Errorf("workers=%d: merged trace differs from one-worker run (%d vs %d bytes)",
 				workers, len(got), len(want))
 		}
 	}
 }
 
-// A nil tracer must stay nil through the parallel runner (no buffers, no
+// A nil tracer must stay nil through the suite runner (no buffers, no
 // replay) — the zero-overhead default.
 func TestParallelNoTracer(t *testing.T) {
 	rc := RunConfig{Collector: Config{LowerBoundCubes: 100}}
-	col, _, err := RunSuiteParallel(parallelNames[:1], rc, 2)
+	col, _, err := RunSuite(parallelNames[:1], rc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestTraceDirWritesPerBenchmarkFiles(t *testing.T) {
 		Collector: Config{LowerBoundCubes: 100},
 		TraceDir:  dir,
 	}
-	if _, _, err := RunSuite(parallelNames, rc); err != nil {
+	if _, _, err := RunSuite(parallelNames, rc, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range parallelNames {
@@ -106,7 +106,7 @@ func TestTraceDirStacksOnTracer(t *testing.T) {
 		Collector: Config{LowerBoundCubes: 100, Tracer: buf},
 		TraceDir:  t.TempDir(),
 	}
-	col, _, err := RunSuite(parallelNames[:1], rc)
+	col, _, err := RunSuite(parallelNames[:1], rc, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,20 +143,6 @@ func (k *KISS) StateBits() int {
 	return bits
 }
 
-// WriteKISS serializes the STG back to KISS2 text. Together with
-// ParseKISS this round-trips the format for interchange with SIS-era
-// tools.
-func (k *KISS) WriteKISS(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, ".i %d\n.o %d\n.p %d\n.s %d\n.r %s\n",
-		k.NumInputs, k.NumOutputs, len(k.Transitions), len(k.States), k.ResetState)
-	for _, tr := range k.Transitions {
-		fmt.Fprintf(bw, "%s %s %s %s\n", tr.Input, tr.From, tr.To, tr.Output)
-	}
-	fmt.Fprintln(bw, ".e")
-	return bw.Flush()
-}
-
 // checkDeterministic rejects STGs in which two transitions from the same
 // state have overlapping input cubes but different next states or
 // conflicting specified outputs — the SOP synthesis would silently OR the

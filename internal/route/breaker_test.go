@@ -70,37 +70,37 @@ func TestAccountAbandoned(t *testing.T) {
 	}
 
 	// The disconnect's own cancellation is not backend evidence.
-	rt.accountAbandoned(attemptResult{b: b, idx: 1, err: context.Canceled, start: time.Now()})
+	rt.judge(attemptResult{b: b, idx: 1, err: context.Canceled, start: time.Now()})
 	if b.errors.Load() != 0 || b.timeouts.Load() != 0 {
 		t.Fatalf("canceled attempt counted as evidence: errors %d timeouts %d", b.errors.Load(), b.timeouts.Load())
 	}
 
 	// A genuine attempt timeout and a 500 are two in-band failures: with
 	// threshold 2 the circuit must open.
-	rt.accountAbandoned(attemptResult{b: b, idx: 1, err: context.DeadlineExceeded, start: time.Now()})
+	rt.judge(attemptResult{b: b, idx: 1, err: context.DeadlineExceeded, start: time.Now()})
 	if b.timeouts.Load() != 1 {
 		t.Fatalf("timeouts = %d, want 1", b.timeouts.Load())
 	}
-	rt.accountAbandoned(mk(http.StatusInternalServerError, `{}`))
+	rt.judge(mk(http.StatusInternalServerError, `{}`))
 	if s, opens, _ := b.br.snapshot(); s != "open" || opens != 1 {
 		t.Fatalf("after timeout+500: breaker %q opens %d, want open/1", s, opens)
 	}
 
 	// A 200 closes the circuit and counts as ok; a corrupt 200 counts
 	// against it; a drain 503 is counted but is not circuit evidence.
-	rt.accountAbandoned(mk(http.StatusOK, `{"id":1}`))
+	rt.judge(mk(http.StatusOK, `{"id":1}`))
 	if b.ok.Load() != 1 {
 		t.Fatalf("ok = %d, want 1", b.ok.Load())
 	}
 	if s, _, closes := b.br.snapshot(); s != "closed" || closes != 1 {
 		t.Fatalf("after 200: breaker %q closes %d, want closed/1", s, closes)
 	}
-	rt.accountAbandoned(mk(http.StatusOK, `{"id":`))
+	rt.judge(mk(http.StatusOK, `{"id":`))
 	if b.corrupt.Load() != 1 {
 		t.Fatalf("corrupt = %d, want 1", b.corrupt.Load())
 	}
-	rt.accountAbandoned(mk(http.StatusServiceUnavailable, `{}`))
-	rt.accountAbandoned(mk(http.StatusServiceUnavailable, `{}`))
+	rt.judge(mk(http.StatusServiceUnavailable, `{}`))
+	rt.judge(mk(http.StatusServiceUnavailable, `{}`))
 	if b.drain503.Load() != 2 {
 		t.Fatalf("drain503 = %d, want 2", b.drain503.Load())
 	}

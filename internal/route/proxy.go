@@ -236,22 +236,9 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, key uint64, body
 		return false
 	}
 
-	// deliver hands a backend response to the client verbatim and settles
-	// the request's accounting.
+	// deliver hands a judged backend response to the client verbatim and
+	// settles the request's accounting.
 	deliver := func(res attemptResult) {
-		switch {
-		case res.p.status == http.StatusTooManyRequests:
-			// Backpressure is an answer, not a failure: pass it through with
-			// Retry-After intact so the client's closed loop does its job.
-			res.b.rejected429.Add(1)
-			res.b.br.onSuccess()
-		case res.p.status >= 200 && res.p.status < 300:
-			res.b.ok.Add(1)
-			res.b.br.onSuccess()
-		case res.p.status < 500 && res.p.status != http.StatusServiceUnavailable:
-			// A 4xx proves the backend is processing requests.
-			res.b.br.onSuccess()
-		}
 		rt.counters.forwarded.Add(1)
 		rt.observeAttempts(res.idx)
 		if res.hedge {
@@ -264,17 +251,15 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, key uint64, body
 		res.p.write(w)
 	}
 
-	// fail records a failover-eligible attempt outcome against the
-	// backend's circuit and emits the transition.
-	fail := func(res attemptResult, reason string, breakerCounts bool) {
+	// fail emits the failover transition of a judged attempt, then the
+	// circuit opening it caused.
+	fail := func(res attemptResult, v verdict) {
 		rt.counters.failovers.Add(1)
 		rt.emit(obs.RouteEvent{
 			Phase: "failover", Backend: res.b.addr, Key: key, Attempt: res.idx,
-			Status: statusOf(res.p), Reason: reason, Duration: time.Since(res.start),
+			Status: statusOf(res.p), Reason: v.reason, Duration: time.Since(res.start),
 		})
-		if breakerCounts && res.b.br.onFailure(time.Now(), rt.cfg.BreakerThreshold) {
-			rt.emit(obs.RouteEvent{Phase: "breaker-open", Backend: res.b.addr, Reason: reason})
-		}
+		rt.emitOpened(res.b, v)
 	}
 
 	// timeout504 terminates the request at its deadline.
@@ -345,50 +330,27 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, key uint64, body
 		select {
 		case res := <-results:
 			inflight--
+			v := rt.judge(res)
 			if r.Context().Err() != nil {
 				// Nobody is left to answer, but the attempt's evidence still
-				// counts — clients give up exactly when the fleet is sick —
+				// counted — clients give up exactly when the fleet is sick —
 				// so only the client-facing write is skipped.
-				rt.accountAbandoned(res)
+				rt.emitOpened(res.b, v)
 				return
 			}
-			switch {
-			case res.err != nil:
-				reason := "connect"
-				switch {
-				case errors.Is(res.err, errOversized):
-					reason = "truncated" // counted per-backend in forward
-				case errors.Is(res.err, context.DeadlineExceeded):
-					reason = "timeout"
-					res.b.timeouts.Add(1)
-				default:
-					res.b.errors.Add(1)
-				}
-				lastErr = fmt.Sprintf("%s: %v", res.b.addr, res.err)
-				fail(res, reason, true)
-				if !relaunch() {
-					return
-				}
-			case res.p.status == http.StatusServiceUnavailable:
-				// Drain refusal: the backend is shutting down but its probe may
-				// not have failed yet. Take the next ring node; keep the honest
-				// 503 in hand in case the whole fleet is draining. The circuit
-				// stays untouched — draining is cooperative, not grey.
-				res.b.drain503.Add(1)
-				lastRefusal = res.p
-				fail(res, "drain-503", false)
-				if !relaunch() {
-					return
-				}
-			case res.p.status >= 500:
+			if v.detail != "" {
+				lastErr = fmt.Sprintf("%s: %s", res.b.addr, v.detail)
+			}
+			switch v.reason {
+			case "":
+				deliver(res)
+				return
+			case "5xx":
 				// An idempotent, cache-keyed job answered 5xx (e.g. a shard
 				// panic mid-rebuild) deserves exactly one failover; a second
 				// 5xx is replayed honestly.
 				last5xx = res.p
-				lastErr = fmt.Sprintf("%s: HTTP %d", res.b.addr, res.p.status)
-				if res.b.br.onFailure(time.Now(), rt.cfg.BreakerThreshold) {
-					rt.emit(obs.RouteEvent{Phase: "breaker-open", Backend: res.b.addr, Reason: "5xx"})
-				}
+				rt.emitOpened(res.b, v)
 				if retried5xx || (inflight == 0 && next >= len(cands)) {
 					deliver(res)
 					return
@@ -410,23 +372,19 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, key uint64, body
 					rt.counters.failovers.Add(1)
 					rt.emit(obs.RouteEvent{
 						Phase: "failover", Backend: res.b.addr, Key: key, Attempt: res.idx,
-						Status: res.p.status, Reason: "5xx", Duration: dur,
+						Status: res.p.status, Reason: v.reason, Duration: dur,
 					})
 				}
-			case res.p.status == http.StatusOK && !json.Valid(res.p.body):
-				// A 200 whose body is not the JSON answer it claims to be
-				// must never reach the client. The check is scoped to 200 —
-				// the only success /minimize produces — so a bodyless 204 or
-				// a future non-JSON success is not misread as grey failure.
-				res.b.corrupt.Add(1)
-				lastErr = fmt.Sprintf("%s: corrupt response body", res.b.addr)
-				fail(res, "corrupt", true)
+			default:
+				if v.reason == "drain-503" {
+					// Keep the honest 503 in hand in case the whole fleet
+					// is draining.
+					lastRefusal = res.p
+				}
+				fail(res, v)
 				if !relaunch() {
 					return
 				}
-			default:
-				deliver(res)
-				return
 			}
 		case <-hedgeC:
 			hedgeC = nil
@@ -462,51 +420,85 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, key uint64, body
 	}
 }
 
-// accountAbandoned records the evidence in an attempt result whose client
-// vanished before it could be delivered: the backend counters and the
-// circuit still learn from the outcome — in-band failure evidence is most
-// valuable exactly when clients are timing out against a sick fleet — and
-// only the client-facing write is skipped. An attempt error caused by the
-// disconnect itself (context canceled) is no verdict on the backend and
-// is ignored. The classification mirrors the live delivery/failover paths
-// in route.
-func (rt *Router) accountAbandoned(res attemptResult) {
-	onFailure := func(reason string) {
-		if res.b.br.onFailure(time.Now(), rt.cfg.BreakerThreshold) {
-			rt.emit(obs.RouteEvent{Phase: "breaker-open", Backend: res.b.addr, Reason: reason})
-		}
-	}
+// verdict is the router's judgement of one attempt's outcome.
+type verdict struct {
+	// reason is why the attempt does not answer the client: "connect",
+	// "timeout", "truncated", "corrupt", "drain-503", "5xx", or "canceled"
+	// when the client's own disconnect canceled it. It is empty for an
+	// answer the client should see (2xx, 429, other 4xx).
+	reason string
+	// detail describes a failure for the exhausted-fleet error body.
+	detail string
+	// opened reports that this outcome opened the backend's circuit.
+	opened bool
+}
+
+// judge settles one attempt's outcome against its backend: the
+// per-outcome counter, the circuit breaker and the failover reason. The
+// live request loop and the path for results that arrive after the client
+// left both call it, so an outcome counts the same whether or not anyone
+// is left to answer — in-band failure evidence is most valuable exactly
+// when clients are timing out against a sick fleet. An attempt error
+// caused by the client's disconnect itself (context canceled) is no
+// verdict on the backend and leaves it untouched. The caller emits the
+// breaker-open transition (emitOpened), after its own failover event.
+func (rt *Router) judge(res attemptResult) verdict {
+	b := res.b
+	var v verdict
 	switch {
 	case res.err != nil:
+		v.detail = res.err.Error()
 		switch {
 		case errors.Is(res.err, context.Canceled):
-			// The disconnect canceled the attempt; nothing was learned.
+			return verdict{reason: "canceled", detail: v.detail}
 		case errors.Is(res.err, errOversized):
-			onFailure("truncated") // b.truncated already counted in forward
+			v.reason = "truncated" // b.truncated already counted in forward
 		case errors.Is(res.err, context.DeadlineExceeded):
-			res.b.timeouts.Add(1)
-			onFailure("timeout")
+			v.reason = "timeout"
+			b.timeouts.Add(1)
 		default:
-			res.b.errors.Add(1)
-			onFailure("connect")
+			v.reason = "connect"
+			b.errors.Add(1)
 		}
 	case res.p.status == http.StatusServiceUnavailable:
-		// Cooperative drain, not grey: the circuit stays untouched.
-		res.b.drain503.Add(1)
+		// Drain refusal: the backend is shutting down but its probe may
+		// not have failed yet. Draining is cooperative, not grey, so the
+		// circuit stays untouched.
+		b.drain503.Add(1)
+		return verdict{reason: "drain-503"}
 	case res.p.status >= 500:
-		onFailure("5xx")
+		v.reason, v.detail = "5xx", fmt.Sprintf("HTTP %d", res.p.status)
 	case res.p.status == http.StatusOK && !json.Valid(res.p.body):
-		res.b.corrupt.Add(1)
-		onFailure("corrupt")
-	case res.p.status == http.StatusTooManyRequests:
-		res.b.rejected429.Add(1)
-		res.b.br.onSuccess()
-	case res.p.status >= 200 && res.p.status < 300:
-		res.b.ok.Add(1)
-		res.b.br.onSuccess()
+		// A 200 whose body is not the JSON answer it claims to be must
+		// never reach the client. The check is scoped to 200 — the only
+		// success /minimize produces — so a bodyless 204 or a future
+		// non-JSON success is not misread as grey failure.
+		v.reason, v.detail = "corrupt", "corrupt response body"
+		b.corrupt.Add(1)
 	default:
-		// A 4xx proves the backend is processing requests.
-		res.b.br.onSuccess()
+		switch {
+		case res.p.status == http.StatusTooManyRequests:
+			// Backpressure is an answer, not a failure: it passes through
+			// with Retry-After intact so the client's closed loop does its
+			// job.
+			b.rejected429.Add(1)
+		case res.p.status >= 200 && res.p.status < 300:
+			b.ok.Add(1)
+		}
+		// Any answer, a 4xx included, proves the backend is processing
+		// requests.
+		b.br.onSuccess()
+		return verdict{}
+	}
+	v.opened = b.br.onFailure(time.Now(), rt.cfg.BreakerThreshold)
+	return v
+}
+
+// emitOpened emits the breaker-open transition of a verdict that opened
+// b's circuit.
+func (rt *Router) emitOpened(b *backend, v verdict) {
+	if v.opened {
+		rt.emit(obs.RouteEvent{Phase: "breaker-open", Backend: b.addr, Reason: v.reason})
 	}
 }
 

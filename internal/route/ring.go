@@ -99,9 +99,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Members returns the ring's member names in construction order.
-func (r *Ring) Members() []string { return append([]string(nil), r.members...) }
-
 // successorIndex finds the first point at or after key, wrapping.
 func (r *Ring) successorIndex(key uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= key })

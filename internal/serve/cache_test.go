@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -226,6 +227,102 @@ func TestLeaderFailurePropagates(t *testing.T) {
 	}
 	if got := s.counters.failed.Load(); got != 1 {
 		t.Fatalf("failed = %d, want 1", got)
+	}
+}
+
+// TestFollowersSurviveLeaderDisconnect: a leader whose client leaves
+// while its job is queued gets its work skipped, and that outcome belongs
+// to the leader's request alone. The followers coalesced onto it go back
+// through admission, one of them leads a fresh run, and every follower
+// gets a verified cover.
+func TestFollowersSurviveLeaderDisconnect(t *testing.T) {
+	const followers = 3
+	gate := newHookGate()
+	s := New(Config{Shards: 1, CacheEntries: 16, hookStart: gate.hook})
+	s.Start()
+	// The wrapper records each request's server-side context in arrival
+	// order, so the test can wait until the server has seen the leader's
+	// client leave.
+	var (
+		mu   sync.Mutex
+		ctxs []context.Context
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		ctxs = append(ctxs, r.Context())
+		mu.Unlock()
+		s.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Drain(ctx); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+		ts.Close()
+	})
+	c := &Client{Base: ts.URL, HTTP: ts.Client()}
+
+	// A blocker job on another instance holds the single shard.
+	// Clients on other goroutines report with t.Error, never t.Fatal.
+	minimize := func(ctx context.Context, req MinimizeRequest) *MinimizeResponse {
+		resp, status, errBody, err := c.Minimize(ctx, req)
+		if ctx.Err() == nil && (err != nil || status != http.StatusOK) {
+			t.Errorf("minimize: HTTP %d, %+v, %v", status, errBody, err)
+		}
+		return resp
+	}
+	blocker := mustProblem(t, problem.KindSpec, "d1 01 10 01", 0, "")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		minimize(context.Background(), RequestFor(blocker, "osm_bt"))
+	}()
+	<-gate.entered
+
+	// The leader queues behind it with a cancellable client context.
+	p := mustProblem(t, problem.KindSpec, testSpec, 0, "")
+	req := RequestFor(p, "osm_bt")
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		minimize(leaderCtx, req)
+	}()
+	waitQueueLen(t, s, 1)
+
+	var wg sync.WaitGroup
+	results := make([]*MinimizeResponse, followers)
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = minimize(context.Background(), req)
+		}(i)
+	}
+	waitCoalesced(t, s, followers)
+
+	cancelLeader()
+	<-leaderDone
+	mu.Lock()
+	serverSide := ctxs[1]
+	mu.Unlock()
+	select {
+	case <-serverSide.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the server never saw the leader's client leave")
+	}
+	close(gate.release)
+	wg.Wait()
+	<-done
+
+	for i, resp := range results {
+		if resp == nil {
+			t.Fatalf("follower %d got no response", i)
+		}
+		if err := VerifyResponse(p, resp); err != nil {
+			t.Fatalf("follower %d: %v", i, err)
+		}
 	}
 }
 

@@ -107,30 +107,37 @@ func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
 	)
 	if s.cache != nil && !req.Trace {
 		key = requestKey(prob.CanonicalKey(), name, nodesCap, timeout)
-		if stored := s.cache.get(key); stored != nil {
-			s.cache.reqHits.Add(1)
-			s.lat.observe(time.Since(enq).Nanoseconds())
-			s.emitServe(obs.ServeEvent{
-				Phase: "cache_hit", ID: id, Shard: -1, Reason: "request",
-				Format: string(prob.Kind), Heuristic: name, Queue: len(s.queue),
-			})
-			writeJSON(w, http.StatusOK, cachedResponse(stored, id))
-			return
-		}
-		s.flightMu.Lock()
-		if leader, inFlight := s.flights[key]; inFlight {
+		for fl == nil {
+			if stored := s.cache.get(key); stored != nil {
+				s.cache.reqHits.Add(1)
+				s.lat.observe(time.Since(enq).Nanoseconds())
+				s.emitServe(obs.ServeEvent{
+					Phase: "cache_hit", ID: id, Shard: -1, Reason: "request",
+					Format: string(prob.Kind), Heuristic: name, Queue: len(s.queue),
+				})
+				writeJSON(w, http.StatusOK, cachedResponse(stored, id))
+				return
+			}
+			s.flightMu.Lock()
+			leader, inFlight := s.flights[key]
+			if !inFlight {
+				fl = &flight{done: make(chan struct{})}
+				s.flights[key] = fl
+			}
 			s.flightMu.Unlock()
-			s.cache.coalesced.Add(1)
-			s.emitServe(obs.ServeEvent{
-				Phase: "coalesced", ID: id, Shard: -1,
-				Format: string(prob.Kind), Heuristic: name, Queue: len(s.queue),
-			})
-			s.awaitFlight(w, r, leader, id, enq)
-			return
+			if inFlight {
+				s.cache.coalesced.Add(1)
+				s.emitServe(obs.ServeEvent{
+					Phase: "coalesced", ID: id, Shard: -1,
+					Format: string(prob.Kind), Heuristic: name, Queue: len(s.queue),
+				})
+				if s.awaitFlight(w, r, leader, id, enq) {
+					return
+				}
+				// The leader's outcome was its own client's doing; go back
+				// through admission, where one follower leads a fresh run.
+			}
 		}
-		fl = &flight{done: make(chan struct{})}
-		s.flights[key] = fl
-		s.flightMu.Unlock()
 		// The flight completes on every exit path below; followers that
 		// joined meanwhile read its recorded outcome after done closes.
 		defer func() {
@@ -177,17 +184,22 @@ func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
 		Format: string(prob.Kind), Heuristic: name, Queue: len(s.queue),
 	})
 	resp := <-t.resp
+	// Once this request's client has left, a skipped job or a run its
+	// canceled context cut short says nothing about the instance: only a
+	// complete cover is recorded on the flight, and followers of any other
+	// outcome go back through admission.
+	gone := r.Context().Err() != nil
 	if resp == nil {
 		// Either the client vanished before the shard picked the job up,
 		// or the job failed internally; the counters already know which.
 		body := ErrorResponse{Error: "minimization failed"}
-		if fl != nil {
+		if fl != nil && !gone {
 			fl.status, fl.errBody = http.StatusInternalServerError, body
 		}
 		writeJSON(w, http.StatusInternalServerError, body)
 		return
 	}
-	if fl != nil {
+	if fl != nil && !(gone && resp.Degraded) {
 		fl.status = http.StatusOK
 		fl.resp = sanitize(resp)
 		// Tier-1 insert: complete results only, so a degraded cover is
@@ -202,13 +214,15 @@ func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
 // awaitFlight parks a follower on its leader's flight and mirrors the
 // outcome: a fanned-out copy of the response on success, the leader's
 // error status otherwise. The follower holds no queue slot while waiting.
-func (s *Server) awaitFlight(w http.ResponseWriter, r *http.Request, fl *flight, id uint64, enq time.Time) {
+// It returns false, having written nothing, when the leader recorded no
+// outcome: its own client left, or its handler exited abnormally.
+func (s *Server) awaitFlight(w http.ResponseWriter, r *http.Request, fl *flight, id uint64, enq time.Time) bool {
 	select {
 	case <-fl.done:
 	case <-r.Context().Done():
 		// Client gone; there is nobody to write to.
 		s.counters.canceled.Add(1)
-		return
+		return true
 	}
 	switch fl.status {
 	case http.StatusOK:
@@ -221,12 +235,11 @@ func (s *Server) awaitFlight(w http.ResponseWriter, r *http.Request, fl *flight,
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
 		writeJSON(w, fl.status, fl.errBody)
 	case 0:
-		// The leader's handler exited without recording an outcome — a
-		// bug guard, not an expected path.
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "coalesced leader vanished"})
+		return false
 	default:
 		writeJSON(w, fl.status, fl.errBody)
 	}
+	return true
 }
 
 // clampNodes combines the request's node cap with the server-wide one:
