@@ -2,28 +2,21 @@
 // replays a mixed spec/PLA/BLIF corpus against a running server at a
 // target concurrency, verifies every returned cover client-side
 // (f·c ≤ g ≤ f + ¬c — the server is not trusted), honors 429 backpressure
-// by sleeping out the Retry-After hint, and emits BENCH_serve.json with
-// throughput, exact p50/p95/p99 latency and the degraded fraction.
+// by sleeping out the Retry-After hint, and prints throughput, exact
+// p50/p95/p99 latency, the degraded share and the cache hits.
 //
 // Usage:
 //
 //	bddload -corpus examples/corpus/mixed.txt [-addr http://localhost:8080]
 //	        [-n 500] [-c 8] [-heuristic osm_bt] [-timeout-ms 0]
-//	        [-budget-nodes 0] [-dup 0] [-out BENCH_serve.json] [-no-verify]
+//	        [-budget-nodes 0] [-dup 0] [-no-verify]
 //
 // -dup redirects that fraction of requests to one hot instance, the
-// duplicate-heavy replay that exercises the server's result cache and
-// singleflight coalescing; the report embeds the server's final /metrics
-// snapshot so its cache counters ride along with the client-side numbers.
+// duplicate-heavy replay that exercises the server's result cache.
 //
 // -addr may point at a bddrouter instead of a single bddmind: the harness
-// then also records the per-backend request distribution and per-backend
-// cache hits (from the router's X-Bddmind-Backend response header),
-// embeds the router's /metrics snapshot — ejections, failovers, retry
-// histogram and ring composition — in the report's router_metrics field,
-// and distills the grey-failure counters (hedges, breaker transitions,
-// deadline 504s, attempt histogram) into router_grey (schema
-// bddmin-bench-serve/4).
+// then also prints the per-backend request distribution and per-backend
+// cache hits (from the router's X-Bddmind-Backend response header).
 //
 // The corpus format is one instance per line: a leaf-notation spec, or
 // `@pla path [output]` / `@blif path [node]` file references resolved
@@ -36,7 +29,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -44,9 +36,7 @@ import (
 	"sort"
 	"time"
 
-	"bddmin/internal/harness"
 	"bddmin/internal/problem"
-	"bddmin/internal/route"
 	"bddmin/internal/serve"
 )
 
@@ -60,7 +50,6 @@ func main() {
 		timeoutMs   = flag.Int("timeout-ms", 0, "per-request deadline forwarded to the server")
 		budgetNodes = flag.Uint64("budget-nodes", 0, "per-request node cap forwarded to the server")
 		dup         = flag.Float64("dup", 0, "fraction of requests (0..1) redirected to one hot instance")
-		out         = flag.String("out", "BENCH_serve.json", "report output path")
 		noVerify    = flag.Bool("no-verify", false, "skip the client-side cover check")
 		retries     = flag.Int("retries", 50, "max consecutive 429 retries per request")
 		wait        = flag.Duration("wait", 5*time.Second, "how long to wait for the server to become healthy")
@@ -105,81 +94,14 @@ func main() {
 		fail(err)
 	}
 
-	report := harness.ServeBenchReport{
-		Schema:           harness.ServeBenchSchema,
-		Timestamp:        time.Now().UTC(),
-		URL:              *addr,
-		CorpusSize:       len(probs),
-		Concurrency:      *c,
-		Requests:         stats.Requests,
-		DurationNs:       stats.Elapsed.Nanoseconds(),
-		ThroughputRPS:    stats.Throughput(),
-		P50Ns:            stats.Percentile(0.50).Nanoseconds(),
-		P95Ns:            stats.Percentile(0.95).Nanoseconds(),
-		P99Ns:            stats.Percentile(0.99).Nanoseconds(),
-		MaxNs:            stats.Percentile(1.0).Nanoseconds(),
-		Degraded:         stats.Degraded,
-		Rejected429:      stats.Rejected429,
-		Errors:           stats.ErrorCount,
-		VerifyFailures:   len(stats.VerifyFails),
-		Verified:         !*noVerify,
-		ByFormat:         stats.ByFormat,
-		DegradedFraction: frac(stats.Degraded, stats.Requests),
-		DupRate:          *dup,
-		CacheHits:        stats.CacheHits,
-		Coalesced:        stats.Coalesced,
-		CacheHitRate:     frac(stats.CacheHits+stats.Coalesced, stats.Requests),
-		StatusCounts:     stats.StatusCounts,
-	}
-	if len(stats.ByBackend) > 0 {
-		report.BackendDistribution = stats.ByBackend
-		report.BackendCacheHits = stats.CacheByBackend
-	}
-	// Embed the target's final /metrics snapshot: the authoritative
-	// admission and cache counters for the run the report describes. The
-	// target may be a bddmind (shards) or a bddrouter (ring) — the
-	// document shape tells them apart.
-	if raw, err := client.RawMetrics(context.Background()); err == nil {
-		var probe struct {
-			Shards []json.RawMessage `json:"shards"`
-			Ring   []json.RawMessage `json:"ring"`
-		}
-		_ = json.Unmarshal(raw, &probe)
-		switch {
-		case len(probe.Ring) > 0:
-			report.RouterMetrics = raw
-			var rs route.MetricsSnapshot
-			if json.Unmarshal(raw, &rs) == nil {
-				report.RouterGrey = greySummary(rs)
-			}
-		case len(probe.Shards) > 0:
-			report.Metrics = raw
-			report.Shards = len(probe.Shards)
-			var snap serve.MetricsSnapshot
-			if json.Unmarshal(raw, &snap) == nil {
-				report.QueueCap = snap.QueueCap
-			}
-		}
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		fail(err)
-	}
-	if err := harness.WriteServeJSON(f, report); err != nil {
-		f.Close()
-		fail(err)
-	}
-	f.Close()
-
 	fmt.Printf("bddload: %d completed in %s (%.1f req/s), p50 %s p95 %s p99 %s\n",
 		stats.Requests, stats.Elapsed.Round(time.Millisecond), stats.Throughput(),
 		stats.Percentile(0.50).Round(time.Microsecond),
 		stats.Percentile(0.95).Round(time.Microsecond),
 		stats.Percentile(0.99).Round(time.Microsecond))
 	fmt.Printf("bddload: degraded %d (%.1f%%), 429s absorbed %d, errors %d, verify failures %d\n",
-		stats.Degraded, 100*report.DegradedFraction, stats.Rejected429, stats.ErrorCount, len(stats.VerifyFails))
-	fmt.Printf("bddload: cache hits %d, coalesced %d (%.1f%% served without a fresh run)\n",
-		stats.CacheHits, stats.Coalesced, 100*report.CacheHitRate)
+		stats.Degraded, percent(stats.Degraded, stats.Requests), stats.Rejected429, stats.ErrorCount, len(stats.VerifyFails))
+	fmt.Printf("bddload: cache hits %d (%.1f%%)\n", stats.CacheHits, percent(stats.CacheHits, stats.Requests))
 	if len(stats.ByBackend) > 0 {
 		backends := make([]string, 0, len(stats.ByBackend))
 		for b := range stats.ByBackend {
@@ -190,7 +112,6 @@ func main() {
 			fmt.Printf("bddload: backend %s served %d (%d cached)\n", b, stats.ByBackend[b], stats.CacheByBackend[b])
 		}
 	}
-	fmt.Printf("bddload: report written to %s\n", *out)
 	for _, e := range stats.Errors {
 		fmt.Fprintf(os.Stderr, "bddload: error: %s\n", e)
 	}
@@ -206,40 +127,11 @@ func main() {
 	}
 }
 
-// greySummary distills a router metrics snapshot into the schema-/4
-// grey-failure digest: the router-level tail-tolerance counters, the
-// breaker evidence summed over the fleet, and the attempt histogram.
-func greySummary(rs route.MetricsSnapshot) *harness.RouterGreySummary {
-	g := &harness.RouterGreySummary{
-		Failovers:            rs.Counters.Failovers,
-		Hedges:               rs.Counters.Hedges,
-		HedgeWins:            rs.Counters.HedgeWins,
-		Retried5xx:           rs.Counters.Retried5xx,
-		DeadlineExceeded:     rs.Counters.DeadlineExceeded,
-		BreakerFastFails:     rs.Counters.BreakerFastFails,
-		RetryBudgetExhausted: rs.Counters.RetryBudgetExhausted,
-	}
-	for _, b := range rs.Backends {
-		g.BreakerOpens += b.BreakerOpens
-		g.BreakerCloses += b.BreakerCloses
-		g.Timeouts += b.Timeouts
-		g.Truncated += b.Truncated
-		g.Corrupt += b.Corrupt
-	}
-	if len(rs.Retries) > 0 {
-		g.AttemptHistogram = make(map[int]uint64, len(rs.Retries))
-		for _, rb := range rs.Retries {
-			g.AttemptHistogram[rb.Attempts] = rb.Count
-		}
-	}
-	return g
-}
-
-func frac(a, b int) float64 {
+func percent(a, b int) float64 {
 	if b == 0 {
 		return 0
 	}
-	return float64(a) / float64(b)
+	return 100 * float64(a) / float64(b)
 }
 
 func fail(err error) {

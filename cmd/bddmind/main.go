@@ -19,8 +19,7 @@
 //	POST /optimize-network   whole-network don't-care optimization of a
 //	                 BLIF netlist (package network): 200 with the per-sweep
 //	                 trajectory and the rewritten BLIF, same admission
-//	                 control and budgets as /minimize; never cached or
-//	                 coalesced
+//	                 control and budgets as /minimize; never cached
 //	GET  /healthz    200 ok / 503 draining
 //	GET  /metrics    queue depth, shard utilization, latency histogram,
 //	                 per-heuristic metrics, admission counters
@@ -31,11 +30,11 @@
 // deadlines. A tripped budget degrades the request to the best valid
 // intermediate cover instead of failing it.
 //
-// The result cache is on by default: identical requests are answered from
-// a byte-budgeted LRU (front line) or from a content-addressed store of
-// already-built [f, c] pairs (shard side), and concurrent identical
-// requests coalesce onto one execution. -cache off disables all of it;
-// -cache-entries and -cache-bytes bound the store.
+// The result cache is on by default: a complete cover is stored in a
+// byte-budgeted LRU under the heuristic and the instance's canonical key,
+// and later requests for the same instance, with any budget, are answered
+// from it at admission. -cache off disables it; -cache-entries and
+// -cache-bytes bound the store.
 //
 // SIGTERM or SIGINT starts a graceful drain: admission stops (503), the
 // queued and in-flight jobs finish, then the process exits 0. -trace-out
@@ -69,7 +68,7 @@ func main() {
 		timeout      = flag.Duration("timeout", 0, "default per-request deadline, e.g. 2s (0 = none)")
 		maxTimeout   = flag.Duration("max-timeout", 0, "clamp on requested deadlines (0 = no clamp)")
 		retryAfter   = flag.Duration("retry-after", 500*time.Millisecond, "backoff hint attached to 429 responses")
-		cache        = flag.String("cache", "on", "result cache + request coalescing: on or off")
+		cache        = flag.String("cache", "on", "result cache: on or off")
 		cacheEntries = flag.Int("cache-entries", 4096, "result-cache entry cap")
 		cacheBytes   = flag.Int64("cache-bytes", 64<<20, "result-cache byte budget")
 		traceOut     = flag.String("trace-out", "", "write the serve + pipeline event stream as JSONL to this file")
@@ -92,7 +91,7 @@ func main() {
 		cfg.CacheEntries = *cacheEntries
 		cfg.CacheBytes = *cacheBytes
 	case "off":
-		// Leave both zero: serve.New builds no cache and no singleflight.
+		// Leave both zero: serve.New builds no cache.
 	default:
 		fail(fmt.Errorf("bddmind: -cache must be on or off, got %q", *cache))
 	}

@@ -2,9 +2,8 @@
 // minimization service: it places POST /minimize jobs on a fleet of
 // bddmind backends with a consistent-hash ring keyed on the instance's
 // canonical identity (problem.CanonicalKey, hashed), so identical
-// instances always land on the backend whose result cache and
-// singleflight table can answer them, and cache locality survives a node
-// joining or leaving.
+// instances always land on the backend whose result cache can answer
+// them, and cache locality survives a node joining or leaving.
 //
 // Usage:
 //

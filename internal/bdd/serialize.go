@@ -2,7 +2,6 @@ package bdd
 
 import (
 	"bufio"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"sort"
@@ -17,8 +16,9 @@ import (
 // post-order (children before parents, high subtree first) under the
 // sorted root names, so the body after the vars line depends only on the
 // functions themselves — the same roots serialize byte-identically from
-// any manager, regardless of arena layout or construction history. That
-// property is what HashFunctions content-addresses.
+// any manager, regardless of arena layout or construction history.
+// bddmind relies on it: a cover serializes to the same nodes and roots on
+// every shard.
 //
 // Format:
 //
@@ -32,37 +32,6 @@ import (
 // A ref is 2*localIndex (+1 if complemented); local index 0 is the
 // terminal One.
 func (m *Manager) WriteFunctions(w io.Writer, roots map[string]Ref) error {
-	bw := bufio.NewWriter(w)
-	if err := m.writeCanonical(bw, roots, true); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// HashFunctions returns the SHA-256 of the canonical serialization of the
-// named functions, omitting the vars line — the manager's variable count is
-// an artifact of its history (shard managers grow monotonically), not of
-// the functions. Two managers holding structurally identical functions
-// under the same names produce the same digest, which makes the hash a
-// content address for [f, c] pairs across shards.
-func (m *Manager) HashFunctions(roots map[string]Ref) ([sha256.Size]byte, error) {
-	h := sha256.New()
-	bw := bufio.NewWriter(h)
-	if err := m.writeCanonical(bw, roots, false); err != nil {
-		return [sha256.Size]byte{}, err
-	}
-	if err := bw.Flush(); err != nil {
-		return [sha256.Size]byte{}, err
-	}
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return sum, nil
-}
-
-// writeCanonical emits the serialization format, with the vars line
-// controlled by withVars (WriteFunctions includes it so ReadFunctions can
-// validate; HashFunctions excludes it to stay manager-independent).
-func (m *Manager) writeCanonical(bw *bufio.Writer, roots map[string]Ref, withVars bool) error {
 	names := make([]string, 0, len(roots))
 	for name := range roots {
 		if len(name) == 0 || containsSpace(name) {
@@ -92,10 +61,9 @@ func (m *Manager) writeCanonical(bw *bufio.Writer, roots map[string]Ref, withVar
 		}
 		return out
 	}
+	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "bddmin-bdd 1\n")
-	if withVars {
-		fmt.Fprintf(bw, "vars %d\n", m.nvars)
-	}
+	fmt.Fprintf(bw, "vars %d\n", m.nvars)
 	fmt.Fprintf(bw, "nodes %d\n", len(order))
 	for _, idx := range order {
 		n := &m.nodes[idx]
@@ -105,7 +73,7 @@ func (m *Manager) writeCanonical(bw *bufio.Writer, roots map[string]Ref, withVar
 	for _, name := range names {
 		fmt.Fprintf(bw, "%s %d\n", name, ref(roots[name]))
 	}
-	return nil
+	return bw.Flush()
 }
 
 func containsSpace(s string) bool {

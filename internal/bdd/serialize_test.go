@@ -97,10 +97,10 @@ func TestSerializeRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestSerializeCanonicalAcrossManagers is the property the semantic result
-// cache rests on: managers with different construction histories, arena
-// layouts, and variable counts must serialize structurally identical
-// functions byte-identically (modulo the vars line) and hash identically.
+// TestSerializeCanonicalAcrossManagers is the property bddmind's shards
+// rest on: managers with different construction histories, arena layouts,
+// and variable counts must serialize structurally identical functions
+// byte-identically (modulo the vars line).
 func TestSerializeCanonicalAcrossManagers(t *testing.T) {
 	rng := newRand(72)
 	for trial := 0; trial < 30; trial++ {
@@ -136,25 +136,6 @@ func TestSerializeCanonicalAcrossManagers(t *testing.T) {
 		}
 		if stripVars(s1.String()) != stripVars(s2.String()) {
 			t.Fatalf("trial %d: serializations differ across managers:\n%s\nvs\n%s", trial, s1.String(), s2.String())
-		}
-		h1, err := m1.HashFunctions(roots1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h2, err := m2.HashFunctions(roots2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h1 != h2 {
-			t.Fatalf("trial %d: hashes differ across managers", trial)
-		}
-		// Different functions must not collide with the pair's hash.
-		h3, err := m1.HashFunctions(map[string]Ref{"f": roots1["f"], "c": roots1["f"]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h3 == h1 && roots1["f"] != roots1["c"] {
-			t.Fatalf("trial %d: distinct root maps hash equal", trial)
 		}
 	}
 }

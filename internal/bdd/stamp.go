@@ -61,8 +61,8 @@ func (m *Manager) appendReach(f Ref, gen uint32, out []uint32) []uint32 {
 // dependency order for serialization. Unlike an arena-index sort, the
 // order depends only on the diagram's structure and the traversal's entry
 // points — structurally identical functions produce the same sequence in
-// any manager, which is what makes WriteFunctions and HashFunctions
-// canonical across managers.
+// any manager, which is what makes WriteFunctions canonical across
+// managers.
 func (m *Manager) appendReachPost(f Ref, gen uint32, out []uint32) []uint32 {
 	idx := f.index()
 	if idx == 0 || m.stamp[idx] == gen {

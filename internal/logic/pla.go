@@ -52,6 +52,10 @@ func ParsePLA(r io.Reader) (*PLA, error) {
 			continue
 		}
 		if strings.HasPrefix(fields[0], ".") {
+			if (fields[0] == ".i" || fields[0] == ".o") && len(p.Rows) > 0 {
+				// Rows are checked against the widths in force when read.
+				return nil, fmt.Errorf("pla line %d: %s after cubes", line, fields[0])
+			}
 			switch fields[0] {
 			case ".i":
 				if len(fields) != 2 || !parseInt(fields[1], &p.NumInputs) {

@@ -167,6 +167,7 @@ func TestParsePLAErrors(t *testing.T) {
 		"bad directive":  ".i 2\n.o 1\n.kiss\n",
 		"missing io":     "# nothing\n",
 		"three fields":   ".i 2\n.o 1\n11 1 extra\n",
+		"o after cubes":  ".i 1\n.o 1\n1 1\n.o 2\n1 11\n",
 	}
 	for name, src := range cases {
 		if _, err := ParsePLAString(src); err == nil {

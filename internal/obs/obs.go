@@ -165,23 +165,19 @@ func (AbortEvent) Kind() string { return "abort" }
 // the bddmind server: admission ("accepted" into the queue or "rejected"
 // with an HTTP status), execution on a shard ("started", then "finished",
 // with "degraded" in between when the request's budget tripped and the
-// anytime path returned a clamped cover), or one of the memoization
-// outcomes — "cache_hit" when a stored result is served without a fresh
-// minimization (Reason "request" for the front-line request cache, Shard
-// -1; Reason "semantic" for the content-addressed cache on the shard that
-// built the instance), and "coalesced" when a request joins a concurrent
-// identical leader's flight instead of entering the queue. Queue is the
-// bounded-queue depth observed at the transition — the server's
-// backpressure signal.
+// anytime path returned a clamped cover), or "cache_hit" when admission
+// answers from the result cache without a fresh minimization (Shard -1).
+// Queue is the bounded-queue depth observed at the transition — the
+// server's backpressure signal.
 type ServeEvent struct {
-	Phase     string // "accepted", "started", "degraded", "finished", "rejected", "cache_hit", "coalesced"
+	Phase     string // "accepted", "started", "degraded", "finished", "rejected", "cache_hit"
 	ID        uint64 // server-assigned request id
 	Shard     int    // worker index (execution phases; -1 before placement)
 	Format    string // input format: "spec", "pla" or "blif"
 	Heuristic string
 	Queue     int    // queue depth at the transition
 	Status    int    // HTTP status (finished/rejected phases)
-	Reason    string // rejection cause, budget abort reason, or cache tier
+	Reason    string // rejection cause or budget abort reason
 	Duration  time.Duration
 }
 

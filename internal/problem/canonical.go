@@ -13,9 +13,10 @@ import (
 //
 // CanonicalKey normalizes an instance to a string that is equal for any
 // two requests the serving stack may safely treat as the same job: same
-// format family, same [f, c] construction, same variable count. It is the
-// front-line cache key of bddmind — computed from the source text alone,
-// before any BDD is built — so it must only erase differences that
+// format family, same [f, c] construction, same variable count. With the
+// heuristic name it is bddmind's result-cache key — computed from the
+// source text alone, before any BDD is built, and trusted without
+// re-verifying a cached cover — so it must only erase differences that
 // provably cannot change Build's result:
 //
 //   - specs: whitespace and grouping parentheses (ParseSpec ignores both)
@@ -32,10 +33,10 @@ import (
 //     is erased.
 //
 // Anything the normalizer is unsure about stays in the key verbatim:
-// a missed equivalence only costs a duplicate cache entry, while an
-// over-merge would serve a wrong cover. The deeper, name-insensitive
-// equivalence (same function under different encodings) is the semantic
-// cache's job, keyed on bdd.HashFunctions after Build.
+// a missed equivalence only costs a duplicate run and cache entry, while
+// an over-merge would serve a wrong cover. FuzzCanonicalKey checks both
+// directions: respellings that erase only the differences above keep the
+// key, and equal keys build identical [f, c].
 
 // CanonicalKey returns the instance's normalized identity. The key is
 // computed eagerly at construction, so this never fails and is safe to
@@ -129,11 +130,14 @@ func canonicalPLA(pla *logic.PLA, output int) string {
 // comments stripped, continuations joined, blank lines dropped, and each
 // surviving logical line reduced to its fields joined by single spaces.
 // The resolved target node is part of the key — the same netlist minimized
-// at a different node is a different instance.
+// at a different node is a different instance. Signal names may contain
+// '|', so the node and the lines are escaped before they are joined with
+// it; otherwise node "n|.model" of one netlist and node "n" of the same
+// netlist under a ".model" line would share a key.
 func canonicalBLIF(src, node string) string {
 	var b strings.Builder
 	b.WriteString("blif|")
-	b.WriteString(node)
+	b.WriteString(blifEscaper.Replace(node))
 	pending := ""
 	for _, line := range strings.Split(src, "\n") {
 		if i := strings.IndexByte(line, '#'); i >= 0 {
@@ -150,7 +154,10 @@ func canonicalBLIF(src, node string) string {
 		line = pending + line
 		pending = ""
 		b.WriteByte('|')
-		b.WriteString(strings.Join(strings.Fields(line), " "))
+		b.WriteString(blifEscaper.Replace(strings.Join(strings.Fields(line), " ")))
 	}
 	return b.String()
 }
+
+// blifEscaper makes '|' unambiguous as the BLIF key's separator.
+var blifEscaper = strings.NewReplacer(`\`, `\\`, `|`, `\|`)

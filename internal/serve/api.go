@@ -67,16 +67,16 @@ type MinimizeResponse struct {
 	Degraded    bool   `json:"degraded,omitempty"`
 	AbortReason string `json:"abort_reason,omitempty"`
 	AbortPhase  string `json:"abort_phase,omitempty"`
-	// Cached marks a response served from the result cache — at admission
-	// (request-keyed) or on the shard (content-addressed) — instead of a
-	// fresh minimization. Coalesced marks a follower response fanned out
-	// from a concurrent identical request's execution. Cached results are
-	// always complete (degraded covers are never stored).
-	Cached    bool `json:"cached,omitempty"`
+	// Cached marks a response served from the result cache at admission
+	// instead of a fresh minimization. Cached results are always complete
+	// (degraded covers are never stored).
+	Cached bool `json:"cached,omitempty"`
+	// Coalesced is never set: the server no longer joins concurrent
+	// identical requests. The field stays because bench/serve.go reads it.
 	Coalesced bool `json:"coalesced,omitempty"`
-	// Shard is the worker that ran the job (-1 when no shard ran — a
-	// front-line cache hit or a coalesced fan-out); QueueNs and RunNs
-	// split the request's server-side latency into waiting and execution.
+	// Shard is the worker that ran the job (-1 for a cache hit, which no
+	// shard ran); QueueNs and RunNs split the request's server-side
+	// latency into waiting and execution.
 	Shard   int   `json:"shard"`
 	QueueNs int64 `json:"queue_ns"`
 	RunNs   int64 `json:"run_ns"`
@@ -125,10 +125,9 @@ const BackendHeader = "X-Bddmind-Backend"
 // original timeout_ms; the Client sets it from its context deadline.
 // Admission maps the header onto bdd.Budget.Deadline exactly like
 // timeout_ms, except that the header only ever *tightens* the budget —
-// it is ignored when it is later than the body-derived deadline — and it
-// does not enter the result-cache key: a complete cached result is
-// correct under any deadline, and the shrinking per-attempt values would
-// otherwise make every routed retry miss the cache.
+// it is ignored when it is later than the body-derived deadline. Like
+// every budget limit it stays out of the result-cache key: a complete
+// cached result is correct under any deadline.
 const DeadlineHeader = "X-Bddmind-Deadline-Ms"
 
 // ShardSnapshot is one worker's state in GET /metrics.
@@ -193,9 +192,7 @@ type HeuristicStats struct {
 }
 
 // CacheSnapshot is the result-cache section of GET /metrics. ReqHits are
-// front-line hits on the normalized request key; SemHits are shard-side
-// hits on the content address of [f, c]; Coalesced counts follower
-// requests fanned out from a concurrent identical leader.
+// requests answered from the cache at admission.
 type CacheSnapshot struct {
 	Enabled    bool   `json:"enabled"`
 	Entries    int    `json:"entries"`
@@ -203,9 +200,7 @@ type CacheSnapshot struct {
 	MaxEntries int    `json:"max_entries,omitempty"`
 	MaxBytes   int64  `json:"max_bytes,omitempty"`
 	ReqHits    uint64 `json:"req_hits"`
-	SemHits    uint64 `json:"sem_hits"`
 	Misses     uint64 `json:"misses"`
-	Coalesced  uint64 `json:"coalesced"`
 	Inserts    uint64 `json:"inserts"`
 	Evictions  uint64 `json:"evictions"`
 }

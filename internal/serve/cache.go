@@ -2,42 +2,29 @@ package serve
 
 import (
 	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Two-tier result memoization.
+// Result memoization.
 //
-// The minimization heuristics are deterministic functions of the canonical
-// pair [f, c] and a heuristic name, so identical instances always produce
-// identical covers — recomputing a duplicate is pure waste. The server
-// exploits that at two depths:
+// The minimization heuristics are deterministic functions of the instance
+// [f, c] and the heuristic, so a complete cover is stored once under that
+// identity — the heuristic name and problem.CanonicalKey — and replayed at
+// admission to every later request for the instance, without a queue slot
+// or a shard. The key carries no budget limits: core.MinimizeAnytime runs
+// the same steps with or without a budget, so a complete cover is the
+// answer any budget would get had it held. The converse does not hold: a
+// degraded (budget-tripped) cover is valid but budget-shaped, and serving
+// it to a later caller would silently downgrade the answer, so only
+// complete results are stored and degraded requests always re-run.
+// Concurrent identical misses each run, and each stores the same complete
+// result; later requests hit it.
 //
-//   - Tier 1, at admission: a request cache keyed on the instance's
-//     problem.CanonicalKey plus the budget-relevant limits, consulted
-//     before the queue so duplicates never consume a slot. Concurrent
-//     identical misses coalesce through a singleflight table — the first
-//     request (the leader) runs, the rest (followers) wait on its flight
-//     and fan out the response.
-//
-//   - Tier 2, on the shard: a semantic cache keyed on the SHA-256 of the
-//     canonical bdd serialization of [f, c] (bdd.HashFunctions), computed
-//     after Problem.Build. Syntactically different encodings of the same
-//     function — renamed PLA inputs, a BLIF netlist versus a spec —
-//     converge here even though their tier-1 keys differ.
-//
-// Both tiers share one byte-budgeted LRU. Only complete results are
-// stored: a degraded (budget-tripped) cover is valid but not canonical for
-// the instance, and serving it to an unbudgeted caller would silently
-// downgrade the answer, so degraded responses always re-run. Stored
-// responses hold only manager-independent data (the serialized cover,
-// sizes, the optional spec echo), so a hit is correct from any shard and
-// re-verifiable client-side.
+// The store is a byte-budgeted LRU. Stored responses hold only
+// manager-independent data (the canonical serialized cover, sizes, the
+// optional spec echo), so a hit is correct whichever shard produced it
+// and re-verifiable client-side.
 
 // entryOverhead approximates the per-entry bookkeeping cost (list element,
 // map slot, response struct) charged against the byte budget on top of the
@@ -52,8 +39,8 @@ type cacheEntry struct {
 	size int64
 }
 
-// resultCache is the shared bounded LRU behind both tiers. The zero limits
-// are not valid — use newResultCache, which normalizes them.
+// resultCache is the bounded LRU of complete results. The zero limits are
+// not valid — use newResultCache, which normalizes them.
 type resultCache struct {
 	maxEntries int
 	maxBytes   int64
@@ -63,10 +50,8 @@ type resultCache struct {
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
 
-	reqHits   atomic.Uint64 // tier-1 (request-key) hits served at admission
-	semHits   atomic.Uint64 // tier-2 (content-addressed) hits served on a shard
+	reqHits   atomic.Uint64 // hits served at admission
 	misses    atomic.Uint64 // lookups that found nothing
-	coalesced atomic.Uint64 // followers fanned out from a leader's flight
 	inserts   atomic.Uint64
 	evictions atomic.Uint64
 }
@@ -137,7 +122,6 @@ func sanitize(resp *MinimizeResponse) *MinimizeResponse {
 	cp.RunNs = 0
 	cp.Trace = nil
 	cp.Cached = false
-	cp.Coalesced = false
 	return &cp
 }
 
@@ -147,34 +131,6 @@ func cachedResponse(stored *MinimizeResponse, id uint64) *MinimizeResponse {
 	cp.ID = id
 	cp.Cached = true
 	return &cp
-}
-
-// requestKey is the tier-1 identity: the normalized instance, the
-// heuristic, and the budget-relevant limits. The limits matter because a
-// tighter budget can legitimately produce a different (degraded) answer —
-// and because a budgeted caller must not coalesce onto an unbudgeted
-// leader whose run may outlast the budget it asked for.
-func requestKey(canon, heuristic string, nodesCap uint64, timeout time.Duration) string {
-	return fmt.Sprintf("req|%s|%s|n%d|t%d", canon, heuristic, nodesCap, timeout.Milliseconds())
-}
-
-// semanticKey is the tier-2 identity: the content address of [f, c] plus
-// the heuristic and the variable count (the spec echo renders over Vars,
-// so results for different widths are not interchangeable). Budget limits
-// are deliberately absent — only complete results are stored, and a
-// complete result is correct for any budget.
-func semanticKey(sum [sha256.Size]byte, heuristic string, vars int) string {
-	return "sem|" + hex.EncodeToString(sum[:]) + "|" + heuristic + "|v" + strconv.Itoa(vars)
-}
-
-// flight is one in-progress leader execution that concurrent identical
-// requests wait on. The leader records its outcome (resp on 200, errBody
-// otherwise) before done is closed; followers then mirror it.
-type flight struct {
-	done    chan struct{}
-	resp    *MinimizeResponse // sanitized template, set on success
-	status  int               // HTTP status the leader's request resolved to
-	errBody ErrorResponse     // body for non-200 outcomes
 }
 
 // cacheSnapshot renders the cache section of GET /metrics.
@@ -193,9 +149,7 @@ func (s *Server) cacheSnapshot() CacheSnapshot {
 		MaxEntries: c.maxEntries,
 		MaxBytes:   c.maxBytes,
 		ReqHits:    c.reqHits.Load(),
-		SemHits:    c.semHits.Load(),
 		Misses:     c.misses.Load(),
-		Coalesced:  c.coalesced.Load(),
 		Inserts:    c.inserts.Load(),
 		Evictions:  c.evictions.Load(),
 	}

@@ -112,26 +112,6 @@ func (c *Client) Metrics(ctx context.Context) (*MetricsSnapshot, error) {
 	return &snap, nil
 }
 
-// RawMetrics fetches /metrics without imposing a schema — the caller
-// decides whether the target was a bddmind (MetricsSnapshot) or a
-// bddrouter (route.MetricsSnapshot, recognizable by its "ring" section).
-func (c *Client) RawMetrics(ctx context.Context) ([]byte, error) {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.httpClient().Do(hr)
-	if err != nil {
-		return nil, err
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(res.Body, 512))
-		return nil, fmt.Errorf("serve: /metrics returned %d: %s", res.StatusCode, b)
-	}
-	return io.ReadAll(io.LimitReader(res.Body, 8<<20))
-}
-
 // RequestFor renders a loaded Problem into its wire form — the bridge
 // between the corpus loader and the API.
 func RequestFor(p *problem.Problem, heuristic string) MinimizeRequest {

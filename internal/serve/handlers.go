@@ -48,9 +48,8 @@ func (s *Server) reject(w http.ResponseWriter, id uint64, status int, reason str
 }
 
 // handleMinimize is the admission path: parse, validate, consult the
-// request cache and the singleflight table (duplicates never consume a
-// queue slot), map limits onto a budget, try the bounded queue, then wait
-// for the shard's response.
+// result cache (a hit never consumes a queue slot), map limits onto a
+// budget, try the bounded queue, then wait for the shard's response.
 func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -95,57 +94,23 @@ func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	enq := time.Now()
-	timeout := s.timeoutFor(req.TimeoutMs)
-	nodesCap := clampNodes(req.BudgetNodes, s.cfg.MaxNodesPerRequest)
 
-	// Front line: the request cache and the singleflight table, keyed on
-	// the normalized instance plus the budget-relevant limits. Trace
-	// requests bypass both — their point is to observe a fresh run.
-	var (
-		key string
-		fl  *flight
-	)
+	// Front line: the result cache, keyed on the heuristic and the
+	// normalized instance (cache.go). Trace requests bypass it — their
+	// point is to observe a fresh run.
+	key := ""
 	if s.cache != nil && !req.Trace {
-		key = requestKey(prob.CanonicalKey(), name, nodesCap, timeout)
-		for fl == nil {
-			if stored := s.cache.get(key); stored != nil {
-				s.cache.reqHits.Add(1)
-				s.lat.observe(time.Since(enq).Nanoseconds())
-				s.emitServe(obs.ServeEvent{
-					Phase: "cache_hit", ID: id, Shard: -1, Reason: "request",
-					Format: string(prob.Kind), Heuristic: name, Queue: len(s.queue),
-				})
-				writeJSON(w, http.StatusOK, cachedResponse(stored, id))
-				return
-			}
-			s.flightMu.Lock()
-			leader, inFlight := s.flights[key]
-			if !inFlight {
-				fl = &flight{done: make(chan struct{})}
-				s.flights[key] = fl
-			}
-			s.flightMu.Unlock()
-			if inFlight {
-				s.cache.coalesced.Add(1)
-				s.emitServe(obs.ServeEvent{
-					Phase: "coalesced", ID: id, Shard: -1,
-					Format: string(prob.Kind), Heuristic: name, Queue: len(s.queue),
-				})
-				if s.awaitFlight(w, r, leader, id, enq) {
-					return
-				}
-				// The leader's outcome was its own client's doing; go back
-				// through admission, where one follower leads a fresh run.
-			}
+		key = name + "|" + prob.CanonicalKey()
+		if stored := s.cache.get(key); stored != nil {
+			s.cache.reqHits.Add(1)
+			s.lat.observe(time.Since(enq).Nanoseconds())
+			s.emitServe(obs.ServeEvent{
+				Phase: "cache_hit", ID: id, Shard: -1,
+				Format: string(prob.Kind), Heuristic: name, Queue: len(s.queue),
+			})
+			writeJSON(w, http.StatusOK, cachedResponse(stored, id))
+			return
 		}
-		// The flight completes on every exit path below; followers that
-		// joined meanwhile read its recorded outcome after done closes.
-		defer func() {
-			s.flightMu.Lock()
-			delete(s.flights, key)
-			s.flightMu.Unlock()
-			close(fl.done)
-		}()
 	}
 
 	t := &task{
@@ -153,8 +118,8 @@ func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
 		prob:     prob,
 		heu:      heu,
 		trace:    req.Trace,
-		nodesCap: nodesCap,
-		deadline: headerDeadline(r, deadlineFrom(timeout)),
+		nodesCap: clampNodes(req.BudgetNodes, s.cfg.MaxNodesPerRequest),
+		deadline: headerDeadline(r, deadlineFrom(s.timeoutFor(req.TimeoutMs))),
 		ctx:      r.Context(),
 		enq:      enq,
 		resp:     make(chan *MinimizeResponse, 1),
@@ -162,20 +127,13 @@ func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
 	switch s.enqueue(t) {
 	case drainRefused:
 		s.counters.drainRejects.Add(1)
-		body := ErrorResponse{Error: "server is draining"}
-		if fl != nil {
-			fl.status, fl.errBody = http.StatusServiceUnavailable, body
-		}
-		s.reject(w, id, http.StatusServiceUnavailable, "draining", body)
+		s.reject(w, id, http.StatusServiceUnavailable, "draining", ErrorResponse{Error: "server is draining"})
 		return
 	case queueFull:
 		s.counters.rejected.Add(1)
-		body := ErrorResponse{Error: "queue full, retry later", RetryAfterMs: s.cfg.RetryAfter.Milliseconds()}
-		if fl != nil {
-			fl.status, fl.errBody = http.StatusTooManyRequests, body
-		}
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-		s.reject(w, id, http.StatusTooManyRequests, "queue-full", body)
+		s.reject(w, id, http.StatusTooManyRequests, "queue-full",
+			ErrorResponse{Error: "queue full, retry later", RetryAfterMs: s.cfg.RetryAfter.Milliseconds()})
 		return
 	}
 	s.counters.accepted.Add(1)
@@ -184,62 +142,18 @@ func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
 		Format: string(prob.Kind), Heuristic: name, Queue: len(s.queue),
 	})
 	resp := <-t.resp
-	// Once this request's client has left, a skipped job or a run its
-	// canceled context cut short says nothing about the instance: only a
-	// complete cover is recorded on the flight, and followers of any other
-	// outcome go back through admission.
-	gone := r.Context().Err() != nil
 	if resp == nil {
 		// Either the client vanished before the shard picked the job up,
 		// or the job failed internally; the counters already know which.
-		body := ErrorResponse{Error: "minimization failed"}
-		if fl != nil && !gone {
-			fl.status, fl.errBody = http.StatusInternalServerError, body
-		}
-		writeJSON(w, http.StatusInternalServerError, body)
+		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "minimization failed"})
 		return
 	}
-	if fl != nil && !(gone && resp.Degraded) {
-		fl.status = http.StatusOK
-		fl.resp = sanitize(resp)
-		// Tier-1 insert: complete results only, so a degraded cover is
-		// never replayed to a later identical request.
-		if !resp.Degraded {
-			s.cache.put(key, fl.resp)
-		}
+	// Complete results only, so a degraded cover is never replayed to a
+	// later request.
+	if key != "" && !resp.Degraded {
+		s.cache.put(key, resp)
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// awaitFlight parks a follower on its leader's flight and mirrors the
-// outcome: a fanned-out copy of the response on success, the leader's
-// error status otherwise. The follower holds no queue slot while waiting.
-// It returns false, having written nothing, when the leader recorded no
-// outcome: its own client left, or its handler exited abnormally.
-func (s *Server) awaitFlight(w http.ResponseWriter, r *http.Request, fl *flight, id uint64, enq time.Time) bool {
-	select {
-	case <-fl.done:
-	case <-r.Context().Done():
-		// Client gone; there is nobody to write to.
-		s.counters.canceled.Add(1)
-		return true
-	}
-	switch fl.status {
-	case http.StatusOK:
-		resp := cachedResponse(fl.resp, id)
-		resp.Cached = false
-		resp.Coalesced = true
-		s.lat.observe(time.Since(enq).Nanoseconds())
-		writeJSON(w, http.StatusOK, resp)
-	case http.StatusTooManyRequests:
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-		writeJSON(w, fl.status, fl.errBody)
-	case 0:
-		return false
-	default:
-		writeJSON(w, fl.status, fl.errBody)
-	}
-	return true
 }
 
 // clampNodes combines the request's node cap with the server-wide one:
@@ -255,9 +169,7 @@ func clampNodes(req, server uint64) uint64 {
 }
 
 // timeoutFor resolves timeout_ms to the effective per-request timeout
-// under the server's default and clamp. The resolved duration (not the
-// raw request field) is part of the tier-1 cache key, so requests that
-// clamp to the same budget share an entry.
+// under the server's default and clamp.
 func (s *Server) timeoutFor(timeoutMs int) time.Duration {
 	d := time.Duration(timeoutMs) * time.Millisecond
 	if d <= 0 {
@@ -284,9 +196,8 @@ func deadlineFrom(d time.Duration) time.Time {
 // headerDeadline tightens a body-derived deadline with the remaining
 // budget a fronting router propagated in DeadlineHeader. The header only
 // ever *shrinks* the budget — a retried attempt arrives with less time
-// than the original request asked for — and it stays out of the cache
-// keys, which are computed from the body-resolved timeout before this
-// point (see the DeadlineHeader doc comment).
+// than the original request asked for (see the DeadlineHeader doc
+// comment).
 func headerDeadline(r *http.Request, base time.Time) time.Time {
 	hdr := r.Header.Get(DeadlineHeader)
 	if hdr == "" {

@@ -46,8 +46,7 @@ type LoadConfig struct {
 	MaxRetries int
 	// DupRate is the fraction of requests (0..1) redirected to a single
 	// hot instance instead of the round-robin pick — the duplicate-heavy
-	// replay that exercises the server's result cache and singleflight
-	// coalescing. The hot instance is the widest of the corpus (ties to
+	// replay that exercises the server's result cache. The hot instance is the widest of the corpus (ties to
 	// the earliest), so the replay measures the cache absorbing real
 	// work, not round-trip overhead. Selection is deterministic in the
 	// request sequence number, so a run is reproducible at any
@@ -71,13 +70,11 @@ func Refs(probs []*problem.Problem, heuristic string) []*ProblemRef {
 	return out
 }
 
-// LoadStats is the result of a load run — the measurements behind
-// BENCH_serve.json.
+// LoadStats is the result of a load run, as bddload and bddchaos print it.
 type LoadStats struct {
 	Requests    int      // completed (HTTP 200) requests
 	Degraded    int      // of which degraded by a budget abort
 	CacheHits   int      // responses marked cached by the server
-	Coalesced   int      // responses fanned out from a concurrent leader
 	Rejected429 int      // backpressure rejections absorbed by retry
 	ErrorCount  int      // every failed request (Errors keeps only the first errCap)
 	Errors      []string // transport/HTTP errors (capped)
@@ -212,9 +209,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadStats, error) {
 					}
 					if resp.Cached {
 						stats.CacheHits++
-					}
-					if resp.Coalesced {
-						stats.Coalesced++
 					}
 					if resp.Backend != "" {
 						stats.ByBackend[resp.Backend]++

@@ -20,10 +20,9 @@ import (
 // /minimize. A network job flows through the same bounded queue and runs on
 // a shard worker, but on private throwaway window managers rather than the
 // shard's own — the shard manager's monotone growth is driven by single
-// instances, not whole netlists. Network results are never cached or
-// coalesced: the response embeds a full rewritten netlist, whose size makes
-// the two-tier cache's byte accounting pointless for the hit rates networks
-// see.
+// instances, not whole netlists. Network results are never cached: the
+// response embeds a full rewritten netlist, whose size makes the result
+// cache's byte accounting pointless for the hit rates networks see.
 
 // NetworkRequest is the body of POST /optimize-network.
 type NetworkRequest struct {

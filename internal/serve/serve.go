@@ -70,19 +70,18 @@ type Config struct {
 	// ServeEvents and every request's replayed pipeline events. The
 	// server serializes emissions, so any single-goroutine Tracer works.
 	Trace obs.Tracer
-	// CacheEntries and CacheBytes bound the two-tier result cache (see
-	// cache.go): entry count and approximate stored bytes. Both zero
-	// disables caching and request coalescing entirely — the zero-value
-	// default, so embedded servers opt in explicitly (cmd/bddmind enables
-	// it through its flag defaults). Setting either enables the cache;
-	// the unset bound defaults to 4096 entries / 64 MiB.
+	// CacheEntries and CacheBytes bound the result cache (see cache.go):
+	// entry count and approximate stored bytes. Both zero disables caching
+	// — the zero-value default, so embedded servers opt in explicitly
+	// (cmd/bddmind enables it through its flag defaults). Setting either
+	// enables the cache; the unset bound defaults to 4096 entries / 64 MiB.
 	CacheEntries int
 	CacheBytes   int64
 
 	// hookStart, when non-nil, runs on the worker goroutine at the top of
 	// each executed job, inside the job's panic recovery — a test-only
 	// synchronization and fault-injection point for the overload, drain
-	// and singleflight tests.
+	// and cache tests.
 	hookStart func(shard int, id uint64)
 }
 
@@ -168,12 +167,8 @@ type Server struct {
 	}
 	lat latencyHist
 
-	// cache is the two-tier result cache (nil when disabled); flights is
-	// the singleflight table of in-progress leader executions, keyed like
-	// tier 1 of the cache.
-	cache    *resultCache
-	flightMu sync.Mutex
-	flights  map[string]*flight
+	// cache is the result cache (nil when disabled).
+	cache *resultCache
 
 	// obsMu serializes the shared per-heuristic metrics sink and the
 	// optional server trace across shards and the HTTP goroutines.
@@ -185,10 +180,9 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		queue:   make(chan *task, cfg.QueueDepth),
-		start:   time.Now(),
-		flights: make(map[string]*flight),
+		cfg:   cfg,
+		queue: make(chan *task, cfg.QueueDepth),
+		start: time.Now(),
 	}
 	if cfg.CacheEntries > 0 {
 		s.cache = newResultCache(cfg.CacheEntries, cfg.CacheBytes)
@@ -343,7 +337,7 @@ func (s *Server) runJob(w *worker, t *task, start time.Time) (resp *MinimizeResp
 	}()
 	if s.cfg.hookStart != nil {
 		// Inside the recovery on purpose: an injected panic here exercises
-		// the leader-failure path of the singleflight tests.
+		// the shard-failure path of the cache tests.
 		s.cfg.hookStart(w.id, t.id)
 	}
 	for w.m.NumVars() < t.prob.Vars {
@@ -353,29 +347,6 @@ func (s *Server) runJob(w *worker, t *task, start time.Time) (resp *MinimizeResp
 	in, err := t.prob.Build(m)
 	if err != nil {
 		return nil
-	}
-	// Tier-2 lookup: [f, c] is now materialized, so the content address
-	// covers every spelling of the same function. Trace requests bypass the
-	// cache — they exist to observe the pipeline run.
-	semKey := ""
-	if s.cache != nil && !t.trace {
-		if sum, hashErr := m.HashFunctions(map[string]bdd.Ref{"f": in.F, "c": in.C}); hashErr == nil {
-			semKey = semanticKey(sum, t.heu.Name(), t.prob.Vars)
-			if stored := s.cache.get(semKey); stored != nil {
-				s.cache.semHits.Add(1)
-				hit := cachedResponse(stored, t.id)
-				// Identity fields follow this request's spelling of the
-				// instance; the result fields are interchangeable by
-				// construction of the key.
-				hit.Format = string(t.prob.Kind)
-				hit.Node = t.prob.Node
-				s.emitServe(obs.ServeEvent{
-					Phase: "cache_hit", ID: t.id, Shard: w.id, Reason: "semantic",
-					Format: string(t.prob.Kind), Heuristic: t.heu.Name(),
-				})
-				return hit
-			}
-		}
 	}
 	resp = &MinimizeResponse{
 		ID:        t.id,
@@ -416,11 +387,6 @@ func (s *Server) runJob(w *worker, t *task, start time.Time) (resp *MinimizeResp
 	resp.CoverVars = m.NumVars()
 	if t.prob.Vars <= SpecEchoVars {
 		resp.Spec = core.FormatSpec(m, core.ISF{F: g, C: bdd.One}, t.prob.Vars)
-	}
-	// Tier-2 insert: only complete results — a degraded cover is valid but
-	// budget-shaped, and must never be served to a later request.
-	if semKey != "" && !resp.Degraded {
-		s.cache.put(semKey, resp)
 	}
 	return resp
 }
