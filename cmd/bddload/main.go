@@ -2,17 +2,14 @@
 // replays a mixed spec/PLA/BLIF corpus against a running server at a
 // target concurrency, verifies every returned cover client-side
 // (f·c ≤ g ≤ f + ¬c — the server is not trusted), honors 429 backpressure
-// by sleeping out the Retry-After hint, and prints throughput, exact
+// by sleeping out the Retry-After hint, and prints throughput, nearest-rank
 // p50/p95/p99 latency, the degraded share and the cache hits.
 //
 // Usage:
 //
 //	bddload -corpus examples/corpus/mixed.txt [-addr http://localhost:8080]
 //	        [-n 500] [-c 8] [-heuristic osm_bt] [-timeout-ms 0]
-//	        [-budget-nodes 0] [-dup 0] [-no-verify]
-//
-// -dup redirects that fraction of requests to one hot instance, the
-// duplicate-heavy replay that exercises the server's result cache.
+//	        [-budget-nodes 0] [-no-verify]
 //
 // -addr may point at a bddrouter instead of a single bddmind: the harness
 // then also prints the per-backend request distribution and per-backend
@@ -49,7 +46,6 @@ func main() {
 		heuristic   = flag.String("heuristic", "", "heuristic for every request (empty = server default)")
 		timeoutMs   = flag.Int("timeout-ms", 0, "per-request deadline forwarded to the server")
 		budgetNodes = flag.Uint64("budget-nodes", 0, "per-request node cap forwarded to the server")
-		dup         = flag.Float64("dup", 0, "fraction of requests (0..1) redirected to one hot instance")
 		noVerify    = flag.Bool("no-verify", false, "skip the client-side cover check")
 		retries     = flag.Int("retries", 50, "max consecutive 429 retries per request")
 		wait        = flag.Duration("wait", 5*time.Second, "how long to wait for the server to become healthy")
@@ -72,11 +68,8 @@ func main() {
 	if err := client.WaitHealthy(*wait); err != nil {
 		fail(err)
 	}
-	if *dup < 0 || *dup > 1 {
-		fail(fmt.Errorf("bddload: -dup must be in [0, 1], got %g", *dup))
-	}
-	fmt.Printf("bddload: %d requests over a %d-instance corpus, concurrency %d, dup %.0f%%, verify=%v\n",
-		*n, len(probs), *c, 100**dup, !*noVerify)
+	fmt.Printf("bddload: %d requests over a %d-instance corpus, concurrency %d, verify=%v\n",
+		*n, len(probs), *c, !*noVerify)
 
 	stats, err := serve.RunLoad(context.Background(), serve.LoadConfig{
 		Client:      client,
@@ -88,7 +81,6 @@ func main() {
 		BudgetNodes: *budgetNodes,
 		Verify:      !*noVerify,
 		MaxRetries:  *retries,
-		DupRate:     *dup,
 	})
 	if err != nil {
 		fail(err)

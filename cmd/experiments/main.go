@@ -43,7 +43,6 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"bddmin/internal/circuits"
 	"bddmin/internal/core"
 	"bddmin/internal/harness"
 )
@@ -86,6 +85,14 @@ func run() {
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file")
 	)
 	flag.Parse()
+	if *table < 0 || *table > 4 {
+		fmt.Fprintf(os.Stderr, "experiments: -table must be 0-4, got %d\n", *table)
+		os.Exit(1)
+	}
+	if *figure != 0 && *figure != 3 {
+		fmt.Fprintf(os.Stderr, "experiments: -figure must be 0 or 3, got %d\n", *figure)
+		os.Exit(1)
+	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -116,7 +123,6 @@ func run() {
 	}()
 
 	var out io.Writer = os.Stdout
-	var tee *os.File
 	if *outFile != "" {
 		f, err := os.Create(*outFile)
 		if err != nil {
@@ -124,10 +130,8 @@ func run() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		tee = f
 		out = io.MultiWriter(os.Stdout, f)
 	}
-	_ = tee
 
 	all := *table == 0 && *figure == 0 && !*summary
 
@@ -269,6 +273,5 @@ func renderTable2() string {
 		fmt.Fprintf(&b, "%-3d %-9s  %-11s  %-11s  %s (canonical: %s)\n",
 			i+1, r.cr, yn(r.compl), yn(r.nnv), r.comment, name)
 	}
-	_ = circuits.Names
 	return b.String()
 }

@@ -55,9 +55,6 @@ type BenchmarkRun struct {
 	Name   string
 	Result fsm.Result
 	Calls  int // instrumented minimization calls contributed
-	// NodesMade is the manager's cumulative node-allocation counter after
-	// the run — the work measure recorded in BENCH_kernel.json.
-	NodesMade uint64
 }
 
 // RunBenchmark checks one suite machine against itself with the collector
@@ -121,7 +118,7 @@ func RunBenchmark(info circuits.BenchmarkInfo, col *Collector, rc RunConfig) (Be
 		tr.Emit(obs.GCEvent{Benchmark: info.Name, Live: m.NumNodes(), Runs: m.GCRuns(), NodesMade: m.NodesMade()})
 		tr.Emit(obs.BenchmarkEvent{Name: info.Name, Phase: "end"})
 	}
-	return BenchmarkRun{Name: info.Name, Result: res, Calls: len(col.Records) - before, NodesMade: m.NodesMade()}, nil
+	return BenchmarkRun{Name: info.Name, Result: res, Calls: len(col.Records) - before}, nil
 }
 
 // RunSuite runs every named benchmark (nil = the full paper suite) across a

@@ -7,12 +7,9 @@ import (
 )
 
 // Progress is the live text sink behind `bddmin -trace`: one human-readable
-// line per event, written as the pipeline runs. Verbose additionally
-// prints cache snapshots (one line per op), which are high-volume.
+// line per event, written as the pipeline runs. Cache snapshots are
+// high-volume and not printed.
 type Progress struct {
-	// Verbose includes cache snapshot lines.
-	Verbose bool
-
 	w io.Writer
 }
 
@@ -42,13 +39,5 @@ func (p *Progress) Emit(ev Event) {
 			e.Duration.Round(time.Microsecond))
 	case GCEvent:
 		fmt.Fprintf(p.w, "gc: %d live nodes, %d runs, %d made\n", e.Live, e.Runs, e.NodesMade)
-	case CacheEvent:
-		if !p.Verbose {
-			return
-		}
-		for _, op := range e.Ops {
-			fmt.Fprintf(p.w, "cache %-10s %-10s %d hits / %d misses / %d evictions\n",
-				e.Scope, op.Op, op.Hits, op.Misses, op.Evictions)
-		}
 	}
 }

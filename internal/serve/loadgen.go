@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -38,20 +39,13 @@ type LoadConfig struct {
 	BudgetNodes uint64
 	// Verify re-checks covers client-side (f·c ≤ g ≤ f + ¬c). Every
 	// distinct (instance, cover) pair is verified once; replays of
-	// byte-identical covers — the normal case under a duplicate-heavy,
-	// cache-served load — reuse the verdict, so verification cost scales
-	// with distinct results rather than request count.
+	// byte-identical covers — the normal case once the round-robin wraps
+	// and the server answers from its cache — reuse the verdict, so
+	// verification cost scales with distinct results rather than request
+	// count.
 	Verify bool
 	// MaxRetries bounds consecutive 429 retries per request (default 50).
 	MaxRetries int
-	// DupRate is the fraction of requests (0..1) redirected to a single
-	// hot instance instead of the round-robin pick — the duplicate-heavy
-	// replay that exercises the server's result cache. The hot instance is the widest of the corpus (ties to
-	// the earliest), so the replay measures the cache absorbing real
-	// work, not round-trip overhead. Selection is deterministic in the
-	// request sequence number, so a run is reproducible at any
-	// concurrency.
-	DupRate float64
 }
 
 // ProblemRef pairs a corpus problem with its prebuilt wire request, so the
@@ -105,15 +99,16 @@ func (st *LoadStats) Throughput() float64 {
 	return float64(st.Requests) / st.Elapsed.Seconds()
 }
 
-// Percentile returns the exact p-quantile (0 < p ≤ 1) of the collected
-// latencies, 0 when none were collected.
+// Percentile returns the nearest-rank p-quantile (0 < p ≤ 1) of the
+// collected latencies: the smallest latency with at least p·n of the n
+// samples at or below it. It returns 0 when none were collected.
 func (st *LoadStats) Percentile(p float64) time.Duration {
 	if len(st.Latencies) == 0 {
 		return 0
 	}
 	sorted := append([]time.Duration(nil), st.Latencies...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(p*float64(len(sorted))) - 1
+	i := int(math.Ceil(p*float64(len(sorted)))) - 1
 	if i < 0 {
 		i = 0
 	}
@@ -140,12 +135,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadStats, error) {
 	if maxRetries <= 0 {
 		maxRetries = 50
 	}
-	hot := 0
-	for i, ref := range cfg.Problems {
-		if ref.Problem.Vars > cfg.Problems[hot].Problem.Vars {
-			hot = i
-		}
-	}
 	var (
 		issued   atomic.Int64
 		mu       sync.Mutex
@@ -170,9 +159,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadStats, error) {
 					return
 				}
 				ref := cfg.Problems[int(seq)%len(cfg.Problems)]
-				if cfg.DupRate > 0 && hotPick(uint64(seq), cfg.DupRate) {
-					ref = cfg.Problems[hot]
-				}
 				req := ref.Request
 				if cfg.Heuristic != "" {
 					req.Heuristic = cfg.Heuristic
@@ -226,15 +212,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadStats, error) {
 	wg.Wait()
 	stats.Elapsed = time.Since(started)
 	return stats, nil
-}
-
-// hotPick decides whether request seq goes to the hot instance: a
-// Weyl-style hash of the sequence number mapped to [0, 1) and compared
-// against the duplicate rate. Stateless and deterministic, so workers
-// need no shared RNG and reruns replay the same request mix.
-func hotPick(seq uint64, rate float64) bool {
-	x := seq * 0x9E3779B97F4A7C15
-	return float64(x>>11)/float64(1<<53) < rate
 }
 
 // submitWithRetry posts one job, absorbing 429 backpressure by honoring

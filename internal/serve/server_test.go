@@ -381,3 +381,38 @@ func TestRunLoad(t *testing.T) {
 		t.Fatalf("degenerate stats: %+v", stats)
 	}
 }
+
+// Percentile is the nearest rank: the sample at index ceil(p·n) − 1 of the
+// sorted latencies.
+func TestLoadStatsPercentile(t *testing.T) {
+	ms := func(vs ...int) []time.Duration {
+		out := make([]time.Duration, len(vs))
+		for i, v := range vs {
+			out[i] = time.Duration(v) * time.Millisecond
+		}
+		return out
+	}
+	seq := make([]int, 150)
+	for i := range seq {
+		seq[len(seq)-1-i] = i + 1 // 150..1, so Percentile must sort
+	}
+	cases := []struct {
+		lat  []time.Duration
+		p    float64
+		want time.Duration
+	}{
+		{ms(3, 1, 2), 0.50, 2 * time.Millisecond},
+		{ms(seq...), 0.99, 149 * time.Millisecond},
+		{ms(seq...), 0.50, 75 * time.Millisecond},
+		{ms(seq...), 1, 150 * time.Millisecond},
+		{ms(7), 0.50, 7 * time.Millisecond},
+		{ms(7), 1, 7 * time.Millisecond},
+		{nil, 0.50, 0},
+	}
+	for _, tc := range cases {
+		st := &LoadStats{Latencies: tc.lat}
+		if got := st.Percentile(tc.p); got != tc.want {
+			t.Errorf("p%g of %d samples = %v, want %v", 100*tc.p, len(tc.lat), got, tc.want)
+		}
+	}
+}
