@@ -5,7 +5,7 @@
 // Usage:
 //
 //	genbench -name s344 [-o s344.blif]     # one machine (default stdout)
-//	genbench -all -dir bench/               # the whole suite
+//	genbench -all -dir /tmp/suite-blif      # the whole suite
 package main
 
 import (

@@ -5,18 +5,23 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"bddmin/internal/obs"
 )
 
 var updateDocs = flag.Bool("update", false, "rewrite EXPERIMENTS.md's generated blocks")
 
-// EXPERIMENTS.md's kernel table and Table 3 runtimes are generated from the
-// committed BENCH_kernel.json and experiments_output.txt, so the prose
-// cannot drift from the files it quotes. After regenerating either file,
+// EXPERIMENTS.md's kernel table, Table 3 runtimes and Section 4.2 scalars
+// are generated from the committed BENCH_kernel.json and
+// experiments_output.txt, so the prose cannot drift from the files it
+// quotes. After regenerating either file,
 // rewrite the blocks with `go test -run TestExperimentsDoc -update .`.
 func TestExperimentsDoc(t *testing.T) {
 	const path = "EXPERIMENTS.md"
@@ -28,6 +33,7 @@ func TestExperimentsDoc(t *testing.T) {
 	for _, b := range []struct{ name, body string }{
 		{"kernel", kernelBlock(t)},
 		{"table3-runtime", runtimeBlock(t)},
+		{"section42", section42Block(t)},
 	} {
 		begin, end := "<!-- begin "+b.name+" -->\n", "<!-- end "+b.name+" -->"
 		i := strings.Index(doc, begin)
@@ -133,4 +139,105 @@ func runtimeBlock(t *testing.T) string {
 		fmt.Fprintf(&b, "| %s | %s |\n", r.name, r.secs)
 	}
 	return b.String()
+}
+
+// section42Block renders the "Section 4.2 summary" lines of
+// experiments_output.txt as a table of our value against the paper's.
+func section42Block(t *testing.T) string {
+	data, err := os.ReadFile("experiments_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, summary, ok := strings.Cut(string(data), "Section 4.2 summary")
+	if !ok {
+		t.Fatal("experiments_output.txt has no \"Section 4.2 summary\"")
+	}
+	var b strings.Builder
+	b.WriteString("| quantity | ours | paper |\n|---|---|---|\n")
+	// The first line is the rest of the title; the block ends at a blank line.
+	for _, line := range strings.Split(summary, "\n")[1:] {
+		quantity, value, ok := strings.Cut(line, ":")
+		if !ok {
+			break
+		}
+		ours, paper, _ := strings.Cut(value, "[paper:")
+		paper = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(paper), "]"))
+		if paper == "" {
+			paper = "—"
+		}
+		fmt.Fprintf(&b, "| %s | %s | %s |\n",
+			strings.ReplaceAll(strings.TrimSpace(quantity), "|", "\\|"), strings.TrimSpace(ours), paper)
+	}
+	return b.String()
+}
+
+// The JSON tags on the event types are the trace's wire schema, and the
+// event-schema table in docs/ARCHITECTURE.md lists each kind's keys in tag
+// order, marking with "?" the keys omitempty drops, so a tag change that
+// the table does not follow fails here.
+func TestEventSchemaDoc(t *testing.T) {
+	data, err := os.ReadFile("docs/ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, _ := strings.Cut(string(data), "### Event schema")
+	table, _, _ = strings.Cut(table, "\n### ")
+	events := map[string]obs.Event{}
+	for _, ev := range []obs.Event{
+		obs.WindowEvent{}, obs.HeuristicEvent{}, obs.LevelMatchEvent{}, obs.CacheEvent{},
+		obs.GCEvent{}, obs.BenchmarkEvent{}, obs.CallEvent{}, obs.AbortEvent{},
+		obs.ServeEvent{}, obs.RouteEvent{}, obs.NetworkEvent{},
+	} {
+		events[ev.Kind()] = ev
+	}
+	paren := regexp.MustCompile(`\([^()]*\)`)
+	code := regexp.MustCompile("`([^`]*)`")
+	rows := 0
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "| "), " | ")
+		kind := strings.Trim(cells[0], "`")
+		if kind == "ev" {
+			continue // the header
+		}
+		ev, ok := events[kind]
+		if !ok {
+			t.Errorf("ARCHITECTURE.md: event-schema row for unknown kind %q", kind)
+			continue
+		}
+		rows++
+		// Parenthesized notes name values, not keys.
+		var got []string
+		for _, m := range code.FindAllStringSubmatch(paren.ReplaceAllString(cells[len(cells)-1], ""), -1) {
+			got = append(got, m[1])
+		}
+		if want := schemaKeys(reflect.TypeOf(ev)); !reflect.DeepEqual(got, want) {
+			t.Errorf("ARCHITECTURE.md: %s row lists %q, the JSON tags give %q", kind, got, want)
+		}
+	}
+	if rows != len(events) {
+		t.Errorf("ARCHITECTURE.md: event-schema table has %d rows, want one per kind (%d)", rows, len(events))
+	}
+}
+
+// schemaKeys renders a struct's JSON keys as the event-schema table writes
+// them: "key?" for omitempty, and "key[]" for an array of objects followed
+// by "{a, b, ...}", the element's keys.
+func schemaKeys(typ reflect.Type) []string {
+	var keys []string
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		name, opts, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if opts == "omitempty" {
+			name += "?"
+		}
+		if f.Type.Kind() != reflect.Slice {
+			keys = append(keys, name)
+			continue
+		}
+		keys = append(keys, name+"[]", "{"+strings.Join(schemaKeys(f.Type.Elem()), ", ")+"}")
+	}
+	return keys
 }

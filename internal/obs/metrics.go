@@ -12,14 +12,14 @@ import (
 // saved in total, and how long it took. This is the per-heuristic evidence
 // the paper's Table 2/Table 3 are built from, computed live.
 type HeuristicMetrics struct {
-	Name         string
-	Applications int
-	Accepted     int
+	Name         string `json:"name"`
+	Applications int    `json:"applications"`
+	Accepted     int    `json:"accepted"`
 	// Wins counts strict improvements (OutSize < InSize).
-	Wins int
+	Wins int `json:"wins"`
 	// NodesSaved sums InSize − OutSize over improving applications.
-	NodesSaved int64
-	Time       time.Duration
+	NodesSaved int64         `json:"nodes_saved"`
+	Time       time.Duration `json:"total_ns"`
 }
 
 // Metrics is the aggregating sink: it folds the event stream into
@@ -79,9 +79,10 @@ func (mt *Metrics) Emit(ev Event) {
 	}
 }
 
-// Table returns the per-heuristic metrics in first-seen order.
+// Table returns the per-heuristic metrics in first-seen order (nil before
+// the first HeuristicEvent).
 func (mt *Metrics) Table() []HeuristicMetrics {
-	out := make([]HeuristicMetrics, 0, len(mt.order))
+	var out []HeuristicMetrics
 	for _, name := range mt.order {
 		out = append(out, *mt.byName[name])
 	}

@@ -24,8 +24,9 @@ import "time"
 
 // Event is one observation from the minimization pipeline. The concrete
 // types below are the full set; Kind returns the stable identifier used as
-// the "ev" discriminator in JSONL traces (see docs/ARCHITECTURE.md for the
-// wire schema).
+// the "ev" discriminator in JSONL traces. Their JSON tags are the wire
+// schema (docs/ARCHITECTURE.md tabulates it): a Duration is "ns" and is
+// omitted unless a sink asks for timings.
 type Event interface {
 	Kind() string
 }
@@ -43,10 +44,12 @@ type Tracer interface {
 // i-cover [f, c] at that boundary; for a close event the difference
 // against the matching open event is the window's total yield.
 type WindowEvent struct {
-	Phase  string // "open" or "close"
-	Lo, Hi int    // level range of the window, inclusive
-	FSize  int    // nodes in the function part
-	CSize  int    // nodes in the care part
+	Phase string `json:"phase"` // "open" or "close"
+	// Lo and Hi bound the window's level range, inclusive.
+	Lo    int `json:"lo"`
+	Hi    int `json:"hi"`
+	FSize int `json:"f_size"` // nodes in the function part
+	CSize int `json:"c_size"` // nodes in the care part
 }
 
 // Kind implements Event.
@@ -59,15 +62,15 @@ func (WindowEvent) Kind() string { return "window" }
 // paper's never-increase safeguard (OutSize ≤ InSize); NodesSaved in the
 // metrics table is InSize − OutSize summed where positive.
 type HeuristicEvent struct {
-	Name      string // heuristic or step name, e.g. "osm_bt", "sib_tsm"
-	Criterion string // matching criterion: "osdm", "osm", "tsm" ("" if mixed)
-	Benchmark string // harness benchmark name ("" outside the harness)
-	Call      int    // harness call sequence number (0 outside the harness)
-	InSize    int    // |f| before
-	OutSize   int    // |g| after
-	Matches   int    // sibling/level matches applied (0 when unknown)
-	Accepted  bool   // OutSize ≤ InSize
-	Duration  time.Duration
+	Name      string        `json:"name"`                // heuristic or step name, e.g. "osm_bt", "sib_tsm"
+	Criterion string        `json:"criterion,omitempty"` // matching criterion: "osdm", "osm", "tsm" ("" if mixed)
+	Benchmark string        `json:"benchmark,omitempty"` // harness benchmark name ("" outside the harness)
+	Call      int           `json:"call,omitempty"`      // harness call sequence number (0 outside the harness)
+	InSize    int           `json:"in_size"`             // |f| before
+	OutSize   int           `json:"out_size"`            // |g| after
+	Matches   int           `json:"matches"`             // sibling/level matches applied (0 when unknown)
+	Accepted  bool          `json:"accepted"`            // OutSize ≤ InSize
+	Duration  time.Duration `json:"ns,omitempty"`
 }
 
 // Kind implements Event.
@@ -78,15 +81,15 @@ func (HeuristicEvent) Kind() string { return "heuristic" }
 // functions cut at Level, and how much of it was used. Cliques is zero for
 // OSM, where the exact DMG solution replaces clique covering.
 type LevelMatchEvent struct {
-	Level     int
-	Criterion string // "osm" or "tsm"
-	Pairs     int    // vertices: collected [f_j, c_j] pairs
-	Edges     int    // matching-graph edges
-	Cliques   int    // cliques in the TSM cover (0 for OSM)
-	Replaced  int    // pairs replaced by an i-cover
-	Pruned    int    // candidate pairs rejected by the signature filter
-	Aborted   bool   // round cut short by a budget abort; result discarded
-	Duration  time.Duration
+	Level     int           `json:"level"`
+	Criterion string        `json:"criterion"`         // "osm" or "tsm"
+	Pairs     int           `json:"pairs"`             // vertices: collected [f_j, c_j] pairs
+	Edges     int           `json:"edges"`             // matching-graph edges
+	Cliques   int           `json:"cliques"`           // cliques in the TSM cover (0 for OSM)
+	Replaced  int           `json:"replaced"`          // pairs replaced by an i-cover
+	Pruned    int           `json:"pruned"`            // candidate pairs rejected by the signature filter
+	Aborted   bool          `json:"aborted,omitempty"` // round cut short by a budget abort; result discarded
+	Duration  time.Duration `json:"ns,omitempty"`
 }
 
 // Kind implements Event.
@@ -95,18 +98,21 @@ func (LevelMatchEvent) Kind() string { return "levelmatch" }
 // CacheOpStats mirrors bdd.CacheOpStats: one operation's computed-cache
 // counters. Redeclared here so the event schema is self-contained.
 type CacheOpStats struct {
-	Op                      string
-	Hits, Misses, Evictions uint64
+	Op        string `json:"op"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
 }
 
 // CacheEvent snapshots the computed-cache counters since the last flush,
 // typically per heuristic run (the harness flushes between heuristics, so
-// the snapshot isolates one heuristic's cache behavior).
+// the snapshot isolates one heuristic's cache behavior). A nil Ops encodes
+// as an empty "ops" array.
 type CacheEvent struct {
-	Benchmark string
-	Call      int
-	Scope     string // what the snapshot covers, e.g. a heuristic name
-	Ops       []CacheOpStats
+	Benchmark string         `json:"benchmark,omitempty"`
+	Call      int            `json:"call,omitempty"`
+	Scope     string         `json:"scope,omitempty"` // what the snapshot covers, e.g. a heuristic name
+	Ops       []CacheOpStats `json:"ops"`
 }
 
 // Kind implements Event.
@@ -115,10 +121,10 @@ func (CacheEvent) Kind() string { return "cache" }
 // GCEvent snapshots the manager's node accounting: live nodes, cumulative
 // GC runs and cumulative nodes made. The harness emits one per benchmark.
 type GCEvent struct {
-	Benchmark string
-	Live      int
-	Runs      int
-	NodesMade uint64
+	Benchmark string `json:"benchmark,omitempty"`
+	Live      int    `json:"live"`
+	Runs      int    `json:"runs"`
+	NodesMade uint64 `json:"nodes_made"`
 }
 
 // Kind implements Event.
@@ -126,8 +132,8 @@ func (GCEvent) Kind() string { return "gc" }
 
 // BenchmarkEvent brackets one harness benchmark run ("start"/"end").
 type BenchmarkEvent struct {
-	Name  string
-	Phase string // "start" or "end"
+	Name  string `json:"name"`
+	Phase string `json:"phase"` // "start" or "end"
 }
 
 // Kind implements Event.
@@ -136,10 +142,10 @@ func (BenchmarkEvent) Kind() string { return "benchmark" }
 // CallEvent reports one intercepted minimization instance in the harness,
 // before its heuristic events. COnsetPct is the paper's c_onset_size.
 type CallEvent struct {
-	Benchmark string
-	Call      int
-	COnsetPct float64
-	FSize     int
+	Benchmark string  `json:"benchmark,omitempty"`
+	Call      int     `json:"call"`
+	COnsetPct float64 `json:"c_onset_pct"`
+	FSize     int     `json:"f_size"`
 }
 
 // Kind implements Event.
@@ -151,11 +157,11 @@ func (CallEvent) Kind() string { return "call" }
 // count of the cover actually returned (never larger than the input, by the
 // Proposition 6 comparison safeguard).
 type AbortEvent struct {
-	Benchmark string // harness benchmark name ("" outside the harness)
-	Name      string // heuristic or pipeline stage that aborted
-	Reason    string // bdd.AbortReason: live-nodes, nodes-made, deadline, context, fault
-	Phase     string // where in the driver the abort hit, e.g. "level 12", "window sib_osm"
-	BestSize  int    // node count of the degraded result returned
+	Benchmark string `json:"benchmark,omitempty"` // harness benchmark name ("" outside the harness)
+	Name      string `json:"name,omitempty"`      // heuristic or pipeline stage that aborted
+	Reason    string `json:"reason"`              // bdd.AbortReason: live-nodes, nodes-made, deadline, context, fault
+	Phase     string `json:"phase,omitempty"`     // where in the driver the abort hit, e.g. "level 12", "window sib_osm"
+	BestSize  int    `json:"best_size"`           // node count of the degraded result returned
 }
 
 // Kind implements Event.
@@ -170,15 +176,15 @@ func (AbortEvent) Kind() string { return "abort" }
 // Queue is the bounded-queue depth observed at the transition — the
 // server's backpressure signal.
 type ServeEvent struct {
-	Phase     string // "accepted", "started", "degraded", "finished", "rejected", "cache_hit"
-	ID        uint64 // server-assigned request id
-	Shard     int    // worker index (execution phases; -1 before placement)
-	Format    string // input format: "spec", "pla" or "blif"
-	Heuristic string
-	Queue     int    // queue depth at the transition
-	Status    int    // HTTP status (finished/rejected phases)
-	Reason    string // rejection cause or budget abort reason
-	Duration  time.Duration
+	Phase     string        `json:"phase"`            // "accepted", "started", "degraded", "finished", "rejected", "cache_hit"
+	ID        uint64        `json:"id"`               // server-assigned request id
+	Shard     int           `json:"shard"`            // worker index (execution phases; -1 before placement)
+	Format    string        `json:"format,omitempty"` // input format: "spec", "pla" or "blif"
+	Heuristic string        `json:"heuristic,omitempty"`
+	Queue     int           `json:"queue,omitempty"`  // queue depth at the transition
+	Status    int           `json:"status,omitempty"` // HTTP status (finished/rejected phases)
+	Reason    string        `json:"reason,omitempty"` // rejection cause or budget abort reason
+	Duration  time.Duration `json:"ns,omitempty"`
 }
 
 // Kind implements Event.
@@ -203,16 +209,16 @@ type RouteEvent struct {
 	// Phase is one of "forwarded", "failover", "hedge", "skipped",
 	// "breaker-open", "deadline-exceeded", "error", "ejected",
 	// "readmitted".
-	Phase   string
-	Backend string // backend base URL the transition concerns
-	Key     uint64 // consistent-hash placement key (0 for health events)
-	Attempt int    // 1-based forwarding attempt within the request
-	Status  int    // backend HTTP status (forwarding phases, 0 on transport error)
+	Phase   string `json:"phase"`
+	Backend string `json:"backend,omitempty"` // backend base URL the transition concerns
+	Key     uint64 `json:"key,omitempty"`     // consistent-hash placement key (0 for health events)
+	Attempt int    `json:"attempt,omitempty"` // 1-based forwarding attempt within the request
+	Status  int    `json:"status,omitempty"`  // backend HTTP status (forwarding phases, 0 on transport error)
 	// Reason is the failover/ejection/breaker cause, e.g. "connect",
 	// "timeout", "truncated", "corrupt", "5xx", "drain-503",
 	// "retry-budget", "breaker-open", "probe".
-	Reason   string
-	Duration time.Duration
+	Reason   string        `json:"reason,omitempty"`
+	Duration time.Duration `json:"ns,omitempty"`
 }
 
 // Kind implements Event.
@@ -225,26 +231,26 @@ func (RouteEvent) Kind() string { return "route" }
 // local cover sizes; sweep events carry the network-level trajectory the
 // convergence loop monitors; the miter event carries the verdict.
 type NetworkEvent struct {
-	Phase string // "node", "sweep" or "miter"
-	Node  string // target node name (node phase)
-	Sweep int    // 1-based sweep number (node and sweep phases)
+	Phase string `json:"phase"`           // "node", "sweep" or "miter"
+	Node  string `json:"node,omitempty"`  // target node name (node phase)
+	Sweep int    `json:"sweep,omitempty"` // 1-based sweep number (node and sweep phases)
 	// WindowInputs is the number of free boundary variables of the node's
 	// window; InSize and OutSize are the local cover's BDD sizes before and
 	// after minimization (node phase).
-	WindowInputs int
-	InSize       int
-	OutSize      int
+	WindowInputs int `json:"window_inputs,omitempty"`
+	InSize       int `json:"in_size,omitempty"`
+	OutSize      int `json:"out_size,omitempty"`
 	// Cost and Nodes are the network cost (Σ local BDD sizes) and internal
 	// node count after the phase; Rewrites counts accepted substitutions in
 	// the sweep (sweep phase).
-	Cost     int
-	Nodes    int
-	Rewrites int
+	Cost     int `json:"cost,omitempty"`
+	Nodes    int `json:"nodes,omitempty"`
+	Rewrites int `json:"rewrites,omitempty"`
 	// Accepted reports an applied substitution (node phase) or a passing
 	// equivalence check (miter phase); Aborted marks a per-node budget trip.
-	Accepted bool
-	Aborted  bool
-	Duration time.Duration
+	Accepted bool          `json:"accepted,omitempty"`
+	Aborted  bool          `json:"aborted,omitempty"`
+	Duration time.Duration `json:"ns,omitempty"`
 }
 
 // Kind implements Event.

@@ -86,43 +86,80 @@ func TestMetricsAggregation(t *testing.T) {
 	}
 }
 
-// Every event kind must serialize to one valid JSON object per line with
-// the "ev" discriminator, and omit "ns" unless Timings is set.
+// TestJSONLAllEventKinds pins the JSONL bytes of every event kind: key
+// names, key order and the keys omitempty drops. Each kind appears with
+// every field set and as its zero value; "ns" appears only with Timings on.
 func TestJSONLAllEventKinds(t *testing.T) {
-	events := []Event{
-		WindowEvent{Phase: "open", Lo: 0, Hi: 3, FSize: 10, CSize: 4},
-		HeuristicEvent{Name: "osm_bt", Criterion: "osm", InSize: 10, OutSize: 7, Matches: 2, Accepted: true, Duration: time.Millisecond},
-		LevelMatchEvent{Level: 2, Criterion: "tsm", Pairs: 5, Edges: 4, Cliques: 2, Replaced: 3, Pruned: 6, Duration: time.Millisecond},
-		CacheEvent{Scope: "osm_bt", Ops: []CacheOpStats{{Op: "ite", Hits: 1, Misses: 2, Evictions: 0}}},
-		GCEvent{Benchmark: "tlc", Live: 100, Runs: 2, NodesMade: 500},
-		BenchmarkEvent{Name: "tlc", Phase: "start"},
-		CallEvent{Benchmark: "tlc", Call: 1, COnsetPct: 3.5, FSize: 42},
-		AbortEvent{Name: "opt_lv", Reason: "deadline", Phase: "level 3", BestSize: 12},
-		ServeEvent{Phase: "finished", ID: 7, Shard: 1, Format: "pla", Heuristic: "osm_bt", Queue: 2, Status: 200, Duration: time.Millisecond},
+	const d = 1500 * time.Nanosecond
+	// Buffer copies an empty Ops slice to nil; "ops" must stay an array.
+	var replayed Buffer
+	replayed.Emit(CacheEvent{Scope: "const", Ops: []CacheOpStats{}})
+	cases := []struct {
+		ev   Event
+		want string // with Timings on; off drops `,"ns":1500`
+	}{
+		{WindowEvent{Phase: "open", Lo: 1, Hi: 3, FSize: 10, CSize: 4},
+			`{"ev":"window","phase":"open","lo":1,"hi":3,"f_size":10,"c_size":4}`},
+		{WindowEvent{}, `{"ev":"window","phase":"","lo":0,"hi":0,"f_size":0,"c_size":0}`},
+		{HeuristicEvent{Name: "osm_bt", Criterion: "osm", Benchmark: "tlc", Call: 2, InSize: 10, OutSize: 7, Matches: 2, Accepted: true, Duration: d},
+			`{"ev":"heuristic","name":"osm_bt","criterion":"osm","benchmark":"tlc","call":2,"in_size":10,"out_size":7,"matches":2,"accepted":true,"ns":1500}`},
+		{HeuristicEvent{}, `{"ev":"heuristic","name":"","in_size":0,"out_size":0,"matches":0,"accepted":false}`},
+		{LevelMatchEvent{Level: 2, Criterion: "tsm", Pairs: 5, Edges: 4, Cliques: 2, Replaced: 3, Pruned: 6, Aborted: true, Duration: d},
+			`{"ev":"levelmatch","level":2,"criterion":"tsm","pairs":5,"edges":4,"cliques":2,"replaced":3,"pruned":6,"aborted":true,"ns":1500}`},
+		{LevelMatchEvent{}, `{"ev":"levelmatch","level":0,"criterion":"","pairs":0,"edges":0,"cliques":0,"replaced":0,"pruned":0}`},
+		{CacheEvent{Benchmark: "tlc", Call: 2, Scope: "osm_bt", Ops: []CacheOpStats{{Op: "ite", Hits: 1, Misses: 2, Evictions: 3}}},
+			`{"ev":"cache","benchmark":"tlc","call":2,"scope":"osm_bt","ops":[{"op":"ite","hits":1,"misses":2,"evictions":3}]}`},
+		{CacheEvent{}, `{"ev":"cache","ops":[]}`},
+		{replayed.Events[0], `{"ev":"cache","scope":"const","ops":[]}`},
+		{GCEvent{Benchmark: "tlc", Live: 100, Runs: 2, NodesMade: 500},
+			`{"ev":"gc","benchmark":"tlc","live":100,"runs":2,"nodes_made":500}`},
+		{GCEvent{}, `{"ev":"gc","live":0,"runs":0,"nodes_made":0}`},
+		{BenchmarkEvent{Name: "tlc", Phase: "start"}, `{"ev":"benchmark","name":"tlc","phase":"start"}`},
+		{BenchmarkEvent{}, `{"ev":"benchmark","name":"","phase":""}`},
+		{CallEvent{Benchmark: "tlc", Call: 1, COnsetPct: 3.5, FSize: 42},
+			`{"ev":"call","benchmark":"tlc","call":1,"c_onset_pct":3.5,"f_size":42}`},
+		{CallEvent{}, `{"ev":"call","call":0,"c_onset_pct":0,"f_size":0}`},
+		{AbortEvent{Benchmark: "tlc", Name: "opt_lv", Reason: "deadline", Phase: "level 3", BestSize: 12},
+			`{"ev":"abort","benchmark":"tlc","name":"opt_lv","reason":"deadline","phase":"level 3","best_size":12}`},
+		{AbortEvent{}, `{"ev":"abort","reason":"","best_size":0}`},
+		{ServeEvent{Phase: "finished", ID: 7, Shard: 1, Format: "pla", Heuristic: "osm_bt", Queue: 2, Status: 200, Reason: "deadline", Duration: d},
+			`{"ev":"serve","phase":"finished","id":7,"shard":1,"format":"pla","heuristic":"osm_bt","queue":2,"status":200,"reason":"deadline","ns":1500}`},
+		{ServeEvent{}, `{"ev":"serve","phase":"","id":0,"shard":0}`},
+		{RouteEvent{Phase: "failover", Backend: "http://b1", Key: 42, Attempt: 2, Status: 503, Reason: "drain-503", Duration: d},
+			`{"ev":"route","phase":"failover","backend":"http://b1","key":42,"attempt":2,"status":503,"reason":"drain-503","ns":1500}`},
+		{RouteEvent{}, `{"ev":"route","phase":""}`},
+		{NetworkEvent{Phase: "node", Node: "n1", Sweep: 1, WindowInputs: 3, InSize: 5, OutSize: 4, Cost: 9, Nodes: 6, Rewrites: 1, Accepted: true, Aborted: true, Duration: d},
+			`{"ev":"network","phase":"node","node":"n1","sweep":1,"window_inputs":3,"in_size":5,"out_size":4,"cost":9,"nodes":6,"rewrites":1,"accepted":true,"aborted":true,"ns":1500}`},
+		{NetworkEvent{}, `{"ev":"network","phase":""}`},
 	}
-	var buf bytes.Buffer
-	sink := NewJSONL(&buf)
-	for _, ev := range events {
-		sink.Emit(ev)
-	}
-	if err := sink.Err(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != len(events) {
-		t.Fatalf("want %d lines, got %d", len(events), len(lines))
-	}
-	for i, line := range lines {
-		var obj map[string]any
-		if err := json.Unmarshal([]byte(line), &obj); err != nil {
-			t.Fatalf("line %d invalid JSON: %v\n%s", i, err, line)
+	kinds := map[string]bool{}
+	for _, timings := range []bool{false, true} {
+		var buf bytes.Buffer
+		sink := NewJSONL(&buf)
+		sink.Timings = timings
+		for _, c := range cases {
+			sink.Emit(c.ev)
+			kinds[c.ev.Kind()] = true
 		}
-		if obj["ev"] != events[i].Kind() {
-			t.Fatalf("line %d: ev = %v, want %s", i, obj["ev"], events[i].Kind())
+		if err := sink.Err(); err != nil {
+			t.Fatal(err)
 		}
-		if _, hasNs := obj["ns"]; hasNs {
-			t.Fatalf("line %d: ns present without Timings", i)
+		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		if len(lines) != len(cases) {
+			t.Fatalf("timings=%v: %d lines for %d events", timings, len(lines), len(cases))
 		}
+		for i, c := range cases {
+			want := c.want
+			if !timings {
+				want = strings.Replace(want, `,"ns":1500`, "", 1)
+			}
+			if lines[i] != want {
+				t.Errorf("timings=%v, %T:\n got %s\nwant %s", timings, c.ev, lines[i], want)
+			}
+		}
+	}
+	if len(kinds) != len(knownKinds) {
+		t.Fatalf("cases cover %d event kinds, the schema has %d", len(kinds), len(knownKinds))
 	}
 }
 

@@ -1,6 +1,10 @@
 package serve
 
-import "encoding/json"
+import (
+	"encoding/json"
+
+	"bddmin/internal/obs"
+)
 
 // Wire schema of the bddmind HTTP/JSON API. Documented in
 // docs/ARCHITECTURE.md; the request format discriminator matches
@@ -180,17 +184,6 @@ type LatencySnapshot struct {
 	Buckets []LatencyBucket `json:"buckets"`
 }
 
-// HeuristicStats is the per-heuristic row of GET /metrics, aggregated from
-// the pipeline's obs.HeuristicEvent stream across all shards.
-type HeuristicStats struct {
-	Name         string  `json:"name"`
-	Applications int     `json:"applications"`
-	Accepted     int     `json:"accepted"`
-	Wins         int     `json:"wins"`
-	NodesSaved   int64   `json:"nodes_saved"`
-	TotalNs      float64 `json:"total_ns"`
-}
-
 // CacheSnapshot is the result-cache section of GET /metrics. ReqHits are
 // requests answered from the cache at admission.
 type CacheSnapshot struct {
@@ -207,12 +200,14 @@ type CacheSnapshot struct {
 
 // MetricsSnapshot is the body of GET /metrics.
 type MetricsSnapshot struct {
-	UptimeNs   int64            `json:"uptime_ns"`
-	Shards     []ShardSnapshot  `json:"shards"`
-	QueueDepth int              `json:"queue_depth"`
-	QueueCap   int              `json:"queue_cap"`
-	Counters   CounterSnapshot  `json:"counters"`
-	Cache      CacheSnapshot    `json:"cache"`
-	Latency    LatencySnapshot  `json:"latency"`
-	Heuristics []HeuristicStats `json:"heuristics"`
+	UptimeNs   int64           `json:"uptime_ns"`
+	Shards     []ShardSnapshot `json:"shards"`
+	QueueDepth int             `json:"queue_depth"`
+	QueueCap   int             `json:"queue_cap"`
+	Counters   CounterSnapshot `json:"counters"`
+	Cache      CacheSnapshot   `json:"cache"`
+	Latency    LatencySnapshot `json:"latency"`
+	// Heuristics is the per-heuristic table, aggregated from the pipeline's
+	// obs.HeuristicEvent stream across all shards.
+	Heuristics []obs.HeuristicMetrics `json:"heuristics"`
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"bddmin/internal/obs"
 	"bddmin/internal/problem"
 )
 
@@ -55,6 +56,37 @@ func TestRequestCacheHit(t *testing.T) {
 	}
 	if got := s.counters.accepted.Load(); got != 2 {
 		t.Fatalf("accepted = %d, want 2 (the hit never entered the queue)", got)
+	}
+}
+
+// TestHeuristicAliasIsOneKey: core.ByName resolves "sched" and
+// "sched_w4_s0" to the same Scheduler, so the two names share one cache
+// entry, and every serve event names the heuristic the response reports.
+func TestHeuristicAliasIsOneKey(t *testing.T) {
+	var trace obs.Buffer
+	s, c := newTestServer(t, Config{Shards: 1, CacheEntries: 16, Trace: &trace})
+	p := mustProblem(t, problem.KindSpec, testSpec, 0, "")
+	first := mustMinimize(t, c, RequestFor(p, "sched"))
+	second := mustMinimize(t, c, RequestFor(p, "sched_w4_s0"))
+	if !second.Cached || second.Shard != -1 {
+		t.Fatalf("alias of a cached heuristic: cached=%v shard=%d, want a hit (shard -1)", second.Cached, second.Shard)
+	}
+	if cs := cacheMetrics(t, c); cs.Entries != 1 {
+		t.Fatalf("cache holds %d entries, want 1", cs.Entries)
+	}
+	s.obsMu.Lock()
+	defer s.obsMu.Unlock()
+	named := map[string]bool{}
+	for _, ev := range trace.Events {
+		if se, ok := ev.(obs.ServeEvent); ok && se.Heuristic != "" {
+			named[se.Phase] = true
+			if se.Heuristic != first.Heuristic {
+				t.Errorf("%s event names %q, the response %q", se.Phase, se.Heuristic, first.Heuristic)
+			}
+		}
+	}
+	if !named["accepted"] || !named["cache_hit"] {
+		t.Fatalf("trace lacks a named accepted or cache_hit event: %v", named)
 	}
 }
 

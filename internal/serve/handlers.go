@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"bddmin/internal/core"
@@ -13,7 +14,7 @@ import (
 	"bddmin/internal/problem"
 )
 
-// maxRequestBody bounds POST /minimize bodies (PLA/BLIF sources are text;
+// maxRequestBody bounds job request bodies (PLA/BLIF sources are text;
 // 8 MiB is far beyond any realistic netlist this engine can chew).
 const maxRequestBody = 8 << 20
 
@@ -39,7 +40,8 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 
 // reject finishes an unadmitted request: counter, lifecycle event, error
 // body.
-func (s *Server) reject(w http.ResponseWriter, id uint64, status int, reason string, body ErrorResponse) {
+func (s *Server) reject(w http.ResponseWriter, id uint64, counter *atomic.Uint64, status int, reason string, body ErrorResponse) {
+	counter.Add(1)
 	s.emitServe(obs.ServeEvent{
 		Phase: "rejected", ID: id, Shard: -1, Status: status,
 		Reason: reason, Queue: len(s.queue),
@@ -47,66 +49,86 @@ func (s *Server) reject(w http.ResponseWriter, id uint64, status int, reason str
 	writeJSON(w, status, body)
 }
 
-// handleMinimize is the admission path: parse, validate, consult the
-// result cache (a hit never consumes a queue slot), map limits onto a
-// budget, try the bounded queue, then wait for the shard's response.
-func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
+// job is a decoded request as its endpoint parsed it: what admission checks
+// the same way for every endpoint, and the run function a shard executes.
+type job struct {
+	format string // input format label of the serve events
+	// width is the instance's variable count or the network's input count;
+	// tooWide formats the start of the 413 message for a width over
+	// MaxVars, e.g. "network has %d inputs".
+	width   int
+	tooWide string
+	// prob makes the job cacheable: the result cache keys on the heuristic
+	// and prob.CanonicalKey(). Nil for jobs that are never cached.
+	prob        *problem.Problem
+	heuristic   string
+	budgetNodes uint64
+	timeoutMs   int
+	trace       bool
+	run         func(w *worker, t *task) reply
+}
+
+// handleJob is the admission path of every job endpoint: POST only, a
+// bounded decode of the body into req, parse, the width and heuristic
+// checks, the result cache (a hit never consumes a queue slot), the request
+// budget, the bounded queue, then the wait for the shard's reply. failed is
+// the error body of a job that fails on its shard.
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, req any, failed string, parse func() (job, error)) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
 		return
 	}
 	id := s.nextID.Add(1)
-	var req MinimizeRequest
+	invalid := &s.counters.invalid
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err := dec.Decode(&req); err != nil {
-		s.counters.invalid.Add(1)
+	if err := dec.Decode(req); err != nil {
 		// An over-limit body is the client's mistake (413); anything else —
 		// malformed JSON or a connection that died mid-upload — is 400.
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			s.reject(w, id, http.StatusRequestEntityTooLarge, "too-large", ErrorResponse{Error: "request body too large"})
+			s.reject(w, id, invalid, http.StatusRequestEntityTooLarge, "too-large", ErrorResponse{Error: "request body too large"})
 			return
 		}
-		s.reject(w, id, http.StatusBadRequest, "bad-json", ErrorResponse{Error: fmt.Sprintf("invalid request body: %v", err)})
+		s.reject(w, id, invalid, http.StatusBadRequest, "bad-json", ErrorResponse{Error: fmt.Sprintf("invalid request body: %v", err)})
 		return
 	}
-	prob, err := problem.Parse(problem.Kind(req.Format), req.Input, req.Output, req.Node)
+	j, err := parse()
 	if err != nil {
-		s.counters.invalid.Add(1)
-		s.reject(w, id, http.StatusBadRequest, "bad-instance", ErrorResponse{Error: err.Error()})
+		s.reject(w, id, invalid, http.StatusBadRequest, "bad-instance", ErrorResponse{Error: err.Error()})
 		return
 	}
-	if prob.Vars > s.cfg.MaxVars {
-		s.counters.invalid.Add(1)
-		s.reject(w, id, http.StatusRequestEntityTooLarge, "too-large",
-			ErrorResponse{Error: fmt.Sprintf("instance has %d variables, server accepts at most %d", prob.Vars, s.cfg.MaxVars)})
+	if j.width > s.cfg.MaxVars {
+		s.reject(w, id, invalid, http.StatusRequestEntityTooLarge, "too-large",
+			ErrorResponse{Error: fmt.Sprintf(j.tooWide+", server accepts at most %d", j.width, s.cfg.MaxVars)})
 		return
 	}
-	name := req.Heuristic
+	name := j.heuristic
 	if name == "" {
 		name = "osm_bt"
 	}
 	heu := core.ByName(name)
 	if heu == nil {
-		s.counters.invalid.Add(1)
-		s.reject(w, id, http.StatusBadRequest, "bad-heuristic", ErrorResponse{Error: fmt.Sprintf("unknown heuristic %q", name)})
+		s.reject(w, id, invalid, http.StatusBadRequest, "bad-heuristic", ErrorResponse{Error: fmt.Sprintf("unknown heuristic %q", name)})
 		return
 	}
+	// Aliases such as "sched" resolve to one heuristic: the key and every
+	// event use its own name, the one the response reports.
+	name = heu.Name()
 	enq := time.Now()
 
 	// Front line: the result cache, keyed on the heuristic and the
 	// normalized instance (cache.go). Trace requests bypass it — their
 	// point is to observe a fresh run.
 	key := ""
-	if s.cache != nil && !req.Trace {
-		key = name + "|" + prob.CanonicalKey()
+	if s.cache != nil && j.prob != nil && !j.trace {
+		key = name + "|" + j.prob.CanonicalKey()
 		if stored := s.cache.get(key); stored != nil {
 			s.cache.reqHits.Add(1)
 			s.lat.observe(time.Since(enq).Nanoseconds())
 			s.emitServe(obs.ServeEvent{
 				Phase: "cache_hit", ID: id, Shard: -1,
-				Format: string(prob.Kind), Heuristic: name, Queue: len(s.queue),
+				Format: j.format, Heuristic: name, Queue: len(s.queue),
 			})
 			writeJSON(w, http.StatusOK, cachedResponse(stored, id))
 			return
@@ -115,45 +137,61 @@ func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
 
 	t := &task{
 		id:       id,
-		prob:     prob,
+		format:   j.format,
 		heu:      heu,
-		trace:    req.Trace,
-		nodesCap: clampNodes(req.BudgetNodes, s.cfg.MaxNodesPerRequest),
-		deadline: headerDeadline(r, deadlineFrom(s.timeoutFor(req.TimeoutMs))),
+		trace:    j.trace,
+		nodesCap: clampNodes(j.budgetNodes, s.cfg.MaxNodesPerRequest),
+		deadline: headerDeadline(r, deadlineFrom(s.timeoutFor(j.timeoutMs))),
 		ctx:      r.Context(),
 		enq:      enq,
-		resp:     make(chan *MinimizeResponse, 1),
+		run:      j.run,
+		done:     make(chan reply, 1),
 	}
 	switch s.enqueue(t) {
 	case drainRefused:
-		s.counters.drainRejects.Add(1)
-		s.reject(w, id, http.StatusServiceUnavailable, "draining", ErrorResponse{Error: "server is draining"})
+		s.reject(w, id, &s.counters.drainRejects, http.StatusServiceUnavailable, "draining", ErrorResponse{Error: "server is draining"})
 		return
 	case queueFull:
-		s.counters.rejected.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-		s.reject(w, id, http.StatusTooManyRequests, "queue-full",
+		s.reject(w, id, &s.counters.rejected, http.StatusTooManyRequests, "queue-full",
 			ErrorResponse{Error: "queue full, retry later", RetryAfterMs: s.cfg.RetryAfter.Milliseconds()})
 		return
 	}
 	s.counters.accepted.Add(1)
 	s.emitServe(obs.ServeEvent{
 		Phase: "accepted", ID: id, Shard: -1,
-		Format: string(prob.Kind), Heuristic: name, Queue: len(s.queue),
+		Format: j.format, Heuristic: name, Queue: len(s.queue),
 	})
-	resp := <-t.resp
+	resp := <-t.done
 	if resp == nil {
 		// Either the client vanished before the shard picked the job up,
 		// or the job failed internally; the counters already know which.
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "minimization failed"})
+		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: failed})
 		return
 	}
 	// Complete results only, so a degraded cover is never replayed to a
 	// later request.
-	if key != "" && !resp.Degraded {
-		s.cache.put(key, resp)
+	if m, ok := resp.(*MinimizeResponse); ok && key != "" && !m.Degraded {
+		s.cache.put(key, m)
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// handleMinimize admits one minimization job: a single instance in any of
+// the three input formats, minimized on a shard's private manager.
+func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
+	var req MinimizeRequest
+	s.handleJob(w, r, &req, "minimization failed", func() (job, error) {
+		prob, err := problem.Parse(problem.Kind(req.Format), req.Input, req.Output, req.Node)
+		if err != nil {
+			return job{}, err
+		}
+		return job{
+			format: string(prob.Kind), width: prob.Vars, tooWide: "instance has %d variables", prob: prob,
+			heuristic: req.Heuristic, budgetNodes: req.BudgetNodes, timeoutMs: req.TimeoutMs, trace: req.Trace,
+			run: func(w *worker, t *task) reply { return s.minimize(w, t, prob) },
+		}, nil
+	})
 }
 
 // clampNodes combines the request's node cap with the server-wide one:

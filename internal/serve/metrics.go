@@ -1,13 +1,9 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"math/bits"
 	"sync/atomic"
 	"time"
-
-	"bddmin/internal/obs"
 )
 
 // latencyHist is a lock-free log₂ histogram of end-to-end request
@@ -123,37 +119,7 @@ func (s *Server) metricsSnapshot() MetricsSnapshot {
 		})
 	}
 	s.obsMu.Lock()
-	for _, h := range s.heur.Table() {
-		snap.Heuristics = append(snap.Heuristics, HeuristicStats{
-			Name:         h.Name,
-			Applications: h.Applications,
-			Accepted:     h.Accepted,
-			Wins:         h.Wins,
-			NodesSaved:   h.NodesSaved,
-			TotalNs:      float64(h.Time.Nanoseconds()),
-		})
-	}
+	snap.Heuristics = s.heur.Table()
 	s.obsMu.Unlock()
 	return snap
-}
-
-// eventsJSON renders pipeline events in the JSONL wire schema, one raw
-// JSON object per event — the response-embedded form of a request trace.
-func eventsJSON(events []obs.Event) []json.RawMessage {
-	if len(events) == 0 {
-		return nil
-	}
-	var buf bytes.Buffer
-	sink := obs.NewJSONL(&buf)
-	for _, ev := range events {
-		sink.Emit(ev)
-	}
-	if sink.Err() != nil {
-		return nil
-	}
-	var out []json.RawMessage
-	for _, line := range bytes.Split(bytes.TrimRight(buf.Bytes(), "\n"), []byte("\n")) {
-		out = append(out, json.RawMessage(append([]byte(nil), line...)))
-	}
-	return out
 }

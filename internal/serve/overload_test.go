@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"bddmin/internal/core"
 	"bddmin/internal/problem"
 )
 
@@ -174,35 +173,6 @@ func TestDrainFinishesInFlight(t *testing.T) {
 	}
 	if got := s.counters.drainRejects.Load(); got != 1 {
 		t.Fatalf("drain-reject counter = %d, want 1", got)
-	}
-}
-
-// TestCanceledClientSkipped checks that a job whose client disconnected
-// while queued is skipped at the shard, not executed. The task is injected
-// directly with an already-canceled context — the deterministic equivalent
-// of an HTTP client that hung up in the queue (cancellation propagation
-// through net/http is asynchronous, so driving this over a socket races).
-func TestCanceledClientSkipped(t *testing.T) {
-	s, _ := newTestServer(t, Config{Shards: 1})
-	p := mustProblem(t, problem.KindSpec, testSpec, 0, "")
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	tk := &task{
-		id: 99, prob: p, heu: core.ByName("osm_bt"),
-		ctx: ctx, enq: time.Now(),
-		resp: make(chan *MinimizeResponse, 1),
-	}
-	if got := s.enqueue(tk); got != admitted {
-		t.Fatalf("enqueue = %v, want admitted", got)
-	}
-	if resp := <-tk.resp; resp != nil {
-		t.Fatalf("canceled task produced a response: %+v", resp)
-	}
-	if got := s.counters.canceled.Load(); got != 1 {
-		t.Fatalf("canceled counter = %d, want 1", got)
-	}
-	if got := s.counters.finished.Load(); got != 0 {
-		t.Fatalf("finished counter = %d, want 0", got)
 	}
 }
 

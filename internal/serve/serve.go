@@ -28,6 +28,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -36,7 +37,6 @@ import (
 
 	"bddmin/internal/bdd"
 	"bddmin/internal/core"
-	"bddmin/internal/logic"
 	"bddmin/internal/obs"
 	"bddmin/internal/problem"
 )
@@ -79,9 +79,8 @@ type Config struct {
 	CacheBytes   int64
 
 	// hookStart, when non-nil, runs on the worker goroutine at the top of
-	// each executed job, inside the job's panic recovery — a test-only
-	// synchronization and fault-injection point for the overload, drain
-	// and cache tests.
+	// every executed job of either endpoint, inside the job's panic
+	// recovery — a test-only synchronization and fault-injection point.
 	hookStart func(shard int, id uint64)
 }
 
@@ -110,25 +109,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// task is one admitted job on its way through the queue.
+// task is one admitted job on its way through the queue. Both endpoints
+// queue the same shape; only the run function differs.
 type task struct {
 	id       uint64
-	prob     *problem.Problem
+	format   string // input format label of the serve events
 	heu      core.Minimizer
 	trace    bool
 	nodesCap uint64
 	deadline time.Time
 	ctx      context.Context
 	enq      time.Time
-	resp     chan *MinimizeResponse // buffered; worker never blocks
+	// run executes the job on a shard and returns its body, nil on an
+	// internal failure.
+	run  func(w *worker, t *task) reply
+	done chan reply // buffered; worker never blocks
+}
 
-	// Network-job fields (POST /optimize-network); a non-nil netResp routes
-	// the task through executeNetwork instead of execute, and prob/resp stay
-	// nil. See network.go.
-	net      *logic.Network
-	netWidth int
-	netReq   *NetworkRequest
-	netResp  chan *NetworkResponse
+// reply is the 200 body of a job: *MinimizeResponse or *NetworkResponse.
+type reply interface {
+	// finish stamps the shard and the queue and run times on the body and
+	// reports whether the run degraded, with the abort reason.
+	finish(shard int, queue, run time.Duration) (degraded bool, reason string)
 }
 
 // worker is one shard: a goroutine with a private manager.
@@ -263,97 +265,100 @@ func (s *Server) emitServe(ev obs.ServeEvent) {
 func (s *Server) runWorker(w *worker) {
 	defer s.wg.Done()
 	for t := range s.queue {
-		if t.netResp != nil {
-			s.executeNetwork(w, t)
-		} else {
-			s.execute(w, t)
-		}
+		s.execute(w, t)
 	}
 }
 
-// execute runs one job on w's private manager and delivers the response.
-// The response channel is buffered, so delivery never blocks even when the
-// requesting client is gone.
+// execute runs one job on w and delivers its reply. The reply channel is
+// buffered, so delivery never blocks even when the requesting client is
+// gone.
 func (s *Server) execute(w *worker, t *task) {
 	// A client that disconnected while queued gets its work skipped; the
 	// budget context would abort it immediately anyway.
 	if t.ctx != nil && t.ctx.Err() != nil {
 		s.counters.canceled.Add(1)
-		t.resp <- nil
+		t.done <- nil
 		return
 	}
 	start := time.Now()
 	s.emitServe(obs.ServeEvent{
 		Phase: "started", ID: t.id, Shard: w.id,
-		Format: string(t.prob.Kind), Heuristic: t.heu.Name(), Queue: len(s.queue),
+		Format: t.format, Heuristic: t.heu.Name(), Queue: len(s.queue),
 	})
-	resp := s.runJob(w, t, start)
+	resp := s.run(w, t)
 	elapsed := time.Since(start)
 	w.jobs.Add(1)
 	w.busyNs.Add(elapsed.Nanoseconds())
-	// GC between jobs: nothing is protected, so everything the job built
-	// is reclaimed and the arena stats reflect the steady state.
-	w.m.GC()
-	w.vars.Store(int64(w.m.NumVars()))
-	w.live.Store(int64(w.m.NumNodes()))
-	w.made.Store(w.m.NodesMade())
-	if resp != nil {
-		resp.Shard = w.id
-		resp.QueueNs = start.Sub(t.enq).Nanoseconds()
-		resp.RunNs = elapsed.Nanoseconds()
-		total := time.Since(t.enq)
-		s.lat.observe(total.Nanoseconds())
-		s.counters.finished.Add(1)
-		if resp.Degraded {
-			s.counters.degraded.Add(1)
-			s.emitServe(obs.ServeEvent{
-				Phase: "degraded", ID: t.id, Shard: w.id, Reason: resp.AbortReason,
-			})
-		}
-		s.emitServe(obs.ServeEvent{
-			Phase: "finished", ID: t.id, Shard: w.id, Status: 200,
-			Queue: len(s.queue), Duration: total,
-		})
-	} else {
+	if resp == nil {
 		s.counters.failed.Add(1)
 		s.emitServe(obs.ServeEvent{
 			Phase: "finished", ID: t.id, Shard: w.id, Status: 500, Queue: len(s.queue),
 		})
+		t.done <- nil
+		return
 	}
-	t.resp <- resp
+	degraded, reason := resp.finish(w.id, start.Sub(t.enq), elapsed)
+	total := time.Since(t.enq)
+	s.lat.observe(total.Nanoseconds())
+	s.counters.finished.Add(1)
+	if degraded {
+		s.counters.degraded.Add(1)
+		s.emitServe(obs.ServeEvent{Phase: "degraded", ID: t.id, Shard: w.id, Reason: reason})
+	}
+	s.emitServe(obs.ServeEvent{
+		Phase: "finished", ID: t.id, Shard: w.id, Status: 200,
+		Queue: len(s.queue), Duration: total,
+	})
+	t.done <- resp
 }
 
-// runJob builds the instance, minimizes it under the request budget, and
-// serializes the result. A nil return is an internal failure (kernel
-// panic, non-cover); the manager is rebuilt so the shard stays healthy.
-func (s *Server) runJob(w *worker, t *task, start time.Time) (resp *MinimizeResponse) {
+// run calls t's run function. A panic is an internal failure (nil reply)
+// that must not take the shard down, and a possibly corrupt arena must not
+// serve the next job, so the shard's manager is rebuilt.
+func (s *Server) run(w *worker, t *task) (resp reply) {
 	defer func() {
 		if r := recover(); r != nil {
-			// A kernel invariant violation must not take the shard down,
-			// and a possibly-corrupt arena must not serve the next job.
 			w.m = bdd.New(1)
 			resp = nil
 		}
 	}()
 	if s.cfg.hookStart != nil {
 		// Inside the recovery on purpose: an injected panic here exercises
-		// the shard-failure path of the cache tests.
+		// the shard-failure path.
 		s.cfg.hookStart(w.id, t.id)
 	}
-	for w.m.NumVars() < t.prob.Vars {
-		w.m.AddVar()
+	return t.run(w, t)
+}
+
+// minimize is the run function of a /minimize job. The shard's manager is
+// garbage-collected after every job: nothing is protected, so everything
+// the job built is reclaimed and the arena stats reflect the steady state.
+func (s *Server) minimize(w *worker, t *task, prob *problem.Problem) reply {
+	resp := s.cover(w.m, t, prob)
+	w.m.GC()
+	w.vars.Store(int64(w.m.NumVars()))
+	w.live.Store(int64(w.m.NumNodes()))
+	w.made.Store(w.m.NodesMade())
+	return resp
+}
+
+// cover builds prob on m, minimizes it under the request budget, and
+// serializes the result. A nil return is an internal failure (a build
+// error or a non-cover).
+func (s *Server) cover(m *bdd.Manager, t *task, prob *problem.Problem) reply {
+	for m.NumVars() < prob.Vars {
+		m.AddVar()
 	}
-	m := w.m
-	in, err := t.prob.Build(m)
+	in, err := prob.Build(m)
 	if err != nil {
 		return nil
 	}
-	resp = &MinimizeResponse{
+	resp := &MinimizeResponse{
 		ID:        t.id,
-		Format:    string(t.prob.Kind),
+		Format:    t.format,
 		Heuristic: t.heu.Name(),
-		Vars:      t.prob.Vars,
-		Node:      t.prob.Node,
+		Vars:      prob.Vars,
+		Node:      prob.Node,
 		InputSize: m.Size(in.F),
 	}
 	var g bdd.Ref
@@ -373,7 +378,7 @@ func (s *Server) runJob(w *worker, t *task, start time.Time) (resp *MinimizeResp
 			resp.AbortPhase = ab.Phase
 			s.counters.aborts.Add(1)
 		}
-		s.recordTrace(t, buf, resp)
+		resp.Trace = s.recordTrace(t, buf)
 	}
 	if !in.Cover(m, g) {
 		return nil
@@ -385,10 +390,16 @@ func (s *Server) runJob(w *worker, t *task, start time.Time) (resp *MinimizeResp
 	}
 	resp.Cover = cover.String()
 	resp.CoverVars = m.NumVars()
-	if t.prob.Vars <= SpecEchoVars {
-		resp.Spec = core.FormatSpec(m, core.ISF{F: g, C: bdd.One}, t.prob.Vars)
+	if prob.Vars <= SpecEchoVars {
+		resp.Spec = core.FormatSpec(m, core.ISF{F: g, C: bdd.One}, prob.Vars)
 	}
 	return resp
+}
+
+// finish implements reply.
+func (r *MinimizeResponse) finish(shard int, queue, run time.Duration) (bool, string) {
+	r.Shard, r.QueueNs, r.RunNs = shard, queue.Nanoseconds(), run.Nanoseconds()
+	return r.Degraded, r.AbortReason
 }
 
 // budgetFor maps the request's admission-controlled limits onto a kernel
@@ -406,17 +417,27 @@ func (s *Server) budgetFor(t *task) *bdd.Budget {
 	return b
 }
 
-// recordTrace folds the request's buffered pipeline events into the shared
-// per-heuristic metrics and the server trace, and renders them into the
-// response when the client asked for its trace.
-func (s *Server) recordTrace(t *task, buf *obs.Buffer, resp *MinimizeResponse) {
+// recordTrace folds a job's buffered pipeline events into the shared
+// per-heuristic metrics and the server trace, and returns them for the
+// response when the client asked for its trace: one JSON object per event,
+// as obs.JSONL writes them without timings.
+func (s *Server) recordTrace(t *task, buf *obs.Buffer) []json.RawMessage {
 	s.obsMu.Lock()
 	buf.ReplayTo(&s.heur)
 	if s.cfg.Trace != nil {
 		buf.ReplayTo(s.cfg.Trace)
 	}
 	s.obsMu.Unlock()
-	if t.trace {
-		resp.Trace = eventsJSON(buf.Events)
+	if !t.trace {
+		return nil
 	}
+	var out []json.RawMessage
+	for _, ev := range buf.Events {
+		b, err := obs.MarshalEvent(ev, false)
+		if err != nil {
+			return nil
+		}
+		out = append(out, b)
+	}
+	return out
 }

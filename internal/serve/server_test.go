@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -215,51 +217,205 @@ func TestOldClientWorkersFieldIgnored(t *testing.T) {
 	}
 }
 
-func TestAdmissionErrors(t *testing.T) {
-	_, c := newTestServer(t, Config{Shards: 1, MaxVars: 4})
-	post := func(body string) (int, ErrorResponse) {
-		t.Helper()
-		res, err := c.HTTP.Post(c.Base+"/minimize", "application/json", strings.NewReader(body))
+// jobEndpoint is one job route for the admission table, with request
+// bodies by case name; "ok" is a valid job within MaxVars 3.
+type jobEndpoint struct {
+	path   string
+	failed string // the 500 error body
+	bodies map[string]string
+}
+
+func jobEndpoints(t *testing.T) []jobEndpoint {
+	net := func(input, heuristic string) string {
+		b, err := json.Marshal(NetworkRequest{Input: input, Heuristic: heuristic})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer res.Body.Close()
-		var eb ErrorResponse
-		_ = json.NewDecoder(res.Body).Decode(&eb)
-		return res.StatusCode, eb
+		return string(b)
+	}
+	wideNet := ".model w\n.inputs a b c d\n.outputs f\n.names a b c d f\n1111 1\n.end\n"
+	huge := `{"input":"` + strings.Repeat("x", maxRequestBody) + `"}`
+	return []jobEndpoint{
+		{"/minimize", "minimization failed", map[string]string{
+			"ok":             `{"format":"spec","input":"` + testSpec + `"}`,
+			"body-too-large": huge,
+			"bad-json":       "{not json",
+			"bad-instance":   `{"format":"spec","input":"xx"}`,
+			"bad-format":     `{"format":"vhdl","input":"01"}`,
+			"bad-heuristic":  `{"format":"spec","input":"01 10","heuristic":"magic"}`,
+			"too-large":      `{"format":"spec","input":"` + strings.Repeat("d", 16) + `"}`,
+		}},
+		{"/optimize-network", "network optimization failed", map[string]string{
+			"ok":             net(testNetBLIF, ""),
+			"body-too-large": huge,
+			"bad-json":       "{not json",
+			"bad-instance":   net("not blif", ""),
+			"bad-heuristic":  net(testNetBLIF, "magic"),
+			"too-large":      net(wideNet, ""),
+		}},
+	}
+}
+
+// postJob sends one body to a job endpoint.
+func postJob(t *testing.T, c *Client, path, body string) (*http.Response, ErrorResponse) {
+	t.Helper()
+	res, err := c.HTTP.Post(c.Base+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var eb ErrorResponse
+	_ = json.NewDecoder(res.Body).Decode(&eb)
+	return res, eb
+}
+
+// TestAdmissionErrors runs one admission table over both job endpoints,
+// which share one admission and job path: each refusal, the 500 of a job
+// that panics on its shard, and the skip of a job whose client left while
+// it was queued must look the same on each.
+func TestAdmissionErrors(t *testing.T) {
+	cfg := Config{Shards: 1, MaxVars: 3}
+	// A check gets the endpoint's body named like its case, if any.
+	type check func(t *testing.T, ep jobEndpoint, body string)
+	refused := func(status int) check {
+		return func(t *testing.T, ep jobEndpoint, body string) {
+			if body == "" {
+				t.Skip("no such request on this endpoint")
+			}
+			s, c := newTestServer(t, cfg)
+			res, eb := postJob(t, c, ep.path, body)
+			if res.StatusCode != status || eb.Error == "" {
+				t.Fatalf("HTTP %d %+v, want %d with an error body", res.StatusCode, eb, status)
+			}
+			if got := s.counters.invalid.Load(); got != 1 {
+				t.Fatalf("invalid = %d, want 1", got)
+			}
+		}
 	}
 	cases := []struct {
-		name string
-		body string
-		want int
+		name  string
+		check check
 	}{
-		{"bad-json", "{not json", http.StatusBadRequest},
-		{"bad-instance", `{"format":"spec","input":"xx"}`, http.StatusBadRequest},
-		{"bad-format", `{"format":"vhdl","input":"01"}`, http.StatusBadRequest},
-		{"bad-heuristic", `{"format":"spec","input":"01 10","heuristic":"magic"}`, http.StatusBadRequest},
-		{"too-large", `{"format":"spec","input":"` + strings.Repeat("d", 32) + `"}`, http.StatusRequestEntityTooLarge},
+		{"method", func(t *testing.T, ep jobEndpoint, _ string) {
+			_, c := newTestServer(t, cfg)
+			res, err := c.HTTP.Get(c.Base + ep.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Body.Close()
+			if res.StatusCode != http.StatusMethodNotAllowed || res.Header.Get("Allow") != http.MethodPost {
+				t.Fatalf("GET = %d (Allow %q), want 405 (Allow POST)", res.StatusCode, res.Header.Get("Allow"))
+			}
+		}},
+		{"body-too-large", refused(http.StatusRequestEntityTooLarge)},
+		{"bad-json", refused(http.StatusBadRequest)},
+		{"bad-instance", refused(http.StatusBadRequest)},
+		{"bad-format", refused(http.StatusBadRequest)},
+		{"bad-heuristic", refused(http.StatusBadRequest)},
+		{"too-large", refused(http.StatusRequestEntityTooLarge)},
+		{"queue-full", func(t *testing.T, ep jobEndpoint, _ string) {
+			gate := newHookGate()
+			qcfg := cfg
+			qcfg.QueueDepth, qcfg.RetryAfter, qcfg.hookStart = 1, 250*time.Millisecond, gate.hook
+			s, c := newTestServer(t, qcfg)
+			var wg sync.WaitGroup
+			statuses := make([]int, 2)
+			for i := range statuses {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					res, err := c.HTTP.Post(c.Base+ep.path, "application/json", strings.NewReader(ep.bodies["ok"]))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					res.Body.Close()
+					statuses[i] = res.StatusCode
+				}(i)
+				if i == 0 {
+					select {
+					case <-gate.entered: // the shard is held mid-job
+					case <-time.After(10 * time.Second):
+						close(gate.release)
+						wg.Wait()
+						t.Fatal("the first job never reached its shard")
+					}
+				} else {
+					waitQueueLen(t, s, 1) // the second job is parked in the queue
+				}
+			}
+			res, eb := postJob(t, c, ep.path, ep.bodies["ok"])
+			close(gate.release)
+			wg.Wait()
+			if res.StatusCode != http.StatusTooManyRequests || res.Header.Get("Retry-After") != "1" || eb.RetryAfterMs != 250 {
+				t.Fatalf("full pool: HTTP %d, Retry-After %q, %+v; want 429, \"1\", 250 ms",
+					res.StatusCode, res.Header.Get("Retry-After"), eb)
+			}
+			if statuses[0] != http.StatusOK || statuses[1] != http.StatusOK {
+				t.Fatalf("admitted jobs answered %v, want 200s", statuses)
+			}
+			if got := s.counters.rejected.Load(); got != 1 {
+				t.Fatalf("rejected = %d, want 1", got)
+			}
+		}},
+		{"draining", func(t *testing.T, ep jobEndpoint, _ string) {
+			s, c := newTestServer(t, cfg)
+			if err := s.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			res, eb := postJob(t, c, ep.path, ep.bodies["ok"])
+			if res.StatusCode != http.StatusServiceUnavailable || eb.Error == "" {
+				t.Fatalf("draining server: HTTP %d %+v, want 503", res.StatusCode, eb)
+			}
+			if got := s.counters.drainRejects.Load(); got != 1 {
+				t.Fatalf("draining = %d, want 1", got)
+			}
+		}},
+		{"failed", func(t *testing.T, ep jobEndpoint, _ string) {
+			fcfg := cfg
+			fcfg.hookStart = func(shard int, id uint64) { panic("injected shard fault") }
+			s, c := newTestServer(t, fcfg)
+			res, eb := postJob(t, c, ep.path, ep.bodies["ok"])
+			if res.StatusCode != http.StatusInternalServerError || eb.Error != ep.failed {
+				t.Fatalf("panicking job: HTTP %d %+v, want 500 %q", res.StatusCode, eb, ep.failed)
+			}
+			if f, n := s.counters.failed.Load(), s.counters.finished.Load(); f != 1 || n != 0 {
+				t.Fatalf("failed = %d, finished = %d; want 1, 0", f, n)
+			}
+		}},
+		// The client is gone before the job leaves the queue. The request
+		// context is canceled up front, the deterministic equivalent of an
+		// HTTP client that hung up while queued (net/http notices a hang-up
+		// asynchronously, so driving this over a socket races).
+		{"canceled", func(t *testing.T, ep jobEndpoint, _ string) {
+			var started atomic.Bool
+			ccfg := cfg
+			ccfg.hookStart = func(shard int, id uint64) { started.Store(true) }
+			s, _ := newTestServer(t, ccfg)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			req := httptest.NewRequest(http.MethodPost, ep.path, strings.NewReader(ep.bodies["ok"])).WithContext(ctx)
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, req)
+			if rec.Code != http.StatusInternalServerError {
+				t.Fatalf("canceled job answered %d, want 500", rec.Code)
+			}
+			if started.Load() {
+				t.Fatal("canceled job ran on its shard")
+			}
+			if cn, n, f := s.counters.canceled.Load(), s.counters.finished.Load(), s.counters.failed.Load(); cn != 1 || n != 0 || f != 0 {
+				t.Fatalf("canceled = %d, finished = %d, failed = %d; want 1, 0, 0", cn, n, f)
+			}
+		}},
 	}
+	endpoints := jobEndpoints(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			status, eb := post(tc.body)
-			if status != tc.want {
-				t.Fatalf("HTTP %d (%+v), want %d", status, eb, tc.want)
-			}
-			if eb.Error == "" {
-				t.Fatalf("error body missing")
+			for _, ep := range endpoints {
+				t.Run(strings.TrimPrefix(ep.path, "/"), func(t *testing.T) { tc.check(t, ep, ep.bodies[tc.name]) })
 			}
 		})
 	}
-	t.Run("method", func(t *testing.T) {
-		res, err := c.HTTP.Get(c.Base + "/minimize")
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Body.Close()
-		if res.StatusCode != http.StatusMethodNotAllowed {
-			t.Fatalf("GET /minimize = %d, want 405", res.StatusCode)
-		}
-	})
 }
 
 func TestMetricsSnapshot(t *testing.T) {
