@@ -21,7 +21,7 @@
 //
 //	bddchaos [-scenario stall500] [-backends 3] [-n 200] [-c 4]
 //	         [-timeout-ms 3000] [-slack 2.5s] [-shards 2]
-//	         [-attempt-timeout 200ms] [-hedge-delay 0]
+//	         [-attempt-timeout 200ms]
 //	         [-breaker-threshold 3] [-breaker-cooldown 250ms]
 //
 // Scenarios (the faulted member is always the first backend):
@@ -68,7 +68,6 @@ func main() {
 		slack       = flag.Duration("slack", 2500*time.Millisecond, "allowed latency above the deadline (client-side scheduling)")
 		shards      = flag.Int("shards", 2, "worker shards per backend")
 		attemptTO   = flag.Duration("attempt-timeout", 200*time.Millisecond, "router per-attempt forward timeout")
-		hedgeDelay  = flag.Duration("hedge-delay", 0, "router hedge delay (0 = off)")
 		brThreshold = flag.Int("breaker-threshold", 3, "router breaker threshold")
 		brCooldown  = flag.Duration("breaker-cooldown", 250*time.Millisecond, "router breaker cooldown")
 	)
@@ -107,7 +106,6 @@ func main() {
 		Backends:         urls,
 		ProbeInterval:    50 * time.Millisecond,
 		AttemptTimeout:   *attemptTO,
-		HedgeDelay:       *hedgeDelay,
 		BreakerThreshold: *brThreshold,
 		BreakerCooldown:  *brCooldown,
 		RetryBackoff:     2 * time.Millisecond,
@@ -271,7 +269,7 @@ func (m *member) stop() {
 // backend (ring index 0) and n owned by the rest, using the same ring
 // the router builds so placement matches exactly.
 func corpus(urls []string, n int) ([]*problem.Problem, error) {
-	ring := route.NewRing(urls, route.DefaultVirtualNodes)
+	ring := route.NewRing(urls, route.VirtualNodes)
 	groups := []string{"01", "10", "0d", "d0", "1d", "d1", "00", "11"}
 	var victims, others []*problem.Problem
 	for _, a := range groups {

@@ -8,43 +8,45 @@
 // Usage:
 //
 //	bddrouter -backends http://127.0.0.1:8081,http://127.0.0.1:8082
-//	          [-addr :8090] [-vnodes 128] [-probe-interval 1s]
-//	          [-probe-timeout 500ms] [-fail-after 2] [-revive-after 2]
-//	          [-max-attempts 0] [-retry-backoff 25ms]
-//	          [-attempt-timeout 0] [-hedge-delay 0]
+//	          [-addr :8090] [-probe-interval 1s] [-retry-backoff 25ms]
+//	          [-attempt-timeout 0]
 //	          [-breaker-threshold 5] [-breaker-cooldown 5s]
 //	          [-retry-budget 32] [-retry-ratio 0.1]
-//	          [-max-proxied-body 33554432] [-trace-out route.jsonl]
+//	          [-trace-out route.jsonl]
 //
 // Endpoints:
 //
 //	POST /minimize   proxied to the instance's ring backend, with
 //	                 failover to the next ring node on connection error,
 //	                 attempt timeout, truncated/corrupt response or 503
-//	                 drain refusal (5xx answers are retried once); 429
+//	                 drain refusal (5xx answers are retried once), one
+//	                 attempt at a time and each backend at most once; 429
 //	                 backpressure is passed through with Retry-After
 //	                 intact; every proxied response carries
 //	                 X-Bddmind-Backend
 //	GET  /healthz    200 while at least one backend is admitted
 //	GET  /metrics    per-backend request/error/ejection/breaker counters,
-//	                 the retry histogram, hedge/deadline/retry-budget
-//	                 counters, and the ring composition
+//	                 the retry histogram, deadline/retry-budget counters,
+//	                 and the ring composition
 //
-// Health: each backend's GET /healthz is probed every -probe-interval;
-// -fail-after consecutive failures eject it from candidate selection
-// (a draining bddmind answers 503 and is ejected before it starts
-// refusing work), -revive-after consecutive successes re-admit it.
+// Placement gives every backend 128 virtual nodes on the ring.
+//
+// Health: each backend's GET /healthz is probed every -probe-interval,
+// each probe bounded at 500ms; two consecutive failures eject it from
+// candidate selection (a draining bddmind answers 503 and is ejected
+// before it starts refusing work), two consecutive successes re-admit
+// it.
 //
 // Grey failures — backends that pass probes but stall, truncate or 500
 // real traffic — are handled in-band: -attempt-timeout abandons a
 // stalled forward, the request's timeout_ms rides along as an
 // end-to-end deadline (propagated and shrunk across attempts via
-// X-Bddmind-Deadline-Ms), -hedge-delay races a duplicate attempt
-// against a slow one, and per-backend circuit breakers
-// (-breaker-threshold / -breaker-cooldown) skip a sick backend the way
-// probe ejection skips a dead one. The global retry budget
-// (-retry-budget / -retry-ratio) bounds the extra attempts all of the
-// above may add. See docs/OPERATIONS.md for the symptom → knob runbook.
+// X-Bddmind-Deadline-Ms), a backend response over 32 MiB fails its
+// attempt, and per-backend circuit breakers (-breaker-threshold /
+// -breaker-cooldown) skip a sick backend the way probe ejection skips a
+// dead one. The global retry budget (-retry-budget / -retry-ratio)
+// bounds the extra attempts failover may add. See docs/OPERATIONS.md
+// for the symptom → knob runbook.
 //
 // SIGTERM or SIGINT stops the probers and shuts the HTTP server down
 // gracefully. The router holds no state worth draining — in-flight
@@ -71,21 +73,14 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8090", "listen address")
 		backends      = flag.String("backends", "", "comma-separated bddmind base URLs (required)")
-		vnodes        = flag.Int("vnodes", route.DefaultVirtualNodes, "virtual nodes per backend on the hash ring")
 		probeInterval = flag.Duration("probe-interval", time.Second, "health-probe period per backend")
-		probeTimeout  = flag.Duration("probe-timeout", 500*time.Millisecond, "per-probe timeout")
-		failAfter     = flag.Int("fail-after", 2, "consecutive probe failures before ejection")
-		reviveAfter   = flag.Int("revive-after", 2, "consecutive probe successes before re-admission")
-		maxAttempts   = flag.Int("max-attempts", 0, "distinct backends tried per request (0 = all)")
 		retryBackoff  = flag.Duration("retry-backoff", 25*time.Millisecond, "base jittered pause between failover attempts")
 		attemptTO     = flag.Duration("attempt-timeout", 0, "per-attempt forward timeout; a stalled backend is abandoned and failed over (0 = unbounded)")
-		hedgeDelay    = flag.Duration("hedge-delay", 0, "launch a hedged duplicate on the next ring candidate after this delay, first answer wins (0 = off)")
 		brThreshold   = flag.Int("breaker-threshold", 5, "consecutive in-band failures before a backend's circuit opens")
 		brCooldown    = flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit cooldown before a half-open probe attempt")
-		retryBudget   = flag.Int("retry-budget", 32, "retry-budget bucket capacity (extra attempts: failovers and hedges)")
+		retryBudget   = flag.Int("retry-budget", 32, "retry-budget bucket capacity (failover attempts)")
 		retryRatio    = flag.Float64("retry-ratio", 0.1, "retry-budget tokens earned per incoming request")
-		maxProxied    = flag.Int64("max-proxied-body", 32<<20, "max buffered backend response bytes; larger responses fail the attempt")
-		traceOut      = flag.String("trace-out", "", "write route events (forwarded/failover/hedge/breaker-open/...) as JSONL to this file")
+		traceOut      = flag.String("trace-out", "", "write route events (forwarded/failover/breaker-open/...) as JSONL to this file")
 	)
 	flag.Parse()
 	var urls []string
@@ -102,20 +97,13 @@ func main() {
 
 	cfg := route.Config{
 		Backends:         urls,
-		VirtualNodes:     *vnodes,
 		ProbeInterval:    *probeInterval,
-		ProbeTimeout:     *probeTimeout,
-		FailAfter:        *failAfter,
-		ReviveAfter:      *reviveAfter,
-		MaxAttempts:      *maxAttempts,
 		RetryBackoff:     *retryBackoff,
 		AttemptTimeout:   *attemptTO,
-		HedgeDelay:       *hedgeDelay,
 		BreakerThreshold: *brThreshold,
 		BreakerCooldown:  *brCooldown,
 		RetryBudgetMax:   *retryBudget,
 		RetryBudgetRatio: *retryRatio,
-		MaxProxiedBody:   *maxProxied,
 		// One pooled client for probes and forwards, sized generously: the
 		// router multiplexes many client connections onto few backends.
 		HTTP: &http.Client{Transport: &http.Transport{
@@ -147,7 +135,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Printf("bddrouter: listening on %s, %d backends, %d vnodes each\n", *addr, len(urls), *vnodes)
+		fmt.Printf("bddrouter: listening on %s, %d backends, %d vnodes each\n", *addr, len(urls), route.VirtualNodes)
 		errc <- httpServer.ListenAndServe()
 	}()
 

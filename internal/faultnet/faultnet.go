@@ -44,7 +44,7 @@ const (
 	// (context canceled) or the proxy closes, then kills the connection.
 	Stall
 	// Latency delays the forward by Fault.Delay, then proxies normally —
-	// slow, not dead, the case hedging exists for.
+	// slow, not dead: the attempt answers unless the timeout fires first.
 	Latency
 	// Truncate forwards the request, advertises the backend's full
 	// Content-Length, writes only half the body and kills the connection —

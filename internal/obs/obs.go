@@ -195,18 +195,18 @@ func (ServeEvent) Kind() string { return "serve" }
 // its ring-home backend and "forwarded" (Attempt 1), a "failover" when a
 // backend refused with 503, was unreachable, stalled past the attempt
 // timeout, answered a 5xx, or returned a truncated or corrupt body and the
-// next ring node was tried (Attempt counts from 1 per request), a "hedge"
-// when a duplicate attempt was raced against a slow one, a "skipped" when
-// a candidate was passed over without an attempt (its circuit open, or an
-// extra attempt denied by the retry budget — no failover is counted), the
-// grey-failure machinery's "breaker-open" and "deadline-exceeded"
-// transitions, a terminal "error" when every candidate was exhausted, and
-// the health prober's "ejected"/"readmitted" membership transitions. Key is the
+// next ring node was tried (Attempt counts from 1 per request; a request
+// has at most one attempt in flight), a "skipped" when a candidate was
+// passed over without an attempt (its circuit open, or an extra attempt
+// denied by the retry budget — no failover is counted), the grey-failure
+// machinery's "breaker-open" and "deadline-exceeded" transitions, a
+// terminal "error" when every candidate was exhausted, and the health
+// prober's "ejected"/"readmitted" membership transitions. Key is the
 // placement hash (problem.KeyHash) so a trace can be joined against ring
 // positions; it is 0 for health and breaker events, which concern a
 // backend rather than a request.
 type RouteEvent struct {
-	// Phase is one of "forwarded", "failover", "hedge", "skipped",
+	// Phase is one of "forwarded", "failover", "skipped",
 	// "breaker-open", "deadline-exceeded", "error", "ejected",
 	// "readmitted".
 	Phase   string `json:"phase"`

@@ -17,21 +17,20 @@ import (
 // corrupt responses, 5xx statuses) open the circuit, an open circuit is
 // skipped during candidate selection the way an ejected backend is, and
 // after a cooldown exactly one probe request (half-open) decides between
-// closing the circuit and re-opening it. A probe whose attempt is
-// abandoned before any outcome arrives (hedge loss, deadline, client
-// disconnect) gives its slot back — see abandonProbe — so an answerless
+// closing the circuit and re-opening it. A probe whose attempt ends
+// without an outcome (request deadline, client disconnect, drain
+// refusal) gives its slot back — see abandonProbe — so an answerless
 // probe re-arms the next request's probe instead of wedging the circuit
 // half-open forever. The breaker composes with
 // probe-based ejection rather than replacing it: either signal alone
 // removes the backend from first-choice placement, and a probe-based
 // re-admission resets the breaker so a restarted backend starts clean.
 //
-// The retry budget is the second guard: failover and hedging multiply
-// request volume exactly when the fleet is least able to absorb it. The
-// token bucket caps that amplification globally — every *extra* attempt
-// (a failover retry or a hedge; never the first attempt of a request)
-// spends one token, and tokens are earned as a fraction of incoming
-// requests. When the bucket runs dry the router degrades to fast, honest
+// The retry budget is the second guard: failover multiplies request
+// volume exactly when the fleet is least able to absorb it. The token
+// bucket caps that amplification globally — every *extra* attempt (a
+// failover retry; never the first attempt of a request) spends one
+// token, and tokens are earned as a fraction of incoming requests. When the bucket runs dry the router degrades to fast, honest
 // errors instead of a retry storm.
 
 // Breaker states.
@@ -75,8 +74,8 @@ type breaker struct {
 // naming the slot grant, and the caller must guarantee the slot is
 // released: onSuccess and onFailure release it as a side effect of
 // recording the probe's outcome, and abandonProbe(token) releases it when
-// the attempt is discarded without one (hedge loss, request deadline,
-// client disconnect, drain refusal). An unreleased slot would refuse the
+// the attempt is discarded without one (request deadline, client
+// disconnect, drain refusal). An unreleased slot would refuse the
 // backend forever.
 func (br *breaker) allow(now time.Time, cooldown time.Duration) (admit bool, probe uint64) {
 	br.mu.Lock()

@@ -8,8 +8,8 @@ import (
 )
 
 // TestBreakerAbandonedProbeDoesNotWedge is the regression test for the
-// half-open wedge: a probe attempt that never reports an outcome (hedge
-// loss, deadline 504, client disconnect) must give its slot back via
+// half-open wedge: a probe attempt that never reports an outcome (request
+// deadline, client disconnect, drain refusal) must give its slot back via
 // abandonProbe so the next request can probe — not refuse the backend
 // forever.
 func TestBreakerAbandonedProbeDoesNotWedge(t *testing.T) {
@@ -59,48 +59,44 @@ func TestBreakerAbandonedProbeDoesNotWedge(t *testing.T) {
 	}
 }
 
-// TestAccountAbandoned: a result received after the client vanished still
-// feeds the backend counters and the circuit — only an error caused by
-// the disconnect itself (context canceled) carries no verdict.
+// TestAccountAbandoned: judge counts an outcome against its backend and
+// circuit whether or not the client is still there to answer; an attempt
+// the request's own end cut short never reaches it (see
+// TestRouterClientGoneLeavesBackendUnjudged and TestRouterVerdicts'
+// deadline case).
 func TestAccountAbandoned(t *testing.T) {
 	rt := New(Config{Backends: []string{"http://a"}, BreakerThreshold: 2})
 	b := rt.backends[0]
-	mk := func(status int, body string) attemptResult {
-		return attemptResult{b: b, idx: 1, p: &proxied{backend: b.addr, status: status, body: []byte(body)}, start: time.Now()}
+	answer := func(status int, body string) {
+		rt.judge(b, &proxied{backend: b.addr, status: status, body: []byte(body)}, nil)
 	}
 
-	// The disconnect's own cancellation is not backend evidence.
-	rt.judge(attemptResult{b: b, idx: 1, err: context.Canceled, start: time.Now()})
-	if b.errors.Load() != 0 || b.timeouts.Load() != 0 {
-		t.Fatalf("canceled attempt counted as evidence: errors %d timeouts %d", b.errors.Load(), b.timeouts.Load())
-	}
-
-	// A genuine attempt timeout and a 500 are two in-band failures: with
+	// An attempt timeout and a 500 are two in-band failures: with
 	// threshold 2 the circuit must open.
-	rt.judge(attemptResult{b: b, idx: 1, err: context.DeadlineExceeded, start: time.Now()})
+	rt.judge(b, nil, context.DeadlineExceeded)
 	if b.timeouts.Load() != 1 {
 		t.Fatalf("timeouts = %d, want 1", b.timeouts.Load())
 	}
-	rt.judge(mk(http.StatusInternalServerError, `{}`))
+	answer(http.StatusInternalServerError, `{}`)
 	if s, opens, _ := b.br.snapshot(); s != "open" || opens != 1 {
 		t.Fatalf("after timeout+500: breaker %q opens %d, want open/1", s, opens)
 	}
 
 	// A 200 closes the circuit and counts as ok; a corrupt 200 counts
 	// against it; a drain 503 is counted but is not circuit evidence.
-	rt.judge(mk(http.StatusOK, `{"id":1}`))
+	answer(http.StatusOK, `{"id":1}`)
 	if b.ok.Load() != 1 {
 		t.Fatalf("ok = %d, want 1", b.ok.Load())
 	}
 	if s, _, closes := b.br.snapshot(); s != "closed" || closes != 1 {
 		t.Fatalf("after 200: breaker %q closes %d, want closed/1", s, closes)
 	}
-	rt.judge(mk(http.StatusOK, `{"id":`))
+	answer(http.StatusOK, `{"id":`)
 	if b.corrupt.Load() != 1 {
 		t.Fatalf("corrupt = %d, want 1", b.corrupt.Load())
 	}
-	rt.judge(mk(http.StatusServiceUnavailable, `{}`))
-	rt.judge(mk(http.StatusServiceUnavailable, `{}`))
+	answer(http.StatusServiceUnavailable, `{}`)
+	answer(http.StatusServiceUnavailable, `{}`)
 	if b.drain503.Load() != 2 {
 		t.Fatalf("drain503 = %d, want 2", b.drain503.Load())
 	}

@@ -47,16 +47,9 @@ func TestRouterChaosScenario(t *testing.T) {
 
 	urls := []string{proxy.URL(), fleet[1].url, fleet[2].url}
 	rt := New(Config{
-		Backends:      urls,
-		ProbeInterval: 25 * time.Millisecond,
-		ProbeTimeout:  500 * time.Millisecond,
-		// The hedge delay sits above the attempt timeout on purpose: a
-		// stalled attempt is abandoned (and counted, and fed to the
-		// breaker) at 200ms rather than silently out-raced by a hedge —
-		// hedging then only covers attempts that are slow for other
-		// reasons, e.g. a busy shard on the failover target.
+		Backends:         urls,
+		ProbeInterval:    25 * time.Millisecond,
 		AttemptTimeout:   200 * time.Millisecond,
-		HedgeDelay:       250 * time.Millisecond,
 		BreakerThreshold: 3,
 		BreakerCooldown:  100 * time.Millisecond,
 		RetryBackoff:     2 * time.Millisecond,

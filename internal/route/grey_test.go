@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -106,47 +105,13 @@ func TestRouterStallFailoverAndBreaker(t *testing.T) {
 	}
 }
 
-// TestRouterHedgeWins: a slow-but-alive owner is raced by a hedged
-// duplicate on the next ring candidate after HedgeDelay; the hedge
-// answers first and the request completes far below the owner's latency.
-func TestRouterHedgeWins(t *testing.T) {
-	slowStub := newStub(t)
-	proxy, err := faultnet.New(slowStub.ts.URL, faultnet.EveryNth{N: 1, Fault: faultnet.Fault{Kind: faultnet.Latency, Delay: 2 * time.Second}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = proxy.Close() })
-	fast := newStub(t)
-	rt, client, _ := newRouter(t, Config{
-		Backends:   []string{proxy.URL(), fast.ts.URL},
-		HedgeDelay: 40 * time.Millisecond,
-	})
-	p := specOwnedBy(t, rt, 0)
-
-	start := time.Now()
-	resp, status, _, err := client.Minimize(context.Background(), serve.RequestFor(p, ""))
-	if err != nil || status != http.StatusOK {
-		t.Fatalf("status %d, err %v", status, err)
-	}
-	if e := time.Since(start); e > time.Second {
-		t.Fatalf("request took %v — the hedge did not win over the 2s-slow owner", e)
-	}
-	if resp.Backend != fast.ts.URL {
-		t.Fatalf("answered by %s, want the hedged candidate %s", resp.Backend, fast.ts.URL)
-	}
-	ms := rt.Metrics()
-	if ms.Counters.Hedges != 1 || ms.Counters.HedgeWins != 1 {
-		t.Fatalf("hedges %d wins %d, want 1/1", ms.Counters.Hedges, ms.Counters.HedgeWins)
-	}
-}
-
 // TestRouterAbandonedProbeDoesNotWedgeBreaker is the router-level wedge
 // regression: a stalling backend whose circuit is half-open gets the
-// probe attempt, a hedge wins the race, and the request returns with the
-// probe still in flight. The abandoned probe must release its slot —
-// every subsequent request probes the backend again instead of the
-// circuit refusing it forever (a grey-failed backend passes its health
-// probes, so no readmission would ever reset it).
+// probe attempt, and the request's deadline ends it before any outcome.
+// The abandoned probe must release its slot — every subsequent request
+// probes the backend again instead of the circuit refusing it forever (a
+// grey-failed backend passes its health probes, so no readmission would
+// ever reset it).
 func TestRouterAbandonedProbeDoesNotWedgeBreaker(t *testing.T) {
 	sick := newStub(t)
 	proxy, err := faultnet.New(sick.ts.URL, faultnet.EveryNth{N: 1, Fault: faultnet.Fault{Kind: faultnet.Stall}})
@@ -157,8 +122,7 @@ func TestRouterAbandonedProbeDoesNotWedgeBreaker(t *testing.T) {
 	good := newStub(t)
 	rt, client, _ := newRouter(t, Config{
 		Backends:         []string{proxy.URL(), good.ts.URL},
-		AttemptTimeout:   5 * time.Second, // never fires: the hedge abandons the stalled probe
-		HedgeDelay:       30 * time.Millisecond,
+		AttemptTimeout:   5 * time.Second, // never fires: the request deadline abandons the stalled probe
 		BreakerThreshold: 1,
 		RetryBackoff:     time.Millisecond,
 	})
@@ -168,14 +132,15 @@ func TestRouterAbandonedProbeDoesNotWedgeBreaker(t *testing.T) {
 	// a half-open probe.
 	rt.backends[0].br.onFailure(time.Now().Add(-time.Minute), 1)
 
+	req := serve.RequestFor(p, "")
+	req.TimeoutMs = 50
 	for i := 0; i < 3; i++ {
-		resp, status, _, err := client.Minimize(context.Background(), serve.RequestFor(p, ""))
-		if err != nil || status != http.StatusOK {
-			t.Fatalf("request %d: status %d, err %v", i, status, err)
+		if _, status, _, err := client.Minimize(context.Background(), req); err != nil || status != http.StatusGatewayTimeout {
+			t.Fatalf("request %d: status %d, err %v, want 504 at the deadline", i, status, err)
 		}
-		if resp.Backend != good.ts.URL {
-			t.Fatalf("request %d answered by %s, want the hedge target %s", i, resp.Backend, good.ts.URL)
-		}
+	}
+	if row := backendRow(rt.Metrics(), good.ts.URL); row.Requests != 0 {
+		t.Fatalf("healthy backend received %d attempts, want 0 (every deadline ends on the probe)", row.Requests)
 	}
 	row := backendRow(rt.Metrics(), proxy.URL())
 	if row.Requests != 3 {
@@ -276,16 +241,58 @@ func TestRouterDeadlinePropagationShrinks(t *testing.T) {
 	}
 }
 
-// oversizeBackend answers /minimize with a valid-JSON body bigger than
-// the configured proxied-body limit.
-func oversizeBackend(t *testing.T, size int) *httptest.Server {
+// TestRouterDeadlineHeaderOverflow: an X-Bddmind-Deadline-Ms value too
+// large for a time.Duration is ignored like an unparsable one. It must
+// not wrap into "no deadline": the body's timeout_ms still bounds the
+// request and reaches the backend.
+func TestRouterDeadlineHeaderOverflow(t *testing.T) {
+	seen := make(chan string, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen <- r.Header.Get(serve.DeadlineHeader)
+		writeJSON(w, http.StatusOK, serve.MinimizeResponse{ID: 7, Format: "spec", Cover: "stub"})
+	}))
+	t.Cleanup(ts.Close)
+	_, _, front := newRouter(t, Config{Backends: []string{ts.URL}})
+	req := serve.RequestFor(mustSpec(t, testSpec), "")
+	req.TimeoutMs = 1000
+	body, _ := json.Marshal(req)
+	hr, err := http.NewRequest(http.MethodPost, front.URL+"/minimize", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Header.Set(serve.DeadlineHeader, "10000000000000")
+	res, err := http.DefaultClient.Do(hr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", res.StatusCode)
+	}
+	hdr := <-seen
+	if ms, err := strconv.ParseInt(hdr, 10, 64); err != nil || ms > 1000 || ms < 900 {
+		t.Fatalf("backend saw %s %q, want the body's ≈1000ms budget", serve.DeadlineHeader, hdr)
+	}
+}
+
+// oversized answers with a valid-JSON body just over maxProxiedBody,
+// streamed in chunks so the test never holds a copy of it.
+func oversized(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = io.WriteString(w, `{"id":1,"cover":"`)
+	chunk := bytes.Repeat([]byte("a"), 64<<10)
+	for n := 0; n <= maxProxiedBody; n += len(chunk) {
+		if _, err := w.Write(chunk); err != nil {
+			return // the router stopped reading at its limit
+		}
+	}
+	_, _ = io.WriteString(w, `"}`)
+}
+
+// oversizeBackend answers /minimize with an oversized body.
+func oversizeBackend(t *testing.T) *httptest.Server {
 	t.Helper()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/minimize", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"id":1,"cover":%q}`, strings.Repeat("a", size))
-	})
-	ts := httptest.NewServer(mux)
+	ts := httptest.NewServer(http.HandlerFunc(oversized))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -295,12 +302,11 @@ func oversizeBackend(t *testing.T, size int) *httptest.Server {
 // (and fail over to a healthy candidate), never be cut at the limit and
 // replayed as if complete.
 func TestRouterTruncationFailsOver(t *testing.T) {
-	big := oversizeBackend(t, 4096)
+	big := oversizeBackend(t)
 	good := newStub(t)
 	rt, client, _ := newRouter(t, Config{
-		Backends:       []string{big.URL, good.ts.URL},
-		MaxProxiedBody: 1024,
-		RetryBackoff:   time.Millisecond,
+		Backends:     []string{big.URL, good.ts.URL},
+		RetryBackoff: time.Millisecond,
 	})
 	p := specOwnedBy(t, rt, 0)
 	resp, status, _, err := client.Minimize(context.Background(), serve.RequestFor(p, ""))
@@ -322,11 +328,10 @@ func TestRouterTruncationFailsOver(t *testing.T) {
 // oversized response yields an honest 502 — under no circumstances does
 // a cut-off body prefix reach the client as a 200.
 func TestRouterTruncationNeverReplayed(t *testing.T) {
-	big := oversizeBackend(t, 4096)
+	big := oversizeBackend(t)
 	rt, _, front := newRouter(t, Config{
-		Backends:       []string{big.URL},
-		MaxProxiedBody: 1024,
-		RetryBackoff:   time.Millisecond,
+		Backends:     []string{big.URL},
+		RetryBackoff: time.Millisecond,
 	})
 	body, _ := json.Marshal(serve.RequestFor(mustSpec(t, testSpec), ""))
 	res, err := http.Post(front.URL+"/minimize", "application/json", bytes.NewReader(body))

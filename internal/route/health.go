@@ -14,9 +14,15 @@ import (
 // {"state":"draining"}) once a drain starts, so a draining backend fails
 // its probes and is ejected *before* its queue runs dry and it starts
 // refusing forwarded work — the router's half of the graceful-drain
-// handshake. Ejection and re-admission are hysteretic (FailAfter /
-// ReviveAfter consecutive outcomes) so one dropped probe doesn't flap
+// handshake. Ejection and re-admission are hysteretic (failAfter /
+// reviveAfter consecutive outcomes) so one dropped probe doesn't flap
 // the ring.
+
+const (
+	probeTimeout = 500 * time.Millisecond // bound on one /healthz probe
+	failAfter    = 2                      // consecutive failed probes that eject a backend
+	reviveAfter  = 2                      // consecutive clean probes that re-admit it
+)
 
 // probeLoop is the per-backend health loop.
 func (rt *Router) probeLoop(b *backend) {
@@ -33,7 +39,7 @@ func (rt *Router) probeLoop(b *backend) {
 		if rt.probe(b) {
 			consecOK++
 			consecFail = 0
-			if b.ejected.Load() && consecOK >= rt.cfg.ReviveAfter {
+			if b.ejected.Load() && consecOK >= reviveAfter {
 				b.ejected.Store(false)
 				b.readmissions.Add(1)
 				// A probe-based re-admission means a fresh (probably
@@ -46,7 +52,7 @@ func (rt *Router) probeLoop(b *backend) {
 			consecFail++
 			consecOK = 0
 			b.probeFails.Add(1)
-			if !b.ejected.Load() && consecFail >= rt.cfg.FailAfter {
+			if !b.ejected.Load() && consecFail >= failAfter {
 				b.ejected.Store(true)
 				b.ejections.Add(1)
 				rt.emit(obs.RouteEvent{Phase: "ejected", Backend: b.addr, Reason: "probe"})
@@ -56,10 +62,10 @@ func (rt *Router) probeLoop(b *backend) {
 }
 
 // probe performs one health check: healthy means the backend answered
-// 200 within ProbeTimeout. A 503 — draining or overloaded — is
+// 200 within probeTimeout. A 503 — draining or overloaded — is
 // unhealthy on purpose; see the package comment.
 func (rt *Router) probe(b *backend) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.addr+"/healthz", nil)
 	if err != nil {

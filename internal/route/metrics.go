@@ -6,9 +6,8 @@ import (
 )
 
 // Wire schema of the router's own endpoints. The document shape is
-// distinct from bddmind's MetricsSnapshot on purpose — the presence of a
-// "ring" section is how tooling (cmd/bddload) tells a router apart from
-// a backend when pointed at either.
+// distinct from bddmind's MetricsSnapshot: per-backend rows, routing
+// counters, the retry histogram and the ring composition.
 
 // BackendSnapshot is one fleet member's row in GET /metrics.
 type BackendSnapshot struct {
@@ -56,8 +55,9 @@ type RouterCounters struct {
 	// Forwarded counts requests answered with a backend response (any
 	// status the client saw, including passed-through 429s).
 	Forwarded uint64 `json:"forwarded"`
-	// Failovers counts attempts abandoned for the next ring node
-	// (connection error or 503 drain refusal).
+	// Failovers counts attempts abandoned for the next ring node: a
+	// connection error, timeout, truncated or corrupt body, 503 drain
+	// refusal, or a 5xx whose one retry was admitted.
 	Failovers uint64 `json:"failovers"`
 	// Exhausted counts requests that ran out of candidates (502, or a
 	// replayed 503 when the whole fleet was draining).
@@ -65,20 +65,15 @@ type RouterCounters struct {
 	// BadRequest counts requests rejected at the router itself
 	// (malformed JSON, unparsable instance, wrong method, oversized).
 	BadRequest uint64 `json:"bad_request"`
-	// Hedges counts hedge attempts launched after HedgeDelay; HedgeWins
-	// the requests whose hedge answered first.
-	Hedges    uint64 `json:"hedges"`
-	HedgeWins uint64 `json:"hedge_wins"`
 	// DeadlineExceeded counts requests terminated with 504 at their
 	// end-to-end deadline before any backend answered.
 	DeadlineExceeded uint64 `json:"deadline_exceeded"`
 	// Retried5xx counts the one-shot failovers granted to backend 5xx
-	// answers — only when a retry attempt actually existed (a fresh
-	// launch, or an already-racing attempt designated as the retry).
+	// answers — only when the retry attempt was actually admitted.
 	Retried5xx uint64 `json:"retried_5xx"`
 	// BreakerFastFails counts requests refused immediately (503) because
 	// every candidate's circuit was open; RetryBudgetExhausted counts
-	// extra attempts (failovers or hedges) denied by the retry budget.
+	// failover attempts denied by the retry budget.
 	BreakerFastFails     uint64 `json:"breaker_fast_fails"`
 	RetryBudgetExhausted uint64 `json:"retry_budget_exhausted"`
 }
@@ -119,8 +114,6 @@ func (rt *Router) Metrics() MetricsSnapshot {
 			Failovers:            rt.counters.failovers.Load(),
 			Exhausted:            rt.counters.exhausted.Load(),
 			BadRequest:           rt.counters.badRequest.Load(),
-			Hedges:               rt.counters.hedges.Load(),
-			HedgeWins:            rt.counters.hedgeWins.Load(),
 			DeadlineExceeded:     rt.counters.deadlineExceeded.Load(),
 			Retried5xx:           rt.counters.retried5xx.Load(),
 			BreakerFastFails:     rt.counters.breakerFastFail.Load(),
@@ -158,7 +151,7 @@ func (rt *Router) Metrics() MetricsSnapshot {
 	for i, addr := range rt.cfg.Backends {
 		snap.Ring = append(snap.Ring, RingSlice{
 			Backend: addr,
-			VNodes:  rt.cfg.VirtualNodes,
+			VNodes:  VirtualNodes,
 			Share:   shares[i],
 		})
 	}

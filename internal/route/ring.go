@@ -14,7 +14,7 @@ import (
 //   - determinism: the same members in any order, in any process, at any
 //     time, produce the same ring, so identical instances land on the
 //     same backend across router restarts (FNV-1a, no seeds, no maps);
-//   - balance: VirtualNodes points per member smooth the arc lengths, so
+//   - balance: many points per member smooth the arc lengths, so
 //     no backend owns a grossly outsized key range;
 //   - minimal movement: adding or removing a member moves only the keys
 //     whose successor changed — on average 1/N of them — so a membership
@@ -28,10 +28,10 @@ import (
 // placement is untouched — and a re-admission restores the original
 // placement bit for bit.
 
-// DefaultVirtualNodes is the per-member virtual-node count used when a
-// Ring is built with vnodes <= 0. 128 points keep the max/mean arc ratio
-// within ~1.3 for small fleets (see TestRingBalance).
-const DefaultVirtualNodes = 128
+// VirtualNodes is the virtual-node count the router gives every backend
+// alike. 128 points keep the max/mean arc ratio within ~1.3 for small
+// fleets (see TestRingBalance).
+const VirtualNodes = 128
 
 // Ring is an immutable consistent-hash ring. Build with NewRing; all
 // methods are safe for concurrent use.
@@ -46,13 +46,10 @@ type point struct {
 	member int // index into members
 }
 
-// NewRing places vnodes virtual nodes per member (DefaultVirtualNodes
-// when <= 0). Member order does not affect placement: points are hashed
-// from the member name and sorted by position.
+// NewRing places vnodes virtual nodes per member. Member order does not
+// affect placement: points are hashed from the member name and sorted by
+// position.
 func NewRing(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
 	r := &Ring{
 		members: append([]string(nil), members...),
 		points:  make([]point, 0, len(members)*vnodes),

@@ -15,26 +15,28 @@
 //
 // Robustness is layered, clean failures first, grey failures second:
 //
-//   - active health: a prober per backend polls GET /healthz; FailAfter
+//   - active health: a prober per backend polls GET /healthz; two
 //     consecutive failures (a draining backend answers 503 and fails the
-//     probe by design) eject the backend from candidate selection,
-//     ReviveAfter consecutive successes re-admit it;
+//     probe by design) eject the backend from candidate selection, two
+//     consecutive successes re-admit it;
 //   - per-request failover: a connection error, an attempt timeout, a
 //     truncated or corrupt response, or a 503 drain refusal makes the
-//     router retry the next ring node after a jittered backoff, bounded
-//     by MaxAttempts; an idempotent 5xx answer is retried once. 429
+//     router retry the next ring node after a jittered backoff, at most
+//     once per backend; an idempotent 5xx answer is retried once. 429
 //     backpressure is passed through untouched (Retry-After intact) —
 //     the client, not the router, owns the retry loop for overload;
 //   - grey-failure tolerance: AttemptTimeout abandons a stalled backend,
 //     the request's end-to-end deadline (timeout_ms, propagated and
 //     shrunk across attempts via the X-Bddmind-Deadline-Ms header) caps
-//     total latency at the client's original budget, HedgeDelay races a
-//     duplicate attempt against a slow one, and per-backend circuit
-//     breakers (breaker.go) driven by in-band outcomes skip a sick
-//     backend the way probe-based ejection skips a dead one. A global
-//     retry-budget token bucket bounds the extra attempts all of the
-//     above may add, so a sick fleet degrades to fast errors instead of
-//     a retry storm.
+//     total latency at the client's original budget, and per-backend
+//     circuit breakers (breaker.go) driven by in-band outcomes skip a
+//     sick backend the way probe-based ejection skips a dead one. A
+//     global retry-budget token bucket bounds the extra attempts
+//     failover may add, so a sick fleet degrades to fast errors instead
+//     of a retry storm.
+//
+// A request has at most one attempt in flight: its attempts run one
+// after another, so their times never overlap.
 //
 // The router never invents a success: a request either returns a backend
 // response verbatim (plus an X-Bddmind-Backend header naming the server
@@ -59,21 +61,9 @@ type Config struct {
 	// Backends are the bddmind base URLs fronted by the router, e.g.
 	// "http://127.0.0.1:8081". The set is fixed for the router's lifetime.
 	Backends []string
-	// VirtualNodes is the per-backend virtual-node count on the ring
-	// (default DefaultVirtualNodes).
-	VirtualNodes int
 	// ProbeInterval is the /healthz polling period per backend (default
-	// 1s); ProbeTimeout bounds each probe (default 500ms).
+	// 1s).
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	// FailAfter ejects a backend after that many consecutive probe
-	// failures (default 2); ReviveAfter re-admits it after that many
-	// consecutive successes (default 2).
-	FailAfter   int
-	ReviveAfter int
-	// MaxAttempts bounds how many distinct backends one request may be
-	// forwarded to (default: all of them).
-	MaxAttempts int
 	// RetryBackoff is the base pause between failover attempts; the
 	// actual pause is jittered uniformly in [0.5, 1.5] of it (default
 	// 25ms). Jitter prevents a crashed backend's in-flight requests from
@@ -86,14 +76,6 @@ type Config struct {
 	// up. When the request carries an end-to-end deadline, each attempt is
 	// additionally clamped to the remaining budget.
 	AttemptTimeout time.Duration
-	// HedgeDelay, when positive, launches a hedged duplicate of the
-	// request on the next ring candidate if the current attempt has not
-	// answered within the delay; the first response wins and the loser's
-	// context is canceled. Hedging is safe because /minimize is
-	// idempotent and cache-keyed. At most one hedge is launched per
-	// request, and a hedge spends a retry-budget token like a failover
-	// does. 0 disables hedging.
-	HedgeDelay time.Duration
 	// BreakerThreshold opens a backend's circuit after that many
 	// consecutive in-band failures — attempt timeouts, transport errors,
 	// truncated or corrupt bodies, 5xx statuses (default 5). An open
@@ -105,15 +87,10 @@ type Config struct {
 	// RetryBudgetMax and RetryBudgetRatio parameterize the global retry
 	// budget: a token bucket holding at most RetryBudgetMax tokens
 	// (default 32), credited RetryBudgetRatio tokens per incoming request
-	// (default 0.1). Every extra attempt — a failover retry or a hedge —
-	// spends one token; an empty bucket degrades the router to fast
-	// errors instead of a retry storm.
+	// (default 0.1). Every failover attempt spends one token; an empty
+	// bucket degrades the router to fast errors instead of a retry storm.
 	RetryBudgetMax   int
 	RetryBudgetRatio float64
-	// MaxProxiedBody bounds a buffered backend response (default 32 MiB).
-	// A response exceeding it fails the attempt — it is never truncated
-	// and replayed as if complete.
-	MaxProxiedBody int64
 	// HTTP performs the forwarded requests and the probes
 	// (http.DefaultClient when nil). Give it a transport sized to the
 	// expected concurrency.
@@ -126,23 +103,8 @@ type Config struct {
 
 // withDefaults normalizes the zero values.
 func (c Config) withDefaults() Config {
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = DefaultVirtualNodes
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 500 * time.Millisecond
-	}
-	if c.FailAfter <= 0 {
-		c.FailAfter = 2
-	}
-	if c.ReviveAfter <= 0 {
-		c.ReviveAfter = 2
-	}
-	if c.MaxAttempts <= 0 || c.MaxAttempts > len(c.Backends) {
-		c.MaxAttempts = len(c.Backends)
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 25 * time.Millisecond
@@ -158,9 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBudgetRatio <= 0 {
 		c.RetryBudgetRatio = 0.1
-	}
-	if c.MaxProxiedBody <= 0 {
-		c.MaxProxiedBody = 32 << 20
 	}
 	return c
 }
@@ -179,7 +138,7 @@ type backend struct {
 	drain503     atomic.Uint64 // 503 refusals that triggered failover
 	errors       atomic.Uint64 // transport failures (connect/reset)
 	timeouts     atomic.Uint64 // attempts abandoned at the attempt timeout
-	truncated    atomic.Uint64 // responses over MaxProxiedBody, failed over
+	truncated    atomic.Uint64 // responses over maxProxiedBody, failed over
 	corrupt      atomic.Uint64 // 200 responses with an invalid JSON body
 	retried5xx   atomic.Uint64 // 5xx answers retried on the next candidate
 	probeFails   atomic.Uint64
@@ -208,8 +167,6 @@ type Router struct {
 		failovers        atomic.Uint64 // attempts that moved on to the next ring node
 		exhausted        atomic.Uint64 // requests that ran out of candidates (502)
 		badRequest       atomic.Uint64 // rejected at the router (400/405/413)
-		hedges           atomic.Uint64 // hedged attempts launched
-		hedgeWins        atomic.Uint64 // requests answered by the hedged attempt
 		deadlineExceeded atomic.Uint64 // requests terminated at the end-to-end deadline (504)
 		retried5xx       atomic.Uint64 // idempotent 5xx answers retried once
 		breakerFastFail  atomic.Uint64 // requests refused because every circuit was open
@@ -230,7 +187,7 @@ func New(cfg Config) *Router {
 	cfg = cfg.withDefaults()
 	rt := &Router{
 		cfg:    cfg,
-		ring:   NewRing(cfg.Backends, cfg.VirtualNodes),
+		ring:   NewRing(cfg.Backends, VirtualNodes),
 		start:  time.Now(),
 		stop:   make(chan struct{}),
 		jitter: rand.New(rand.NewSource(time.Now().UnixNano())),
@@ -303,12 +260,9 @@ func (rt *Router) backoff() time.Duration {
 	return time.Duration(float64(base) * f)
 }
 
-// observeAttempts records how many forwarding attempts a resolved
-// request consumed.
+// observeAttempts records how many forwarding attempts (n ≥ 1) a
+// resolved request consumed.
 func (rt *Router) observeAttempts(n int) {
-	if n < 1 {
-		n = 1
-	}
 	if n > retryHistBuckets {
 		n = retryHistBuckets
 	}

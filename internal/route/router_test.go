@@ -312,17 +312,14 @@ func TestRouterBadRequest(t *testing.T) {
 }
 
 // TestRouterEjectionAndReadmission: the prober ejects a backend after
-// FailAfter failed probes, the router keeps serving through it as a last
-// resort, and ReviveAfter clean probes re-admit it — all visible in
-// /metrics and /healthz.
+// two failed probes, the router keeps serving through it as a last
+// resort, and two clean probes re-admit it — all visible in /metrics and
+// /healthz.
 func TestRouterEjectionAndReadmission(t *testing.T) {
 	st := newStub(t)
 	rt, client, front := newRouter(t, Config{
 		Backends:      []string{st.ts.URL},
 		ProbeInterval: 10 * time.Millisecond,
-		ProbeTimeout:  200 * time.Millisecond,
-		FailAfter:     2,
-		ReviveAfter:   2,
 	})
 	rt.Start()
 
@@ -451,9 +448,6 @@ func TestRouterFailoverUnderKill(t *testing.T) {
 	rt := New(Config{
 		Backends:      urls,
 		ProbeInterval: 15 * time.Millisecond,
-		ProbeTimeout:  250 * time.Millisecond,
-		FailAfter:     2,
-		ReviveAfter:   2,
 		RetryBackoff:  2 * time.Millisecond,
 		HTTP:          httpc,
 	})

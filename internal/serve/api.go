@@ -2,6 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
+	"net/http"
+	"strconv"
+	"time"
 
 	"bddmin/internal/obs"
 )
@@ -125,14 +129,27 @@ const BackendHeader = "X-Bddmind-Backend"
 // DeadlineHeader carries the remaining end-to-end request budget in
 // milliseconds. A fronting router (cmd/bddrouter) stamps it on every
 // forwarded attempt, shrunk by the time already spent on earlier
-// attempts, so failover and hedging can never exceed the client's
-// original timeout_ms; the Client sets it from its context deadline.
-// Admission maps the header onto bdd.Budget.Deadline exactly like
-// timeout_ms, except that the header only ever *tightens* the budget —
-// it is ignored when it is later than the body-derived deadline. Like
-// every budget limit it stays out of the result-cache key: a complete
-// cached result is correct under any deadline.
+// attempts, so failover can never exceed the client's original
+// timeout_ms; the Client sets it from its context deadline. Admission
+// maps the header onto bdd.Budget.Deadline exactly like timeout_ms,
+// except that the header only ever *tightens* the budget — it is ignored
+// when it is later than the body-derived deadline. Like every budget
+// limit it stays out of the result-cache key: a complete cached result
+// is correct under any deadline.
 const DeadlineHeader = "X-Bddmind-Deadline-Ms"
+
+// DeadlineBudget returns the budget h carries in DeadlineHeader, or 0
+// when the header is absent, not a positive integer, or too large for a
+// time.Duration. Both the router and bddmind read the header through it,
+// so a value either side ignores can neither lift nor collapse a
+// deadline.
+func DeadlineBudget(h http.Header) time.Duration {
+	ms, err := strconv.ParseInt(h.Get(DeadlineHeader), 10, 64)
+	if err != nil || ms <= 0 || ms > int64(math.MaxInt64/time.Millisecond) {
+		return 0
+	}
+	return time.Duration(ms) * time.Millisecond
+}
 
 // ShardSnapshot is one worker's state in GET /metrics.
 type ShardSnapshot struct {

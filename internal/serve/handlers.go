@@ -237,15 +237,11 @@ func deadlineFrom(d time.Duration) time.Time {
 // than the original request asked for (see the DeadlineHeader doc
 // comment).
 func headerDeadline(r *http.Request, base time.Time) time.Time {
-	hdr := r.Header.Get(DeadlineHeader)
-	if hdr == "" {
+	budget := DeadlineBudget(r.Header)
+	if budget <= 0 {
 		return base
 	}
-	ms, err := strconv.ParseInt(hdr, 10, 64)
-	if err != nil || ms <= 0 {
-		return base
-	}
-	d := time.Now().Add(time.Duration(ms) * time.Millisecond)
+	d := time.Now().Add(budget)
 	if base.IsZero() || d.Before(base) {
 		return d
 	}

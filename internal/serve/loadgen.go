@@ -108,14 +108,20 @@ func (st *LoadStats) Percentile(p float64) time.Duration {
 	}
 	sorted := append([]time.Duration(nil), st.Latencies...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
+	return sorted[nearestRank(p, len(sorted))-1]
+}
+
+// nearestRank is the 1-based rank of the nearest-rank q-quantile among n
+// sorted samples: ⌈q·n⌉, clamped to [1, n].
+func nearestRank(q float64, n int) int {
+	k := int(math.Ceil(q * float64(n)))
+	if k < 1 {
+		return 1
 	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
+	if k > n {
+		return n
 	}
-	return sorted[i]
+	return k
 }
 
 // errCap bounds the error and verify-failure lists kept in memory.

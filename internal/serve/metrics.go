@@ -59,12 +59,14 @@ func (h *latencyHist) snapshot() LatencySnapshot {
 	}
 	out.MeanNs = float64(h.sum.Load()) / float64(total)
 	bound := func(i int) int64 { return int64(histBase) << i }
+	// quantile is the bucket holding the nearest-rank q-quantile, the
+	// same rank LoadStats.Percentile reads from raw samples.
 	quantile := func(q float64) int64 {
-		target := uint64(q * float64(total))
+		rank := uint64(nearestRank(q, int(total)))
 		seen := uint64(0)
 		for i, c := range counts {
 			seen += c
-			if seen > target {
+			if seen >= rank {
 				return bound(i)
 			}
 		}

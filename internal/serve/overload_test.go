@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -194,6 +195,42 @@ func randSpec(n int, seed uint64) string {
 		}
 	}
 	return b.String()
+}
+
+// TestDeadlineHeaderOverflowIgnored: a DeadlineHeader too large for a
+// time.Duration is ignored like an unparsable one. It must not wrap into
+// a deadline in the past that has spent the job's budget before it
+// starts.
+func TestDeadlineHeaderOverflowIgnored(t *testing.T) {
+	_, c := newTestServer(t, Config{Shards: 1, MaxVars: 16})
+	p := mustProblem(t, problem.KindSpec, randSpec(12, 42), 0, "")
+	body, err := json.Marshal(RequestFor(p, "osm_bt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := http.NewRequest(http.MethodPost, c.Base+"/minimize", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Header.Set(DeadlineHeader, "10000000000000")
+	res, err := c.HTTP.Do(hr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	var resp MinimizeResponse
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("HTTP %d, want 200", res.StatusCode)
+	}
+	if err := json.NewDecoder(res.Body).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Degraded {
+		t.Fatalf("overflowing header expired the job's budget: abort %q in %q", resp.AbortReason, resp.AbortPhase)
+	}
+	if err := VerifyResponse(p, &resp); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestDeadlineDegrades sends a request whose deadline has already passed by

@@ -572,3 +572,24 @@ func TestLoadStatsPercentile(t *testing.T) {
 		}
 	}
 }
+
+// TestLatencyHistNearestRank: /metrics quantiles take the bucket of the
+// nearest-rank sample ⌈q·n⌉, the rank Percentile reads from raw samples,
+// so one outlier in a hundred is not the p99 and the lower of two
+// samples is the p50.
+func TestLatencyHistNearestRank(t *testing.T) {
+	var h latencyHist
+	for i := 0; i < 99; i++ {
+		h.observe(1500)
+	}
+	h.observe(100_000)
+	if got := h.snapshot().P99Ns; got != 2048 {
+		t.Errorf("p99 of 99×1.5µs and 1×100µs = %d ns, want the 1.5µs bucket bound 2048", got)
+	}
+	var two latencyHist
+	two.observe(1500)
+	two.observe(100_000)
+	if got := two.snapshot().P50Ns; got != 2048 {
+		t.Errorf("p50 of 1.5µs and 100µs = %d ns, want the lower bucket bound 2048", got)
+	}
+}
