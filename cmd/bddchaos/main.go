@@ -283,7 +283,7 @@ func corpus(urls []string, n int) ([]*problem.Problem, error) {
 					if err != nil {
 						continue
 					}
-					if ring.Owner(p.KeyHash()) == 0 {
+					if ring.Owner(problem.KeyHash(p.CanonicalKey())) == 0 {
 						victims = append(victims, p)
 					} else {
 						others = append(others, p)

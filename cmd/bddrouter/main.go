@@ -1,9 +1,9 @@
 // Command bddrouter is the stateless multi-node front of the
 // minimization service: it places POST /minimize jobs on a fleet of
 // bddmind backends with a consistent-hash ring keyed on the instance's
-// canonical identity (problem.CanonicalKey, hashed), so identical
-// instances always land on the backend whose result cache can answer
-// them, and cache locality survives a node joining or leaving.
+// canonical key (problem.Key, hashed), so identical instances always land
+// on the backend whose result cache can answer them, and cache locality
+// survives a node joining or leaving.
 //
 // Usage:
 //

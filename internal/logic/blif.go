@@ -21,7 +21,7 @@ func ParseBLIF(r io.Reader) (*Network, error) {
 		nodes: make(map[string]*Node),
 	}
 	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
+	scanner.Buffer(nil, maxLineBytes)
 	var pending string
 	lineNo := 0
 	for scanner.Scan() {

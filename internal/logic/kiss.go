@@ -35,7 +35,7 @@ type KISSTransition struct {
 func ParseKISS(r io.Reader) (*KISS, error) {
 	k := &KISS{stateIndex: make(map[string]int)}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, maxLineBytes)
 	line := 0
 	declaredStates := 0
 	for sc.Scan() {

@@ -39,7 +39,7 @@ type PLARow struct {
 func ParsePLA(r io.Reader) (*PLA, error) {
 	p := &PLA{Type: "fd"}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, maxLineBytes)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -121,6 +121,12 @@ func ParsePLA(r io.Reader) (*PLA, error) {
 
 // ParsePLAString is ParsePLA on a string.
 func ParsePLAString(s string) (*PLA, error) { return ParsePLA(strings.NewReader(s)) }
+
+// maxLineBytes is the longest line the BLIF, PLA and KISS parsers accept;
+// a longer one fails with bufio.ErrTooLong. Their scanners start with no
+// buffer and grow one on demand up to it, so a small file costs a small
+// buffer.
+const maxLineBytes = 1 << 20
 
 func parseInt(s string, out *int) bool {
 	v := 0

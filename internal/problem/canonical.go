@@ -37,21 +37,44 @@ import (
 // an over-merge would serve a wrong cover. FuzzCanonicalKey checks both
 // directions: respellings that erase only the differences above keep the
 // key, and equal keys build identical [f, c].
+//
+// Key computes the key of a request before it is parsed. A BLIF key is
+// the lines the parser reads, so it decides the parse: a request with the
+// key of one that parsed parses to the same netlist, unless its spelling
+// pushes a line past the parser's 1 MiB limit.
 
 // CanonicalKey returns the instance's normalized identity. The key is
 // computed eagerly at construction, so this never fails and is safe to
 // call concurrently.
 func (p *Problem) CanonicalKey() string { return p.canon }
 
-// KeyHash digests CanonicalKey to a stable 64-bit value — the placement
-// key of the bddrouter's consistent-hash ring. Stability matters more
-// than the choice of function: the digest must agree across processes,
-// router restarts and releases, or cache locality evaporates on every
-// deploy. FNV-1a over the canonical key has that property (no per-process
-// seed, no map-order dependence); a regression test pins exact values.
-func (p *Problem) KeyHash() uint64 {
+// Key returns the CanonicalKey of the request Parse(kind, input, output,
+// node) describes, building only what the key needs, and a load function
+// that returns its Problem. A BLIF request that names its node is keyed
+// from its text alone, whether or not the netlist builds, and load parses
+// it. Every other request is parsed here, with Parse's error, and load
+// returns that Problem.
+func Key(kind Kind, input string, output int, node string) (key string, load func() (*Problem, error), err error) {
+	if kind == KindBLIF && node != "" {
+		key = canonicalBLIF(input, node)
+		return key, func() (*Problem, error) { return parseBLIF(input, node, "", key) }, nil
+	}
+	p, err := Parse(kind, input, output, node)
+	if err != nil {
+		return "", nil, err
+	}
+	return p.canon, func() (*Problem, error) { return p, nil }, nil
+}
+
+// KeyHash digests a canonical key to a stable 64-bit value — the
+// placement key of the bddrouter's consistent-hash ring. Stability
+// matters more than the choice of function: the digest must agree across
+// processes, router restarts and releases, or cache locality evaporates
+// on every deploy. FNV-1a has that property (no per-process seed, no
+// map-order dependence); a regression test pins exact values.
+func KeyHash(key string) uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(p.canon))
+	h.Write([]byte(key))
 	return h.Sum64()
 }
 

@@ -237,3 +237,33 @@ d1 01 1d 01
 		}
 	}
 }
+
+// TestKeyFromText: a BLIF request that names its node is keyed from its
+// text alone, so the key exists even when the netlist would not build,
+// and load reports the parse error. Other requests are parsed by Key.
+func TestKeyFromText(t *testing.T) {
+	broken := ".model m\n.inputs a\n.outputs f\n.subckt x\n.names a f\n1 1\n.end\n"
+	key, load, err := Key(KindBLIF, broken, 0, "f")
+	if err != nil {
+		t.Fatalf("Key of a named node: %v", err)
+	}
+	if key != canonicalBLIF(broken, "f") {
+		t.Fatalf("key %q, want the text key", key)
+	}
+	if _, err := load(); err == nil {
+		t.Fatal("load built a netlist with a .subckt")
+	}
+	if _, err := ParseBLIF(broken, "f", ""); err == nil {
+		t.Fatal("ParseBLIF accepted a netlist with a .subckt")
+	}
+	for _, s := range []spelling{
+		{kind: KindBLIF, input: broken},
+		{kind: KindSpec, input: "zz"},
+		{kind: KindPLA, input: ".i 2\n.o 1\n0 1\n"},
+		{kind: "vhdl", input: "01"},
+	} {
+		if key, _, err := Key(s.kind, s.input, s.output, s.node); err == nil {
+			t.Fatalf("Key(%s %q) = %q, want Parse's error", s.kind, s.input, key)
+		}
+	}
+}

@@ -18,6 +18,10 @@ import (
 //     canonical.go header says are erased; the key must not change.
 //   - Every two instances with equal keys (respellings included) must
 //     build identical [f, c] Refs in one manager: no over-merge.
+//   - Key must return CanonicalKey for every spelling that parses, and a
+//     spelling Parse rejects must not share the key of one it accepts,
+//     so a cache probed with Key answers only what it would answer after
+//     a parse.
 //
 // A fuzzed spelling is "<format> [selector]\n<source>" (see encode); the
 // seeds are TestCanonicalKey's pairs. Run it with
@@ -30,9 +34,16 @@ func FuzzCanonicalKey(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		g := genSpelling(rng)
 		var probs []*Problem
+		var rejected []string // keys of spellings Parse rejects
 		for _, s := range []spelling{decode(a), decode(b), g, perturb(rng, g)} {
 			p, err := s.parse()
-			if err != nil || p.Vars > 12 {
+			if err != nil {
+				if key, _, kerr := Key(s.kind, s.input, s.output, s.node); kerr == nil {
+					rejected = append(rejected, key)
+				}
+				continue
+			}
+			if p.Vars > 12 {
 				continue
 			}
 			r := respell(rng, p)
@@ -43,6 +54,8 @@ func FuzzCanonicalKey(f *testing.F) {
 			if q.CanonicalKey() != p.CanonicalKey() {
 				t.Fatalf("respelling changed the key\n%q -> %q\n%q -> %q", p.Raw, p.CanonicalKey(), q.Raw, q.CanonicalKey())
 			}
+			textKey(t, s, p)
+			textKey(t, r, q)
 			probs = append(probs, p, q)
 		}
 		for i, p := range probs {
@@ -51,8 +64,34 @@ func FuzzCanonicalKey(f *testing.F) {
 					sameInstance(t, p, q)
 				}
 			}
+			for _, key := range rejected {
+				if key == p.CanonicalKey() {
+					t.Fatalf("a spelling Parse rejects has the key of one it accepts: %q\n%q", key, p.Raw)
+				}
+			}
 		}
 	})
+}
+
+// textKey fails unless Key keys s, which parses to p, with p's
+// CanonicalKey and loads an instance of the same node and width.
+func textKey(t *testing.T, s spelling, p *Problem) {
+	t.Helper()
+	key, load, err := Key(s.kind, s.input, s.output, s.node)
+	if err != nil {
+		t.Fatalf("Key rejects a spelling Parse accepts: %v\n%q", err, s.input)
+	}
+	if key != p.CanonicalKey() {
+		t.Fatalf("Key %q, CanonicalKey %q\n%q", key, p.CanonicalKey(), s.input)
+	}
+	lp, err := load()
+	if err != nil {
+		t.Fatalf("Key's load fails on a spelling Parse accepts: %v\n%q", err, s.input)
+	}
+	if lp.CanonicalKey() != key || lp.Node != p.Node || lp.Vars != p.Vars {
+		t.Fatalf("Key's load built %q (node %q, %d vars), Parse %q (node %q, %d vars)",
+			lp.CanonicalKey(), lp.Node, lp.Vars, key, p.Node, p.Vars)
+	}
 }
 
 // encode renders a spelling as one fuzz string: the format and its

@@ -115,6 +115,12 @@ func ParsePLA(src string, output int, label string) (*Problem, error) {
 // (falling back to the first gate when every ODC is trivial), matching the
 // bddmin CLI's historical behavior.
 func ParseBLIF(src string, node string, label string) (*Problem, error) {
+	return parseBLIF(src, node, label, "")
+}
+
+// parseBLIF is ParseBLIF for a caller that already holds the instance's
+// key (Key); canon "" computes it.
+func parseBLIF(src, node, label, canon string) (*Problem, error) {
 	net, err := logic.ParseBLIFString(src)
 	if err != nil {
 		return nil, err
@@ -126,6 +132,9 @@ func ParseBLIF(src string, node string, label string) (*Problem, error) {
 	if label == "" {
 		label = "blif"
 	}
+	if canon == "" {
+		canon = canonicalBLIF(src, target.Name)
+	}
 	return &Problem{
 		Kind:   KindBLIF,
 		Label:  fmt.Sprintf("-blif %s -node %s", label, target.Name),
@@ -134,7 +143,7 @@ func ParseBLIF(src string, node string, label string) (*Problem, error) {
 		Node:   target.Name,
 		net:    net,
 		target: target,
-		canon:  canonicalBLIF(src, target.Name),
+		canon:  canon,
 	}, nil
 }
 

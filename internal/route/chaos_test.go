@@ -134,7 +134,7 @@ func chaosCorpus(t *testing.T, rt *Router, n int) []*problem.Problem {
 					if err != nil {
 						continue
 					}
-					if rt.ring.Owner(p.KeyHash()) == 0 {
+					if rt.ring.Owner(problem.KeyHash(p.CanonicalKey())) == 0 {
 						victims = append(victims, p)
 					} else {
 						others = append(others, p)

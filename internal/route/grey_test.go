@@ -34,7 +34,7 @@ func specOwnedBy(t *testing.T, rt *Router, want int) *problem.Problem {
 					if err != nil {
 						continue
 					}
-					if rt.ring.Owner(p.KeyHash()) == want {
+					if rt.ring.Owner(problem.KeyHash(p.CanonicalKey())) == want {
 						return p
 					}
 				}
@@ -272,6 +272,33 @@ func TestRouterDeadlineHeaderOverflow(t *testing.T) {
 	hdr := <-seen
 	if ms, err := strconv.ParseInt(hdr, 10, 64); err != nil || ms > 1000 || ms < 900 {
 		t.Fatalf("backend saw %s %q, want the body's ≈1000ms budget", serve.DeadlineHeader, hdr)
+	}
+}
+
+// TestRouterTimeoutMsOverflow: a body timeout_ms too large for a
+// time.Duration counts as no timeout_ms, like an overflowing header. It
+// must not wrap into a sub-millisecond deadline that 504s the request
+// before a backend can answer.
+func TestRouterTimeoutMsOverflow(t *testing.T) {
+	seen := make(chan string, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen <- r.Header.Get(serve.DeadlineHeader)
+		time.Sleep(20 * time.Millisecond)
+		writeJSON(w, http.StatusOK, serve.MinimizeResponse{ID: 7, Format: "spec", Cover: "stub"})
+	}))
+	t.Cleanup(ts.Close)
+	_, client, _ := newRouter(t, Config{Backends: []string{ts.URL}})
+	req := serve.RequestFor(mustSpec(t, testSpec), "")
+	req.TimeoutMs = 18446744073710 // ×1e6 ns wraps to about 448µs
+	_, status, eb, err := client.Minimize(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusOK {
+		t.Fatalf("status %d (%+v), want 200", status, eb)
+	}
+	if hdr := <-seen; hdr != "" {
+		t.Fatalf("backend saw %s %q, want none (no deadline)", serve.DeadlineHeader, hdr)
 	}
 }
 

@@ -75,7 +75,7 @@ func (p *proxied) write(w http.ResponseWriter) {
 	_, _ = w.Write(p.body)
 }
 
-// handleMinimize is the routing path: parse the job far enough to know
+// handleMinimize is the routing path: read the job far enough to know
 // its placement key and its latency budget, then run the grey-failure
 // request lifecycle against the ring.
 func (rt *Router) handleMinimize(w http.ResponseWriter, r *http.Request) {
@@ -104,26 +104,29 @@ func (rt *Router) handleMinimize(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: fmt.Sprintf("invalid request body: %v", err)})
 		return
 	}
-	// The router parses the instance exactly like the backend's admission
-	// path will, for the same reason bddmind's cache does: CanonicalKey
-	// (via KeyHash) is the identity that makes every spelling of one
-	// instance route to the one backend whose cache can answer it.
-	prob, err := problem.Parse(problem.Kind(req.Format), req.Input, req.Output, req.Node)
+	// Placement is the cache key: problem.Key is the identity bddmind's
+	// result cache is keyed on, so every spelling of one instance routes
+	// to the one backend whose cache can answer it. A BLIF request that
+	// names its node is keyed from its text and no netlist is built here;
+	// if it does not build, the backend's 400 comes back verbatim.
+	key, _, err := problem.Key(problem.Kind(req.Format), req.Input, req.Output, req.Node)
 	if err != nil {
 		rt.counters.badRequest.Add(1)
 		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
 		return
 	}
 	rt.budget.deposit()
-	rt.route(w, r, prob.KeyHash(), body, requestDeadline(r, req.TimeoutMs))
+	rt.route(w, r, problem.KeyHash(key), body, requestDeadline(r, req.TimeoutMs))
 }
 
 // requestDeadline resolves the request's end-to-end budget: the smaller
 // of the body's timeout_ms and an upstream X-Bddmind-Deadline-Ms header
 // (a client context deadline, or another router ahead of this one).
-// Zero means unbounded — the pre-grey-failure behavior.
+// Either value is read through serve.MillisBudget, so one too large for a
+// time.Duration counts as absent. Zero means unbounded — the
+// pre-grey-failure behavior.
 func requestDeadline(r *http.Request, timeoutMs int) time.Time {
-	budget := time.Duration(timeoutMs) * time.Millisecond
+	budget := serve.MillisBudget(int64(timeoutMs))
 	if d := serve.DeadlineBudget(r.Header); d > 0 && (budget <= 0 || d < budget) {
 		budget = d
 	}

@@ -3,15 +3,17 @@
 // of bddmind backends with a consistent-hash ring and keeps serving
 // through backend failures.
 //
-// Placement is keyed on problem.KeyHash — the FNV-1a digest of the same
-// problem.CanonicalKey identity that bddmind's front-line result cache
-// uses — so every spelling of an instance that the backend would answer
-// from its cache lands on the backend that holds that cache entry, and
-// the fleet behaves like one big cache even though backends share
-// nothing. The ring (ring.go) spans all configured backends with virtual
-// nodes; health is layered on top rather than baked in, so an ejection
-// moves exactly the ejected backend's keys to their ring successors and
-// a re-admission restores the original placement.
+// Placement is keyed on problem.KeyHash of problem.Key — the same
+// canonical key bddmind's front-line result cache uses — so every
+// spelling of an instance that the backend would answer from its cache
+// lands on the backend that holds that cache entry, and the fleet behaves
+// like one big cache even though backends share nothing. The key is
+// computed from the request text: a BLIF request naming its node builds
+// no netlist at the router. The ring (ring.go) spans all configured
+// backends with virtual nodes; health is layered on top rather than
+// baked in, so an ejection moves exactly the ejected backend's keys to
+// their ring successors and a re-admission restores the original
+// placement.
 //
 // Robustness is layered, clean failures first, grey failures second:
 //

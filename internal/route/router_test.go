@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -63,6 +65,25 @@ func newRouter(t *testing.T, cfg Config) (*Router, *serve.Client, *httptest.Serv
 	return rt, &serve.Client{Base: front.URL}, front
 }
 
+// newBackend starts a real bddmind with one shard and a small cache and
+// returns its base URL.
+func newBackend(t *testing.T) string {
+	t.Helper()
+	s := serve.New(serve.Config{Shards: 1, CacheEntries: 64})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Drain(ctx)
+		ts.Close()
+	})
+	return ts.URL
+}
+
+// majodc is examples/corpus/majodc.blif.
+const majodc = ".model majodc\n.inputs a b c d\n.outputs y\n.names a b t1\n11 1\n.names c d t2\n11 1\n.names t1 t2 y\n1- 1\n-1 1\n.end\n"
+
 func mustSpec(t *testing.T, spec string) *problem.Problem {
 	t.Helper()
 	p, err := problem.FromSpec(spec)
@@ -86,54 +107,50 @@ func backendRow(ms MetricsSnapshot, addr string) BackendSnapshot {
 // from that backend's cache on the second hit. This is the property the
 // whole design exists for.
 func TestRouterPlacementCacheLocality(t *testing.T) {
-	mkBackend := func() string {
-		s := serve.New(serve.Config{Shards: 1, CacheEntries: 64})
-		s.Start()
-		ts := httptest.NewServer(s.Handler())
-		t.Cleanup(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			_ = s.Drain(ctx)
-			ts.Close()
-		})
-		return ts.URL
-	}
-	urls := []string{mkBackend(), mkBackend()}
+	urls := []string{newBackend(t), newBackend(t)}
 	_, client, _ := newRouter(t, Config{Backends: urls})
 
-	specs := []string{testSpec, "01 11 0d 10", "10 d0 11 01", "0d 10 01 11"}
-	for _, spec := range specs {
-		p := mustSpec(t, spec)
-		first, status, eb, err := client.Minimize(context.Background(), serve.RequestFor(p, ""))
+	var reqs []serve.MinimizeRequest
+	for _, spec := range []string{testSpec, "01 11 0d 10", "10 d0 11 01", "0d 10 01 11"} {
+		reqs = append(reqs, serve.RequestFor(mustSpec(t, spec), ""))
+	}
+	// A BLIF request naming its node is placed on its text key.
+	reqs = append(reqs, serve.MinimizeRequest{Format: "blif", Input: majodc, Node: "t1"})
+	for _, req := range reqs {
+		first, status, eb, err := client.Minimize(context.Background(), req)
 		if err != nil || status != http.StatusOK {
-			t.Fatalf("%q first: status %d, errBody %+v, err %v", spec, status, eb, err)
+			t.Fatalf("%q first: status %d, errBody %+v, err %v", req.Input, status, eb, err)
 		}
 		if first.Backend == "" {
-			t.Fatalf("%q: routed response missing %s header", spec, BackendHeader)
+			t.Fatalf("%q: routed response missing %s header", req.Input, BackendHeader)
 		}
 		if first.Cached {
-			t.Fatalf("%q: first request claims a cache hit", spec)
+			t.Fatalf("%q: first request claims a cache hit", req.Input)
 		}
-		second, status, _, err := client.Minimize(context.Background(), serve.RequestFor(p, ""))
+		second, status, _, err := client.Minimize(context.Background(), req)
 		if err != nil || status != http.StatusOK {
-			t.Fatalf("%q second: status %d, err %v", spec, status, err)
+			t.Fatalf("%q second: status %d, err %v", req.Input, status, err)
 		}
 		if second.Backend != first.Backend {
-			t.Fatalf("%q: repeat went to %s, first to %s — placement not sticky", spec, second.Backend, first.Backend)
+			t.Fatalf("%q: repeat went to %s, first to %s — placement not sticky", req.Input, second.Backend, first.Backend)
 		}
 		if !second.Cached {
-			t.Fatalf("%q: repeat not served from the backend cache", spec)
+			t.Fatalf("%q: repeat not served from the backend cache", req.Input)
 		}
 	}
 	// A cosmetic respelling is the same instance: same backend, still a
-	// cache hit (placement is keyed on CanonicalKey, not on bytes).
-	p := mustSpec(t, " D1  01 (1d 01) ")
-	resp, status, _, err := client.Minimize(context.Background(), serve.RequestFor(p, ""))
-	if err != nil || status != http.StatusOK {
-		t.Fatalf("respelled: status %d, err %v", status, err)
-	}
-	if !resp.Cached {
-		t.Fatalf("respelled instance missed the cache — placement is spelling-sensitive")
+	// cache hit (placement is keyed on the canonical key, not on bytes).
+	for _, req := range []serve.MinimizeRequest{
+		serve.RequestFor(mustSpec(t, " D1  01 (1d 01) "), ""),
+		{Format: "blif", Input: "# majority\n" + strings.ReplaceAll(majodc, " ", " \\\n  "), Node: "t1"},
+	} {
+		resp, status, _, err := client.Minimize(context.Background(), req)
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("respelled %q: status %d, err %v", req.Input, status, err)
+		}
+		if !resp.Cached {
+			t.Fatalf("respelled %q missed the cache — placement is spelling-sensitive", req.Input)
+		}
 	}
 }
 
@@ -193,7 +210,7 @@ func TestRouterDrainFailover(t *testing.T) {
 	rt, client, _ := newRouter(t, Config{Backends: urls, RetryBackoff: time.Millisecond})
 
 	p := mustSpec(t, testSpec)
-	owner := rt.ring.Owner(p.KeyHash())
+	owner := rt.ring.Owner(problem.KeyHash(p.CanonicalKey()))
 	stubs := []*stubBackend{a, b}
 	stubs[owner].draining.Store(true)
 
@@ -278,11 +295,26 @@ func TestRouterAllDead(t *testing.T) {
 	}
 }
 
-// TestRouterBadRequest: malformed work is rejected at the router without
-// burning a forward.
+// TestRouterBadRequest: malformed work the router can see without
+// building a netlist is rejected there without burning a forward. A BLIF
+// request naming its node is placed on its text, so a netlist that does
+// not build is forwarded once and the backend's own 400 comes back.
 func TestRouterBadRequest(t *testing.T) {
-	st := newStub(t)
-	rt, _, front := newRouter(t, Config{Backends: []string{st.ts.URL}})
+	backend := newBackend(t)
+	rt, _, front := newRouter(t, Config{Backends: []string{backend}})
+	post := func(base, body string) (int, string) {
+		t.Helper()
+		res, err := http.Post(base+"/minimize", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		data, err := io.ReadAll(res.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.StatusCode, string(data)
+	}
 
 	if res, err := http.Get(front.URL + "/minimize"); err != nil {
 		t.Fatal(err)
@@ -293,21 +325,28 @@ func TestRouterBadRequest(t *testing.T) {
 		}
 	}
 	for _, body := range []string{"{not json", `{"format":"spec","input":"zz zz"}`} {
-		res, err := http.Post(front.URL+"/minimize", "application/json", bytes.NewReader([]byte(body)))
-		if err != nil {
-			t.Fatal(err)
+		if status, _ := post(front.URL, body); status != http.StatusBadRequest {
+			t.Fatalf("body %q: status %d, want 400", body, status)
 		}
-		res.Body.Close()
-		if res.StatusCode != http.StatusBadRequest {
-			t.Fatalf("body %q: status %d, want 400", body, res.StatusCode)
-		}
+	}
+	if row := backendRow(rt.Metrics(), backend); row.Requests != 0 {
+		t.Fatalf("bad requests were forwarded: %+v", row)
+	}
+
+	netlist := `{"format":"blif","input":".model m\n.subckt x\n.end\n","node":"f"}`
+	status, routed := post(front.URL, netlist)
+	if status != http.StatusBadRequest {
+		t.Fatalf("malformed netlist: status %d (%s), want 400", status, routed)
+	}
+	if _, direct := post(backend, netlist); routed != direct {
+		t.Fatalf("routed 400 body %q, backend's own %q", routed, direct)
 	}
 	ms := rt.Metrics()
 	if ms.Counters.BadRequest != 3 {
-		t.Fatalf("bad_request = %d, want 3", ms.Counters.BadRequest)
+		t.Fatalf("bad_request = %d, want 3 (the router's own rejections)", ms.Counters.BadRequest)
 	}
-	if row := backendRow(ms, st.ts.URL); row.Requests != 0 {
-		t.Fatalf("bad requests were forwarded: %+v", row)
+	if row := backendRow(ms, backend); row.Requests != 1 {
+		t.Fatalf("malformed netlist forwarded %d times, want once: %+v", row.Requests, row)
 	}
 }
 
@@ -466,7 +505,7 @@ func TestRouterFailoverUnderKill(t *testing.T) {
 	for i, sp := range specs {
 		probs[i] = mustSpec(t, sp)
 	}
-	victim := rt.ring.Owner(probs[0].KeyHash())
+	victim := rt.ring.Owner(problem.KeyHash(probs[0].CanonicalKey()))
 
 	const target = 1200
 	client := &serve.Client{Base: front.URL, HTTP: httpc}

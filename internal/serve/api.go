@@ -144,8 +144,17 @@ const DeadlineHeader = "X-Bddmind-Deadline-Ms"
 // so a value either side ignores can neither lift nor collapse a
 // deadline.
 func DeadlineBudget(h http.Header) time.Duration {
-	ms, err := strconv.ParseInt(h.Get(DeadlineHeader), 10, 64)
-	if err != nil || ms <= 0 || ms > int64(math.MaxInt64/time.Millisecond) {
+	// A value ParseInt rejects comes back 0 or out of range: no budget.
+	ms, _ := strconv.ParseInt(h.Get(DeadlineHeader), 10, 64)
+	return MillisBudget(ms)
+}
+
+// MillisBudget converts a millisecond budget — DeadlineHeader's or a
+// request's timeout_ms — to a time.Duration, or 0 (no budget) when ms is
+// not positive or too large for a time.Duration, so an overflowing value
+// can never wrap into a short deadline.
+func MillisBudget(ms int64) time.Duration {
+	if ms <= 0 || ms > int64(math.MaxInt64/time.Millisecond) {
 		return 0
 	}
 	return time.Duration(ms) * time.Millisecond

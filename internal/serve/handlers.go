@@ -53,14 +53,18 @@ func (s *Server) reject(w http.ResponseWriter, id uint64, counter *atomic.Uint64
 // the same way for every endpoint, and the run function a shard executes.
 type job struct {
 	format string // input format label of the serve events
+	// key makes the job cacheable: the result cache keys on the heuristic
+	// and key, the instance's problem.Key. "" for jobs that are never
+	// cached.
+	key string
+	// load finishes a parse that stopped at the key, on a cache miss: it
+	// sets width, tooWide and run. Nil when the parse set them.
+	load func(j *job) error
 	// width is the instance's variable count or the network's input count;
 	// tooWide formats the start of the 413 message for a width over
 	// MaxVars, e.g. "network has %d inputs".
-	width   int
-	tooWide string
-	// prob makes the job cacheable: the result cache keys on the heuristic
-	// and prob.CanonicalKey(). Nil for jobs that are never cached.
-	prob        *problem.Problem
+	width       int
+	tooWide     string
 	heuristic   string
 	budgetNodes uint64
 	timeoutMs   int
@@ -69,10 +73,11 @@ type job struct {
 }
 
 // handleJob is the admission path of every job endpoint: POST only, a
-// bounded decode of the body into req, parse, the width and heuristic
-// checks, the result cache (a hit never consumes a queue slot), the request
-// budget, the bounded queue, then the wait for the shard's reply. failed is
-// the error body of a job that fails on its shard.
+// bounded decode of the body into req, parse, the result cache (a hit
+// never builds the instance or consumes a queue slot), the rest of the
+// parse, the width and heuristic checks, the request budget, the bounded
+// queue, then the wait for the shard's reply. failed is the error body of
+// a job that fails on its shard.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, req any, failed string, parse func() (job, error)) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -98,42 +103,52 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, req any, fail
 		s.reject(w, id, invalid, http.StatusBadRequest, "bad-instance", ErrorResponse{Error: err.Error()})
 		return
 	}
-	if j.width > s.cfg.MaxVars {
-		s.reject(w, id, invalid, http.StatusRequestEntityTooLarge, "too-large",
-			ErrorResponse{Error: fmt.Sprintf(j.tooWide+", server accepts at most %d", j.width, s.cfg.MaxVars)})
-		return
-	}
 	name := j.heuristic
 	if name == "" {
 		name = "osm_bt"
 	}
 	heu := core.ByName(name)
-	if heu == nil {
-		s.reject(w, id, invalid, http.StatusBadRequest, "bad-heuristic", ErrorResponse{Error: fmt.Sprintf("unknown heuristic %q", name)})
-		return
-	}
-	// Aliases such as "sched" resolve to one heuristic: the key and every
-	// event use its own name, the one the response reports.
-	name = heu.Name()
-	enq := time.Now()
 
 	// Front line: the result cache, keyed on the heuristic and the
-	// normalized instance (cache.go). Trace requests bypass it — their
-	// point is to observe a fresh run.
+	// instance's key (cache.go) and probed before the instance is built.
+	// Trace requests bypass it — their point is to observe a fresh run. An
+	// unknown heuristic has no entries, and every check below passed for
+	// the request that stored an entry, so a hit skips nothing a request
+	// with its key could fail.
 	key := ""
-	if s.cache != nil && j.prob != nil && !j.trace {
-		key = name + "|" + j.prob.CanonicalKey()
+	if s.cache != nil && j.key != "" && !j.trace && heu != nil {
+		// Aliases such as "sched" resolve to one heuristic: the key and
+		// every event use its own name, the one the response reports.
+		key = heu.Name() + "|" + j.key
+		start := time.Now()
 		if stored := s.cache.get(key); stored != nil {
 			s.cache.reqHits.Add(1)
-			s.lat.observe(time.Since(enq).Nanoseconds())
+			s.lat.observe(time.Since(start).Nanoseconds())
 			s.emitServe(obs.ServeEvent{
 				Phase: "cache_hit", ID: id, Shard: -1,
-				Format: j.format, Heuristic: name, Queue: len(s.queue),
+				Format: j.format, Heuristic: heu.Name(), Queue: len(s.queue),
 			})
 			writeJSON(w, http.StatusOK, cachedResponse(stored, id))
 			return
 		}
 	}
+	if j.load != nil {
+		if err := j.load(&j); err != nil {
+			s.reject(w, id, invalid, http.StatusBadRequest, "bad-instance", ErrorResponse{Error: err.Error()})
+			return
+		}
+	}
+	if j.width > s.cfg.MaxVars {
+		s.reject(w, id, invalid, http.StatusRequestEntityTooLarge, "too-large",
+			ErrorResponse{Error: fmt.Sprintf(j.tooWide+", server accepts at most %d", j.width, s.cfg.MaxVars)})
+		return
+	}
+	if heu == nil {
+		s.reject(w, id, invalid, http.StatusBadRequest, "bad-heuristic", ErrorResponse{Error: fmt.Sprintf("unknown heuristic %q", name)})
+		return
+	}
+	name = heu.Name()
+	enq := time.Now()
 
 	t := &task{
 		id:       id,
@@ -182,14 +197,22 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, req any, fail
 func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
 	var req MinimizeRequest
 	s.handleJob(w, r, &req, "minimization failed", func() (job, error) {
-		prob, err := problem.Parse(problem.Kind(req.Format), req.Input, req.Output, req.Node)
+		key, load, err := problem.Key(problem.Kind(req.Format), req.Input, req.Output, req.Node)
 		if err != nil {
 			return job{}, err
 		}
 		return job{
-			format: string(prob.Kind), width: prob.Vars, tooWide: "instance has %d variables", prob: prob,
+			format: req.Format, key: key,
 			heuristic: req.Heuristic, budgetNodes: req.BudgetNodes, timeoutMs: req.TimeoutMs, trace: req.Trace,
-			run: func(w *worker, t *task) reply { return s.minimize(w, t, prob) },
+			load: func(j *job) error {
+				prob, err := load()
+				if err != nil {
+					return err
+				}
+				j.width, j.tooWide = prob.Vars, "instance has %d variables"
+				j.run = func(w *worker, t *task) reply { return s.minimize(w, t, prob) }
+				return nil
+			},
 		}, nil
 	})
 }
@@ -207,9 +230,10 @@ func clampNodes(req, server uint64) uint64 {
 }
 
 // timeoutFor resolves timeout_ms to the effective per-request timeout
-// under the server's default and clamp.
+// under the server's default and clamp. A value MillisBudget ignores is
+// no timeout_ms at all.
 func (s *Server) timeoutFor(timeoutMs int) time.Duration {
-	d := time.Duration(timeoutMs) * time.Millisecond
+	d := MillisBudget(int64(timeoutMs))
 	if d <= 0 {
 		d = s.cfg.DefaultTimeout
 	}

@@ -233,6 +233,35 @@ func TestDeadlineHeaderOverflowIgnored(t *testing.T) {
 	}
 }
 
+// TestTimeoutMsOverflowIgnored: a timeout_ms too large for a
+// time.Duration counts as no timeout_ms, like an overflowing
+// DeadlineHeader. It must not wrap into a sub-millisecond deadline that
+// degrades the job before it starts; the default and the clamp then
+// apply.
+func TestTimeoutMsOverflowIgnored(t *testing.T) {
+	const overflow = 18446744073710 // ×1e6 ns wraps to about 448µs
+	_, c := newTestServer(t, Config{
+		Shards: 1, MaxVars: 16,
+		hookStart: func(shard int, id uint64) { time.Sleep(10 * time.Millisecond) },
+	})
+	p := mustProblem(t, problem.KindSpec, randSpec(12, 42), 0, "")
+	req := RequestFor(p, "osm_bt")
+	req.TimeoutMs = overflow
+	resp := mustMinimize(t, c, req)
+	if resp.Degraded {
+		t.Fatalf("overflowing timeout_ms expired the job's budget: abort %q in %q", resp.AbortReason, resp.AbortPhase)
+	}
+	if err := VerifyResponse(p, resp); err != nil {
+		t.Fatal(err)
+	}
+	if got := New(Config{DefaultTimeout: 2 * time.Second}).timeoutFor(overflow); got != 2*time.Second {
+		t.Fatalf("timeoutFor(overflow) = %v, want the 2s default", got)
+	}
+	if got := New(Config{MaxTimeout: 5 * time.Second}).timeoutFor(overflow); got != 5*time.Second {
+		t.Fatalf("timeoutFor(overflow) = %v, want the 5s clamp", got)
+	}
+}
+
 // TestDeadlineDegrades sends a request whose deadline has already passed by
 // the time the shard picks it up (the hook sleeps it out): the response
 // must still be a valid cover — the anytime path clamps to the best
