@@ -10,7 +10,6 @@
 package bddmin_test
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -59,9 +58,7 @@ func buildCorpus(b *testing.B) ([]instance, []harness.CallRecord) {
 			}
 			corpus = append(corpus, instance{m, f, c})
 		}
-		col, _, err := harness.RunSuite([]string{"tlc", "minmax5", "tbk"}, harness.RunConfig{
-			Collector: harness.Config{LowerBoundCubes: 100},
-		}, 1)
+		col, _, err := harness.RunSuite([]string{"tlc", "minmax5", "tbk"}, harness.RunConfig{}, 1)
 		if err != nil {
 			panic(err)
 		}
@@ -109,9 +106,7 @@ func BenchmarkTable2Siblings(b *testing.B) {
 // sub-suite (the full suite is cmd/experiments' job).
 func BenchmarkTable3VerifyFsm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, _, err := harness.RunSuite([]string{"tlc", "tbk"}, harness.RunConfig{
-			Collector: harness.Config{LowerBoundCubes: 100},
-		}, 1)
+		_, _, err := harness.RunSuite([]string{"tlc", "tbk"}, harness.RunConfig{}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -234,23 +229,6 @@ func BenchmarkAblationScheduleWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCubeBudget sweeps the lower bound's cube budget (the
-// paper observed the bound tightening from 10 to 1000 cubes).
-func BenchmarkAblationCubeBudget(b *testing.B) {
-	insts, _ := buildCorpus(b)
-	for _, budget := range []int{10, 100, 1000} {
-		budget := budget
-		b.Run(fmt.Sprintf("%dcubes", budget), func(b *testing.B) {
-			var total int64
-			for i := 0; i < b.N; i++ {
-				in := insts[i%len(insts)]
-				total += int64(core.LowerBound(in.m, in.f, in.c, budget))
-			}
-			b.ReportMetric(float64(total)/float64(b.N), "bound/op")
-		})
-	}
-}
-
 // BenchmarkOptLv measures the level-matching heuristic alone (the paper's
 // "easily the most costly").
 func BenchmarkOptLv(b *testing.B) {
@@ -260,32 +238,6 @@ func BenchmarkOptLv(b *testing.B) {
 		in := insts[i%len(insts)]
 		in.m.FlushCaches()
 		o.Minimize(in.m, in.f, in.c)
-	}
-}
-
-// BenchmarkAblationBoundVariant compares the paper's plain DFS cube bound
-// with the large-cube enumeration it suggests and the combined split, at
-// equal budget.
-func BenchmarkAblationBoundVariant(b *testing.B) {
-	insts, _ := buildCorpus(b)
-	variants := []struct {
-		name string
-		fn   func(m *bdd.Manager, f, c bdd.Ref, budget int) int
-	}{
-		{"dfs", core.LowerBound},
-		{"largecubes", core.LowerBoundLargeCubes},
-		{"combined", core.LowerBoundBest},
-	}
-	for _, v := range variants {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			var total int64
-			for i := 0; i < b.N; i++ {
-				in := insts[i%len(insts)]
-				total += int64(v.fn(in.m, in.f, in.c, 200))
-			}
-			b.ReportMetric(float64(total)/float64(b.N), "bound/op")
-		})
 	}
 }
 

@@ -227,7 +227,7 @@ func run() {
 			result, _ = core.MinimizeAnytime(h, m, in.F, in.C, mkBudget())
 			haveResult = true
 		}
-		fmt.Printf("  %-8s size %3d\n", "low_bd", core.LowerBound(m, in.F, in.C, 1000))
+		fmt.Printf("  %-8s size %3d\n", "low_bd", core.LowerBound(m, in.F, in.C))
 	} else {
 		h := core.ByName(*heuristic)
 		if h == nil {

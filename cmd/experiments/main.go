@@ -9,9 +9,8 @@
 // Usage:
 //
 //	experiments [-bench s344,tlc,...] [-table N] [-figure N] [-summary]
-//	            [-iters N] [-maxnodes N] [-timeout D] [-lbcubes N]
-//	            [-validate] [-o FILE] [-workers N] [-trace-dir DIR]
-//	            [-cpuprofile FILE]
+//	            [-iters N] [-maxnodes N] [-timeout D] [-validate]
+//	            [-o FILE] [-workers N] [-trace-dir DIR] [-cpuprofile FILE]
 //
 // The benchmarks run on a pool of -workers workers (default 1, 0 =
 // GOMAXPROCS), one BDD manager per benchmark; tables and records are
@@ -71,10 +70,8 @@ func run() {
 		iters     = flag.Int("iters", 64, "max BFS iterations per benchmark")
 		maxNodes  = flag.Int("maxnodes", 2_000_000, "abort a benchmark beyond this many live BDD nodes (enforced inside the kernels)")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget per benchmark, e.g. 30s (0 = none)")
-		lbCubes   = flag.Int("lbcubes", 1000, "cube budget for the lower bound")
 		validate  = flag.Bool("validate", false, "verify every heuristic result is a cover")
 		extended  = flag.Bool("extended", false, "also run the extension heuristics (sched, robust)")
-		plainLB   = flag.Bool("plainlb", false, "use the paper's plain DFS cube bound instead of the improved large-cube split")
 		workers   = flag.Int("workers", 1, "run benchmarks across this many workers (one BDD manager each; 0 = GOMAXPROCS)")
 		outFile   = flag.String("o", "", "also write the report to this file")
 		csvFile   = flag.String("csv", "", "write raw per-call records to this CSV file")
@@ -153,11 +150,7 @@ func run() {
 	if !*quiet {
 		progress = os.Stderr
 	}
-	cfg := harness.Config{
-		LowerBoundCubes: *lbCubes,
-		Validate:        *validate,
-		PlainLowerBound: *plainLB,
-	}
+	cfg := harness.Config{Validate: *validate}
 	if *extended {
 		cfg.Heuristics = append(core.ExtendedRegistry(), core.FAndC(), core.FOrNC(), core.FOrig())
 	}

@@ -18,11 +18,11 @@ import (
 
 var updateDocs = flag.Bool("update", false, "rewrite EXPERIMENTS.md's generated blocks")
 
-// EXPERIMENTS.md's kernel table, Table 3 runtimes and Section 4.2 scalars
-// are generated from the committed BENCH_kernel.json and
-// experiments_output.txt, so the prose cannot drift from the files it
-// quotes. After regenerating either file,
-// rewrite the blocks with `go test -run TestExperimentsDoc -update .`.
+// EXPERIMENTS.md's kernel table, Table 3 runtimes, Section 4.2 scalars and
+// extended Table 3 are generated from the committed BENCH_kernel.json,
+// experiments_output.txt and experiments_extended.txt, so the prose cannot
+// drift from the files it quotes. After regenerating any of them, rewrite
+// the blocks with `go test -run TestExperimentsDoc -update .`.
 func TestExperimentsDoc(t *testing.T) {
 	const path = "EXPERIMENTS.md"
 	data, err := os.ReadFile(path)
@@ -34,6 +34,7 @@ func TestExperimentsDoc(t *testing.T) {
 		{"kernel", kernelBlock(t)},
 		{"table3-runtime", runtimeBlock(t)},
 		{"section42", section42Block(t)},
+		{"extended-table3", extendedBlock(t)},
 	} {
 		begin, end := "<!-- begin "+b.name+" -->\n", "<!-- end "+b.name+" -->"
 		i := strings.Index(doc, begin)
@@ -95,48 +96,73 @@ func groupDigits(s string) string {
 	return s
 }
 
-// runtimeBlock renders the Runtime column of experiments_output.txt's
-// "Table 3 — all calls" as a table, slowest heuristic first. The report,
-// not the CSV, is the source: it sums the per-call times before rounding.
-func runtimeBlock(t *testing.T) string {
-	data, err := os.ReadFile("experiments_output.txt")
+// allCallsRows returns the rows of the "Table 3 — all calls" table in an
+// experiments report, split into fields: heuristic, total size, % of min,
+// runtime and rank, of which the low_bd and min rows have the first three.
+func allCallsRows(t *testing.T, path string) [][]string {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, table, ok := strings.Cut(string(data), "Table 3 — all calls")
 	if !ok {
-		t.Fatal("experiments_output.txt has no \"Table 3 — all calls\"")
+		t.Fatalf("%s has no \"Table 3 — all calls\"", path)
 	}
+	var rows [][]string
+	// The first three lines are the rest of the title, the header and
+	// its rule; the table ends at a blank line.
+	for _, line := range strings.Split(table, "\n")[3:] {
+		if strings.TrimSpace(line) == "" {
+			break
+		}
+		rows = append(rows, strings.Fields(line))
+	}
+	if len(rows) == 0 {
+		t.Fatalf("%s: Table 3 — all calls has no rows", path)
+	}
+	return rows
+}
+
+// runtimeBlock renders the Runtime column of experiments_output.txt's
+// "Table 3 — all calls" as a table, slowest heuristic first. The report,
+// not the CSV, is the source: it sums the per-call times before rounding.
+func runtimeBlock(t *testing.T) string {
 	type row struct {
 		name, secs string
 		v          float64
 	}
 	var rows []row
-	for _, line := range strings.Split(table, "\n") {
-		if strings.TrimSpace(line) == "" {
-			break
-		}
-		// heuristic, total size, % of min, runtime, rank; the low_bd and
-		// min rows have no runtime, the title and header more fields.
-		f := strings.Fields(line)
+	for _, f := range allCallsRows(t, "experiments_output.txt") {
 		if len(f) != 5 {
 			continue
 		}
 		secs := strings.TrimSuffix(f[3], "s")
 		v, err := strconv.ParseFloat(secs, 64)
 		if err != nil {
-			t.Fatalf("experiments_output.txt: Table 3 row %q: %v", line, err)
+			t.Fatalf("experiments_output.txt: Table 3 row %q: %v", f, err)
 		}
 		rows = append(rows, row{f[0], secs, v})
-	}
-	if len(rows) == 0 {
-		t.Fatal("experiments_output.txt: Table 3 — all calls has no runtime rows")
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].v > rows[j].v })
 	var b strings.Builder
 	b.WriteString("| heuristic | runtime (s) |\n|---|---|\n")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "| %s | %s |\n", r.name, r.secs)
+	}
+	return b.String()
+}
+
+// extendedBlock renders experiments_extended.txt's "Table 3 — all calls"
+// as a table of % of min and rank per heuristic, in the report's order.
+func extendedBlock(t *testing.T) string {
+	var b strings.Builder
+	b.WriteString("| heuristic | % of min | rank |\n|---|---|---|\n")
+	for _, f := range allCallsRows(t, "experiments_extended.txt") {
+		rank := "—"
+		if len(f) == 5 {
+			rank = f[4]
+		}
+		fmt.Fprintf(&b, "| %s | %s | %s |\n", f[0], f[2], rank)
 	}
 	return b.String()
 }

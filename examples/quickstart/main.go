@@ -3,7 +3,7 @@
 // An incompletely specified function [f, c] is built in the leaf notation
 // of the paper, every heuristic of the framework is run on it, and the
 // covers are compared against the brute-force exact minimum and the
-// cube-enumeration lower bound. Run with:
+// Theorem 7 cube lower bound. Run with:
 //
 //	go run ./examples/quickstart
 package main
@@ -51,7 +51,7 @@ func main() {
 	// Exact minimum (brute force over the 16 completions) and the
 	// Theorem 7 lower bound.
 	exact, size := core.ExactMinimize(m, in.F, in.C, 3)
-	lb := core.LowerBound(m, in.F, in.C, 1000)
+	lb := core.LowerBound(m, in.F, in.C)
 	fmt.Printf("\nexact minimum: %d nodes (%s); lower bound: %d\n",
 		size, core.FormatSpec(m, core.ISF{F: exact, C: bdd.One}, 3), lb)
 	fmt.Printf("best heuristic found %d nodes — %s\n", m.Size(best),

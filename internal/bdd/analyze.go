@@ -45,9 +45,6 @@ func (m *Manager) appendStampedVars(dst []Var, gen uint32) []Var {
 	return dst
 }
 
-// SupportCube returns the positive cube of f's support variables.
-func (m *Manager) SupportCube(f Ref) Ref { return m.CubeVars(m.Support(f)...) }
-
 // SupportUnion returns the union of the supports of the given functions,
 // ascending.
 func (m *Manager) SupportUnion(fs ...Ref) []Var {
@@ -92,19 +89,6 @@ func (m *Manager) NodesBelowLevel(f Ref, i Var) int {
 		}
 	}
 	return count
-}
-
-// LevelNodes returns, for each variable level, the number of nodes of f's
-// diagram rooted at that level. The terminal is not included.
-func (m *Manager) LevelNodes(f Ref) []int {
-	m.checkRef(f)
-	gen := m.newStamp()
-	m.markBuf = m.appendReach(f, gen, m.markBuf[:0])
-	out := make([]int, m.nvars)
-	for _, idx := range m.markBuf {
-		out[m.nodes[idx].level]++
-	}
-	return out
 }
 
 // Density returns the fraction of the Boolean space (over all of the

@@ -81,12 +81,6 @@ func TestSizeAndLevels(t *testing.T) {
 	if m.Size(f) != 4 {
 		t.Fatalf("Size(parity3) = %d, want 4 (complement edges shrink parity)", m.Size(f))
 	}
-	levels := m.LevelNodes(f)
-	for v := 0; v < 3; v++ {
-		if levels[v] != 1 {
-			t.Fatalf("LevelNodes[%d] = %d, want 1", v, levels[v])
-		}
-	}
 	if m.NodesBelowLevel(f, 0) != 2 {
 		t.Fatalf("NodesBelowLevel(f,0) = %d, want 2", m.NodesBelowLevel(f, 0))
 	}

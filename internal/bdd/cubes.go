@@ -20,12 +20,9 @@ const (
 // between calls; callers must copy it to retain it.
 //
 // Enumeration stops early when the callback returns false, or after limit
-// cubes if limit > 0. It returns the number of cubes delivered.
-//
-// This is the cube generator behind the paper's lower-bound computation
-// (Section 4.1.1): cubes of the care function are enumerated by traversing
-// its BDD in depth-first order, returning a cube each time the constant 1
-// is reached, limited to the first 1000 cubes.
+// cubes if limit > 0. It returns the number of cubes delivered. OneCube
+// takes the first cube; the network optimizer lowers small covers to SOP
+// cubes with it.
 func (m *Manager) ForEachCube(f Ref, limit int, fn func(cube []CubeValue) bool) int {
 	m.checkRef(f)
 	cube := make([]CubeValue, m.nvars)

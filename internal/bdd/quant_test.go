@@ -74,10 +74,10 @@ func TestQuantifyIdentities(t *testing.T) {
 		t.Fatal("abstraction of non-support variable must be identity")
 	}
 	// Exists over the full support of a satisfiable function is One.
-	if m.Exists(f, m.SupportCube(f)) != One {
+	if m.Exists(f, m.CubeVars(m.Support(f)...)) != One {
 		t.Fatal("existential closure of satisfiable function must be One")
 	}
-	if m.Forall(f, m.SupportCube(f)) != Zero {
+	if m.Forall(f, m.CubeVars(m.Support(f)...)) != Zero {
 		t.Fatal("universal closure of non-tautology must be Zero")
 	}
 }

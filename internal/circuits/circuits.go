@@ -44,45 +44,6 @@ func Counter(n int) *logic.Network {
 	return b.MustBuild()
 }
 
-// GrayCounter returns an n-bit Gray-code counter with a parity output.
-func GrayCounter(n int) *logic.Network {
-	b := logic.NewBuilder(fmt.Sprintf("gray%d", n))
-	en := b.Input("en")
-	qs := make([]*logic.Node, n)
-	for i := range qs {
-		qs[i] = b.Latch(fmt.Sprintf("g%d", i), false)
-	}
-	// Decode Gray to binary (MSB down), increment, re-encode.
-	bin := make([]*logic.Node, n)
-	bin[n-1] = qs[n-1]
-	for i := n - 2; i >= 0; i-- {
-		bin[i] = b.Xor(bin[i+1], qs[i])
-	}
-	sum := make([]*logic.Node, n)
-	carry := en
-	for i := 0; i < n; i++ {
-		sum[i] = b.Xor(bin[i], carry)
-		if i < n-1 {
-			carry = b.And(carry, bin[i])
-		}
-	}
-	for i := 0; i < n; i++ {
-		var g *logic.Node
-		if i == n-1 {
-			g = sum[n-1]
-		} else {
-			g = b.Xor(sum[i], sum[i+1])
-		}
-		b.SetNext(qs[i], g)
-	}
-	parity := qs[0]
-	for i := 1; i < n; i++ {
-		parity = b.Xor(parity, qs[i])
-	}
-	b.Output("par", parity)
-	return b.MustBuild()
-}
-
 // LFSR returns an n-bit Fibonacci linear feedback shift register with taps
 // given as bit positions, plus a serial output.
 func LFSR(n int, taps []int) *logic.Network {
@@ -99,25 +60,6 @@ func LFSR(n int, taps []int) *logic.Network {
 	b.SetNext(qs[0], b.Mux(en, fb, qs[0]))
 	for i := 1; i < n; i++ {
 		b.SetNext(qs[i], b.Mux(en, qs[i-1], qs[i]))
-	}
-	b.Output("so", qs[n-1])
-	return b.MustBuild()
-}
-
-// ShiftRegister returns an n-bit shift register with serial input and
-// parallel load-inhibit (hold) control.
-func ShiftRegister(n int) *logic.Network {
-	b := logic.NewBuilder(fmt.Sprintf("shift%d", n))
-	si := b.Input("si")
-	hold := b.Input("hold")
-	qs := make([]*logic.Node, n)
-	for i := range qs {
-		qs[i] = b.Latch(fmt.Sprintf("s%d", i), false)
-	}
-	prev := si
-	for i := 0; i < n; i++ {
-		b.SetNext(qs[i], b.Mux(hold, qs[i], prev))
-		prev = qs[i]
 	}
 	b.Output("so", qs[n-1])
 	return b.MustBuild()

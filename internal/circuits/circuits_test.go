@@ -71,30 +71,6 @@ func TestLFSRPeriod(t *testing.T) {
 	}
 }
 
-func TestShiftRegisterShifts(t *testing.T) {
-	net := ShiftRegister(3)
-	state := logic.InitialState(net)
-	bits := []bool{true, false, true}
-	for _, bit := range bits {
-		state, _ = logic.StepState(net, state, []bool{bit, false})
-	}
-	if state[0] != true || state[1] != false || state[2] != true {
-		t.Fatalf("shift contents %v", state)
-	}
-	var out []bool
-	_, out = logic.StepState(net, state, []bool{false, false})
-	if out[0] != true {
-		t.Fatal("serial out must emit first bit")
-	}
-	// Hold freezes the register.
-	next, _ := logic.StepState(net, state, []bool{false, true})
-	for i := range next {
-		if next[i] != state[i] {
-			t.Fatal("hold must freeze state")
-		}
-	}
-}
-
 func TestTrafficLightSafety(t *testing.T) {
 	// Simulate many steps with adversarial car input: the two greens are
 	// never on together, and the controller keeps cycling.
@@ -276,24 +252,6 @@ func TestByName(t *testing.T) {
 	}
 	if len(Names()) != 15 || len(SortedNames()) != 15 {
 		t.Fatal("name lists")
-	}
-}
-
-func TestGrayCounterStepsChangeOneBit(t *testing.T) {
-	net := GrayCounter(4)
-	state := logic.InitialState(net)
-	for step := 0; step < 30; step++ {
-		prev := append([]bool(nil), state...)
-		state, _ = logic.StepState(net, state, []bool{true})
-		diff := 0
-		for i := range state {
-			if state[i] != prev[i] {
-				diff++
-			}
-		}
-		if diff != 1 {
-			t.Fatalf("step %d: %d bits changed, want 1 (gray property)", step, diff)
-		}
 	}
 }
 

@@ -25,10 +25,10 @@
 // composes the transformations window by window, spending safe (OSM)
 // freedom before aggressive (TSM) freedom.
 //
-// The package also provides the paper's cube-enumeration lower bound
-// (Section 4.1.1, justified by Theorem 7: constrain is optimal when the
-// care set is a cube) and a brute-force exact minimizer usable as a test
-// oracle on small instances.
+// The package also provides the paper's cube lower bound over every cube
+// of the care set (Section 4.1.1, justified by Theorem 7: constrain is
+// optimal when the care set is a cube) and a brute-force exact minimizer
+// usable as a test oracle on small instances.
 package core
 
 import "bddmin/internal/bdd"

@@ -79,12 +79,12 @@ func ExampleCriterion() {
 	// tsm reflexive=true symmetric=true transitive=false
 }
 
-// The cube-enumeration lower bound of Section 4.1.1 certifies optimality
+// The cube lower bound of Section 4.1.1 certifies optimality
 // when it meets a heuristic's result.
 func ExampleLowerBound() {
 	m := bdd.New(2)
 	in := core.MustParseSpec(m, "d1 01")
-	lb := core.LowerBound(m, in.F, in.C, 1000)
+	lb := core.LowerBound(m, in.F, in.C)
 	g := core.NewSiblingHeuristic(core.OSM, false, false).Minimize(m, in.F, in.C)
 	fmt.Printf("bound %d, osm_td %d, optimal: %v\n", lb, m.Size(g), lb == m.Size(g))
 	// Output:

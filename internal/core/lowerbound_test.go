@@ -15,7 +15,7 @@ func TestLowerBoundBelowExactMinimum(t *testing.T) {
 		m := bdd.New(n)
 		in := randISF(rng, m, n)
 		_, best := ExactMinimize(m, in.F, in.C, n)
-		lb := LowerBound(m, in.F, in.C, 0)
+		lb := LowerBound(m, in.F, in.C)
 		if lb > best {
 			t.Fatalf("lower bound %d exceeds exact minimum %d (trial %d)", lb, best, trial)
 		}
@@ -25,8 +25,8 @@ func TestLowerBoundBelowExactMinimum(t *testing.T) {
 	}
 }
 
-// TestLowerBoundExactOnCubeCare: when c is itself a cube the enumeration
-// finds it and Theorem 7 makes the bound exact.
+// TestLowerBoundExactOnCubeCare: when c is itself a cube the walk finds it
+// and Theorem 7 makes the bound exact.
 func TestLowerBoundExactOnCubeCare(t *testing.T) {
 	rng := newRand(501)
 	for trial := 0; trial < 60; trial++ {
@@ -42,26 +42,114 @@ func TestLowerBoundExactOnCubeCare(t *testing.T) {
 			continue
 		}
 		_, best := ExactMinimize(m, f, c, n)
-		if lb := LowerBound(m, f, c, 0); lb != best {
+		if lb := LowerBound(m, f, c); lb != best {
 			t.Fatalf("cube care set: lower bound %d, exact %d", lb, best)
 		}
 	}
 }
 
-// TestLowerBoundMonotoneInBudget: enumerating more cubes can only tighten
-// (raise) the bound — the paper observed the bound rising when the limit
-// went from 10 to 1000 cubes.
+// TestLowerBoundMonotoneInBudget: a larger pair cap never lowers the
+// bound, since a longer walk reaches a superset of 1-paths of c.
 func TestLowerBoundMonotoneInBudget(t *testing.T) {
 	rng := newRand(502)
 	for trial := 0; trial < 60; trial++ {
 		n := 3 + rng.Intn(3)
 		m := bdd.New(n)
 		in := randISF(rng, m, n)
-		lb1 := LowerBound(m, in.F, in.C, 1)
-		lb10 := LowerBound(m, in.F, in.C, 10)
-		lbAll := LowerBound(m, in.F, in.C, 0)
-		if lb1 > lb10 || lb10 > lbAll {
-			t.Fatalf("bound not monotone in budget: %d, %d, %d", lb1, lb10, lbAll)
+		prev := 0
+		for _, limit := range []int{1, 2, 4, 16, maxBoundPairs} {
+			lb, _ := lowerBound(m, in.F, in.C, limit)
+			if lb < prev {
+				t.Fatalf("pair cap %d lowered the bound to %d from %d", limit, lb, prev)
+			}
+			prev = lb
+		}
+	}
+}
+
+// enumeratedBound is Section 4.1.1's bound computed by listing every cube
+// of c and constraining f by it: the oracle for the one-walk LowerBound.
+func enumeratedBound(m *bdd.Manager, f, c bdd.Ref) int {
+	best := 1
+	m.ForEachCube(c, 0, func(cube []bdd.CubeValue) bool {
+		best = max(best, m.Size(m.Constrain(f, m.CubeRef(cube))))
+		return true
+	})
+	return best
+}
+
+// TestLowerBoundEqualsEnumeration: the walk visits every 1-path of c, so
+// it equals the full cube enumeration. Half the instances are built from
+// XOR chains with negated operands, so that most edges of f and c are
+// complemented.
+func TestLowerBoundEqualsEnumeration(t *testing.T) {
+	rng := newRand(504)
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(6)
+		m := bdd.New(n)
+		in := randISF(rng, m, n)
+		if trial%2 == 1 {
+			for v := 0; v < n; v++ {
+				if rng.Intn(2) == 0 {
+					in.C = m.Xnor(in.C, m.MkVar(bdd.Var(v)))
+				}
+				if rng.Intn(2) == 0 {
+					in.F = m.Xor(in.F, m.MkNotVar(bdd.Var(v)))
+				}
+			}
+			in.F = in.F.Not()
+			if in.C == bdd.Zero {
+				in.C = bdd.One
+			}
+		}
+		if lb, want := LowerBound(m, in.F, in.C), enumeratedBound(m, in.F, in.C); lb != want {
+			t.Fatalf("trial %d: walk bound %d, enumeration %d", trial, lb, want)
+		}
+	}
+}
+
+// hostileBound builds f = x0·x1 + x2·x3 + … (k terms) and c = the parity
+// of the odd variables, on which the walk meets 2^k − 1 distinct pairs.
+func hostileBound(k int) (*bdd.Manager, ISF) {
+	m := bdd.New(2 * k)
+	f, c := bdd.Zero, bdd.Zero
+	for i := 0; i < k; i++ {
+		x, y := m.MkVar(bdd.Var(2*i)), m.MkVar(bdd.Var(2*i+1))
+		f = m.Or(f, m.And(x, y))
+		c = m.Xor(c, y)
+	}
+	return m, ISF{F: f, C: c}
+}
+
+// TestLowerBoundCapStopsHostileWalk: uncapped, the hostile instance needs
+// 2^k − 1 pairs, more than maxBoundPairs; LowerBound stops at the cap, and
+// its bound is still at most every heuristic's result.
+func TestLowerBoundCapStopsHostileWalk(t *testing.T) {
+	const k = 16
+	m, in := hostileBound(k)
+	if got, want := m.Size(in.F), 2*k+1; got != want {
+		t.Fatalf("|f| = %d, want %d", got, want)
+	}
+	if got, want := m.Size(in.C), k+1; got != want {
+		t.Fatalf("|c| = %d, want %d", got, want)
+	}
+	full, pairs := lowerBound(m, in.F, in.C, 1<<k)
+	if pairs != 1<<k-1 {
+		t.Fatalf("uncapped walk visited %d pairs, want %d", pairs, 1<<k-1)
+	}
+	lb, pairs := lowerBound(m, in.F, in.C, maxBoundPairs)
+	if pairs != maxBoundPairs {
+		t.Fatalf("capped walk visited %d pairs, want the cap %d", pairs, maxBoundPairs)
+	}
+	if LowerBound(m, in.F, in.C) != lb {
+		t.Fatal("LowerBound must stop at maxBoundPairs")
+	}
+	if lb > full || lb < 1 {
+		t.Fatalf("capped bound %d outside [1, %d]", lb, full)
+	}
+	for _, h := range Registry() {
+		if s := m.Size(h.Minimize(m, in.F, in.C)); s < lb {
+			t.Fatalf("%s produced size %d below the capped bound %d", h.Name(), s, lb)
 		}
 	}
 }
@@ -69,11 +157,11 @@ func TestLowerBoundMonotoneInBudget(t *testing.T) {
 // TestLowerBoundTrivial: degenerate care sets.
 func TestLowerBoundTrivial(t *testing.T) {
 	m := bdd.New(2)
-	if LowerBound(m, m.MkVar(0), bdd.Zero, 0) != 1 {
+	if LowerBound(m, m.MkVar(0), bdd.Zero) != 1 {
 		t.Fatal("empty care set bound must be 1")
 	}
 	f := m.Xor(m.MkVar(0), m.MkVar(1))
-	if lb := LowerBound(m, f, bdd.One, 0); lb != m.Size(f) {
+	if lb := LowerBound(m, f, bdd.One); lb != m.Size(f) {
 		t.Fatalf("full care set bound must be |f| = %d, got %d", m.Size(f), lb)
 	}
 }
@@ -86,7 +174,7 @@ func TestHeuristicsAboveLowerBound(t *testing.T) {
 		n := 2 + rng.Intn(4)
 		m := bdd.New(n)
 		in := randISF(rng, m, n)
-		lb := LowerBound(m, in.F, in.C, 1000)
+		lb := LowerBound(m, in.F, in.C)
 		for _, h := range Registry() {
 			if s := m.Size(h.Minimize(m, in.F, in.C)); s < lb {
 				t.Fatalf("%s produced size %d below the lower bound %d", h.Name(), s, lb)

@@ -127,8 +127,8 @@ func TestQuickConstrainRestrictFrameworkIdentity(t *testing.T) {
 	}
 }
 
-// TestQuickLowerBoundsSound: both bound variants stay below every
-// heuristic result.
+// TestQuickLowerBoundsSound: the lower bound stays below every heuristic
+// result.
 func TestQuickLowerBoundsSound(t *testing.T) {
 	h := NewSiblingHeuristic(OSM, true, true)
 	prop := func(q quickISF) bool {
@@ -136,10 +136,8 @@ func TestQuickLowerBoundsSound(t *testing.T) {
 		in := q.build(m)
 		size := m.Size(h.Minimize(m, in.F, in.C))
 		// Any heuristic result upper-bounds the minimum, which
-		// upper-bounds the lower bounds.
-		return LowerBound(m, in.F, in.C, 0) <= size &&
-			LowerBoundLargeCubes(m, in.F, in.C, 0) <= size &&
-			LowerBoundBest(m, in.F, in.C, 64) <= size
+		// upper-bounds the lower bound.
+		return LowerBound(m, in.F, in.C) <= size
 	}
 	if err := quick.Check(prop, quickConfig); err != nil {
 		t.Fatal(err)

@@ -68,79 +68,3 @@ func TestRobustPanicsOnEmptyCare(t *testing.T) {
 	}()
 	(&Robust{}).Minimize(m, m.MkVar(0), bdd.Zero)
 }
-
-func TestLowerBoundLargeCubesValid(t *testing.T) {
-	rng := newRand(603)
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(3)
-		m := bdd.New(n)
-		in := randISF(rng, m, n)
-		_, best := ExactMinimize(m, in.F, in.C, n)
-		for _, lb := range []int{
-			LowerBoundLargeCubes(m, in.F, in.C, 0),
-			LowerBoundLargeCubes(m, in.F, in.C, 5),
-			LowerBoundBest(m, in.F, in.C, 100),
-		} {
-			if lb > best || lb < 1 {
-				t.Fatalf("large-cube bound %d outside [1, %d]", lb, best)
-			}
-		}
-	}
-}
-
-func TestLowerBoundLargeCubesFindsLargeCubesFirst(t *testing.T) {
-	// c has one huge cube (x0) and many tiny ones; with a budget of one
-	// cube, the large-cube enumeration must pick the short path.
-	m := bdd.New(6)
-	tiny := m.AndN(m.MkNotVar(0), m.MkVar(1), m.MkVar(2), m.MkVar(3), m.MkVar(4), m.MkVar(5))
-	c := m.Or(m.MkVar(0), tiny)
-	f := m.Xor(m.Xor(m.MkVar(1), m.MkVar(2)), m.Xor(m.MkVar(3), m.MkVar(4)))
-	lbLarge := LowerBoundLargeCubes(m, f, c, 1)
-	// Constraining by the cube x0 leaves the full parity function.
-	if want := m.Size(m.Constrain(f, m.MkVar(0))); lbLarge != want {
-		t.Fatalf("large-cube bound with budget 1 = %d, want %d (the x0 cube)", lbLarge, want)
-	}
-	// A plain DFS enumeration starting down the then-branch also finds
-	// x0 first here, so build the mirror case: the big cube on the else
-	// side.
-	c2 := m.Or(m.MkNotVar(0), m.And(m.MkVar(0), tiny))
-	lb2 := LowerBoundLargeCubes(m, f, c2, 1)
-	if want := m.Size(m.Constrain(f, m.MkNotVar(0))); lb2 != want {
-		t.Fatalf("mirrored large-cube bound = %d, want %d", lb2, want)
-	}
-}
-
-func TestLowerBoundBestAtLeastEitherHalf(t *testing.T) {
-	rng := newRand(604)
-	for trial := 0; trial < 60; trial++ {
-		n := 3 + rng.Intn(3)
-		m := bdd.New(n)
-		in := randISF(rng, m, n)
-		combined := LowerBoundBest(m, in.F, in.C, 20)
-		a := LowerBound(m, in.F, in.C, 10)
-		b := LowerBoundLargeCubes(m, in.F, in.C, 10)
-		if combined < a || combined < b {
-			t.Fatalf("combined bound %d below its parts %d/%d", combined, a, b)
-		}
-	}
-}
-
-func TestMinLiteralsMetric(t *testing.T) {
-	m := bdd.New(4)
-	memo := make(map[bdd.Ref]int)
-	if minLiterals(m, memo, bdd.One) != 0 {
-		t.Fatal("One at distance 0")
-	}
-	cube := m.AndN(m.MkVar(0), m.MkVar(1), m.MkVar(2))
-	if got := minLiterals(m, memo, cube); got != 3 {
-		t.Fatalf("cube distance = %d, want 3", got)
-	}
-	or := m.Or(m.MkVar(0), m.And(m.MkVar(1), m.MkVar(2)))
-	if got := minLiterals(m, memo, or); got != 1 {
-		t.Fatalf("or distance = %d, want 1", got)
-	}
-	parity := m.Xor(m.MkVar(0), m.MkVar(1))
-	if got := minLiterals(m, memo, parity); got != 2 {
-		t.Fatalf("parity distance = %d, want 2", got)
-	}
-}

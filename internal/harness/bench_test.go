@@ -10,7 +10,7 @@ import (
 // cmd/experiments' (and cmd/benchdump's) job.
 var benchNames = []string{"tlc", "minmax5", "tbk", "s386"}
 
-var benchRC = RunConfig{Collector: Config{LowerBoundCubes: 100}}
+var benchRC RunConfig
 
 // BenchmarkRunSuite sweeps the worker count; one worker is the baseline,
 // and with 4 workers on 4+ cores the suite wall-clock should beat it by

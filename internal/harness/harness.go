@@ -3,10 +3,11 @@
 // frontier minimization is intercepted and treated as an instance of the
 // exact BDD minimization problem; all heuristics are run on it with the
 // computed caches flushed first (so no heuristic profits from a
-// predecessor's work), sizes and runtimes are recorded, the cube-based
-// lower bound is computed, and the constrain result is handed back to the
-// traversal. Calls where c is a cube or c is contained in f or ¬f are
-// filtered out, since most heuristics find the minimum in those cases.
+// predecessor's work), sizes and runtimes are recorded, the lower bound
+// over every cube of the care set is computed, and the constrain result
+// is handed back to the traversal. Calls where c is a cube or c is
+// contained in f or ¬f are filtered out, since most heuristics find the
+// minimum in those cases.
 //
 // Aggregations reproduce the paper's Table 3 (cumulative sizes, % of min,
 // runtimes, ranks over all calls and per c_onset_size bucket), Table 4
@@ -54,7 +55,8 @@ type CallRecord struct {
 	COnsetPct float64
 	// FOrigSize is |f|.
 	FOrigSize int
-	// LowerBound is the cube-enumeration lower bound.
+	// LowerBound is Section 4.1.1's lower bound: the largest
+	// |constrain(f, p)| over the cubes p of c (core.LowerBound).
 	LowerBound int
 	// MinSize is the smallest size over all heuristics (the paper's
 	// "min" pseudo-heuristic).
@@ -69,13 +71,10 @@ type Config struct {
 	// core.RegistryWithBounds() (the paper's nine heuristics plus
 	// f_and_c, f_or_nc, f_orig).
 	Heuristics []core.Minimizer
-	// LowerBoundCubes is the cube budget (default 1000, the paper's).
+	// LowerBoundCubes was the lower bound's cube budget.
+	//
+	// Deprecated: ignored. core.LowerBound covers every cube of c.
 	LowerBoundCubes int
-	// PlainLowerBound selects the paper's measured configuration (plain
-	// depth-first cube enumeration). By default the budget is split with
-	// the large-cube enumeration the paper suggests in Section 4.1.1,
-	// which tightens the bound.
-	PlainLowerBound bool
 	// Validate re-checks every result against the cover definition.
 	Validate bool
 	// Tracer, when non-nil, receives the pipeline event stream: one
@@ -90,9 +89,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Heuristics == nil {
 		c.Heuristics = core.RegistryWithBounds()
-	}
-	if c.LowerBoundCubes == 0 {
-		c.LowerBoundCubes = 1000
 	}
 	return c
 }
@@ -212,11 +208,7 @@ func (c *Collector) record(m *bdd.Manager, f, cc bdd.Ref) {
 		}
 	}
 	m.FlushCaches()
-	if c.cfg.PlainLowerBound {
-		rec.LowerBound = core.LowerBound(m, f, cc, c.cfg.LowerBoundCubes)
-	} else {
-		rec.LowerBound = core.LowerBoundBest(m, f, cc, c.cfg.LowerBoundCubes)
-	}
+	rec.LowerBound = core.LowerBound(m, f, cc)
 	c.Records = append(c.Records, rec)
 }
 

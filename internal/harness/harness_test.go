@@ -20,7 +20,7 @@ func suiteRecords(t *testing.T) *Collector {
 		return cachedCollector
 	}
 	col, runs, err := RunSuite([]string{"tlc", "minmax5", "tbk"}, RunConfig{
-		Collector: Config{Validate: true, LowerBoundCubes: 200},
+		Collector: Config{Validate: true},
 	}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -323,9 +323,7 @@ func TestSuiteRunsAreDeterministic(t *testing.T) {
 	// same benchmarks produce identical sizes, bounds and bucket values
 	// (runtimes differ, of course).
 	run := func() *Collector {
-		col, _, err := RunSuite([]string{"tlc", "tbk"}, RunConfig{
-			Collector: Config{LowerBoundCubes: 100},
-		}, 1)
+		col, _, err := RunSuite([]string{"tlc", "tbk"}, RunConfig{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,7 @@ import (
 var parallelNames = []string{"tlc", "minmax5", "tbk"}
 
 func TestParallelMatchesSequential(t *testing.T) {
-	rc := RunConfig{Collector: Config{LowerBoundCubes: 100}}
+	var rc RunConfig
 	seqCol, seqRuns, err := RunSuite(parallelNames, rc, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 func TestParallelDeterministicAcrossRuns(t *testing.T) {
-	rc := RunConfig{Collector: Config{LowerBoundCubes: 100}}
+	var rc RunConfig
 	run := func(workers int) *Collector {
 		col, _, err := RunSuite(parallelNames, rc, workers)
 		if err != nil {
@@ -69,10 +69,9 @@ func TestParallelDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestParallelWorkerClamping(t *testing.T) {
-	rc := RunConfig{Collector: Config{LowerBoundCubes: 50}}
 	// More workers than benchmarks and the GOMAXPROCS default both work.
 	for _, w := range []int{16, 0} {
-		_, runs, err := RunSuite([]string{"tlc"}, rc, w)
+		_, runs, err := RunSuite([]string{"tlc"}, RunConfig{}, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,10 +91,7 @@ func TestParallelRejectsUnknownBenchmark(t *testing.T) {
 func TestParallelProgressLines(t *testing.T) {
 	var sb strings.Builder
 	mu := &syncWriter{w: &sb}
-	_, _, err := RunSuite([]string{"tlc", "tbk"}, RunConfig{
-		Collector: Config{LowerBoundCubes: 50},
-		Progress:  mu,
-	}, 2)
+	_, _, err := RunSuite([]string{"tlc", "tbk"}, RunConfig{Progress: mu}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

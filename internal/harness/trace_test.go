@@ -13,7 +13,7 @@ import (
 // tests, recording the merged event stream into a fresh buffer.
 func traceRC() (RunConfig, *obs.Buffer) {
 	buf := &obs.Buffer{}
-	rc := RunConfig{Collector: Config{LowerBoundCubes: 100, Tracer: buf}}
+	rc := RunConfig{Collector: Config{Tracer: buf}}
 	return rc, buf
 }
 
@@ -60,8 +60,7 @@ func TestParallelTraceMergeDeterministic(t *testing.T) {
 // A nil tracer must stay nil through the suite runner (no buffers, no
 // replay) — the zero-overhead default.
 func TestParallelNoTracer(t *testing.T) {
-	rc := RunConfig{Collector: Config{LowerBoundCubes: 100}}
-	col, _, err := RunSuite(parallelNames[:1], rc, 2)
+	col, _, err := RunSuite(parallelNames[:1], RunConfig{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +73,7 @@ func TestParallelNoTracer(t *testing.T) {
 // benchmark start/end events, independent of any configured tracer.
 func TestTraceDirWritesPerBenchmarkFiles(t *testing.T) {
 	dir := t.TempDir()
-	rc := RunConfig{
-		Collector: Config{LowerBoundCubes: 100},
-		TraceDir:  dir,
-	}
+	rc := RunConfig{TraceDir: dir}
 	if _, _, err := RunSuite(parallelNames, rc, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +99,7 @@ func TestTraceDirWritesPerBenchmarkFiles(t *testing.T) {
 func TestTraceDirStacksOnTracer(t *testing.T) {
 	buf := &obs.Buffer{}
 	rc := RunConfig{
-		Collector: Config{LowerBoundCubes: 100, Tracer: buf},
+		Collector: Config{Tracer: buf},
 		TraceDir:  t.TempDir(),
 	}
 	col, _, err := RunSuite(parallelNames[:1], rc, 1)

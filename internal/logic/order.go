@@ -96,15 +96,6 @@ func CompareOrders(net *Network) (declSize, dfsSize int) {
 	return declSize, dfsSize
 }
 
-// OrderNames renders an order as leaf names, for reports.
-func OrderNames(order []*Node) []string {
-	out := make([]string, len(order))
-	for i, nd := range order {
-		out[i] = nd.Name
-	}
-	return out
-}
-
 // sortLeavesByName is a helper for deterministic diagnostics.
 func sortLeavesByName(leaves []*Node) {
 	sort.Slice(leaves, func(i, j int) bool { return leaves[i].Name < leaves[j].Name })

@@ -42,9 +42,8 @@ func TestSuggestOrderInterleavesAdder(t *testing.T) {
 	}
 	// The suggested order starts with the low-order operand pair.
 	order := SuggestOrder(net)
-	names := OrderNames(order)
-	if names[0] != "x0" || names[1] != "y0" {
-		t.Fatalf("DFS order must interleave operands, starts %v", names[:4])
+	if order[0].Name != "x0" || order[1].Name != "y0" {
+		t.Fatalf("DFS order must interleave operands, starts %s %s", order[0].Name, order[1].Name)
 	}
 }
 
