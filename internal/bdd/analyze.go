@@ -45,17 +45,6 @@ func (m *Manager) appendStampedVars(dst []Var, gen uint32) []Var {
 	return dst
 }
 
-// SupportUnion returns the union of the supports of the given functions,
-// ascending.
-func (m *Manager) SupportUnion(fs ...Ref) []Var {
-	gen := m.newStamp()
-	for _, f := range fs {
-		m.checkRef(f)
-		m.supportWalk(f, gen)
-	}
-	return m.appendStampedVars(nil, gen)
-}
-
 // Size returns the number of nodes in f's diagram, including the terminal
 // node, matching |f| as defined in the paper (Section 2).
 func (m *Manager) Size(f Ref) int {

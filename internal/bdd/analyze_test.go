@@ -23,22 +23,6 @@ func TestSupport(t *testing.T) {
 	}
 }
 
-func TestSupportUnion(t *testing.T) {
-	m := New(6)
-	f := m.MkVar(0)
-	g := m.And(m.MkVar(2), m.MkVar(4))
-	got := m.SupportUnion(f, g)
-	want := []Var{0, 2, 4}
-	if len(got) != len(want) {
-		t.Fatalf("SupportUnion = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SupportUnion = %v", got)
-		}
-	}
-}
-
 func TestSupportMatchesSensitivity(t *testing.T) {
 	rng := newRand(30)
 	for trial := 0; trial < 100; trial++ {

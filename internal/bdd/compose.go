@@ -37,40 +37,6 @@ func (m *Manager) compose(f Ref, level int32, g Ref, op uint32) Ref {
 	return r
 }
 
-// VecCompose simultaneously substitutes subst[v] for every variable v
-// present in the map. Substitution is simultaneous, not iterated: the
-// replacement functions are not themselves rewritten.
-func (m *Manager) VecCompose(f Ref, subst map[Var]Ref) Ref {
-	m.checkRef(f)
-	for v, g := range subst {
-		m.checkVar(v)
-		m.checkRef(g)
-	}
-	memo := make(map[Ref]Ref)
-	return m.vecCompose(f, subst, memo)
-}
-
-func (m *Manager) vecCompose(f Ref, subst map[Var]Ref, memo map[Ref]Ref) Ref {
-	if f.IsConst() {
-		return f
-	}
-	if r, ok := memo[f]; ok {
-		return r
-	}
-	top := m.Level(f)
-	fT, fE := m.branches(f, top)
-	t := m.vecCompose(fT, subst, memo)
-	e := m.vecCompose(fE, subst, memo)
-	v := Var(top)
-	head, ok := subst[v]
-	if !ok {
-		head = m.MkVar(v)
-	}
-	r := m.ITE(head, t, e)
-	memo[f] = r
-	return r
-}
-
 // RenameMonotone renames variables of f according to perm: every variable v
 // in f's support is replaced by perm[v]. The mapping restricted to the
 // support must be strictly order-preserving (monotone), which allows a

@@ -48,28 +48,6 @@ func TestComposeIdentities(t *testing.T) {
 	}
 }
 
-func TestVecComposeSimultaneous(t *testing.T) {
-	m := New(4)
-	x0, x1 := m.MkVar(0), m.MkVar(1)
-	f := m.Xor(x0, x1)
-	// Swap x0 and x1 simultaneously: f is symmetric, so unchanged.
-	got := m.VecCompose(f, map[Var]Ref{0: x1, 1: x0})
-	if got != f {
-		t.Fatal("simultaneous swap of symmetric function must be identity")
-	}
-	// Asymmetric check: g = x0·¬x1 swapped becomes x1·¬x0.
-	g := m.AndNot(x0, x1)
-	gotG := m.VecCompose(g, map[Var]Ref{0: x1, 1: x0})
-	if gotG != m.AndNot(x1, x0) {
-		t.Fatal("simultaneous substitution must not iterate")
-	}
-	// Substituting constants evaluates.
-	h := m.And(x0, m.MkVar(2))
-	if m.VecCompose(h, map[Var]Ref{0: One, 2: One}) != One {
-		t.Fatal("VecCompose with constants must evaluate")
-	}
-}
-
 func TestRenameMonotone(t *testing.T) {
 	m := New(6)
 	f := m.Or(m.And(m.MkVar(0), m.MkVar(2)), m.MkVar(4))

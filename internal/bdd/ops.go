@@ -30,16 +30,26 @@ func (m *Manager) AndN(fs ...Ref) Ref {
 	return r
 }
 
-// OrN folds Or over its arguments; OrN() is Zero.
+// OrN returns the disjunction of its arguments; OrN() is Zero. It folds
+// them as a balanced tree, ORing the sum of each half. A linear fold ORs
+// every argument into one growing sum and so walks that sum again per
+// argument; for a sum of many cubes nearly all of those nodes are garbage.
+// The halves recurse on subslices: nothing is allocated and fs is left as
+// it was.
 func (m *Manager) OrN(fs ...Ref) Ref {
-	r := Zero
-	for _, f := range fs {
-		r = m.Or(r, f)
-		if r == One {
-			return One
-		}
+	switch len(fs) {
+	case 0:
+		return Zero
+	case 1:
+		m.checkRef(fs[0])
+		return fs[0]
 	}
-	return r
+	h := len(fs) / 2
+	l := m.OrN(fs[:h]...)
+	if l == One {
+		return One
+	}
+	return m.Or(l, m.OrN(fs[h:]...))
 }
 
 // Leq reports whether f ≤ g pointwise, i.e. f implies g. This is the

@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -157,6 +158,44 @@ func TestAndNOrN(t *testing.T) {
 	}
 	if m.AndN(m.MkVar(0), m.MkVar(0).Not(), m.MkVar(1)) != Zero {
 		t.Fatal("contradictory AndN must be Zero")
+	}
+
+	// OrN's balanced fold against the linear Or chain, on lists of 0–40
+	// functions: random truth tables cut down by a cube of two to five
+	// literals, so that the sums stay short of One.
+	const n = 8
+	m = New(n)
+	rng := newRand(22)
+	for trial := 0; trial < 200; trial++ {
+		fs := make([]Ref, rng.Intn(41))
+		for i := range fs {
+			f := randTT(rng, n).build(m)
+			for k := 2 + rng.Intn(4); k > 0; k-- {
+				lit := m.MkVar(Var(rng.Intn(n)))
+				if rng.Intn(2) == 0 {
+					lit = lit.Not()
+				}
+				f = m.And(f, lit)
+			}
+			fs[i] = f
+		}
+		want := Zero
+		for _, f := range fs {
+			want = m.Or(want, f)
+		}
+		before := slices.Clone(fs)
+		if got := m.OrN(fs...); got != want {
+			t.Fatalf("trial %d: OrN of %d functions differs from the Or chain", trial, len(fs))
+		}
+		if !slices.Equal(fs, before) {
+			t.Fatalf("trial %d: OrN changed its argument slice", trial)
+		}
+		if len(fs) > 0 {
+			fs[rng.Intn(len(fs))] = One
+			if m.OrN(fs...) != One {
+				t.Fatalf("trial %d: OrN of a list holding One is not One", trial)
+			}
+		}
 	}
 }
 

@@ -60,13 +60,6 @@ func (i ISF) Trivial(m *bdd.Manager) (g bdd.Ref, ok bool) {
 	return bdd.Zero, false
 }
 
-// Equivalent reports whether two incompletely specified functions are equal
-// as ISFs: same care set and same values on it. The value test runs on the
-// allocation-free TSM kernel ((F1⊕F2)·C·C = (F1⊕F2)·C).
-func (i ISF) Equivalent(m *bdd.Manager, j ISF) bool {
-	return i.C == j.C && m.MatchTSM(i.F, i.C, j.F, j.C)
-}
-
 // Interval converts a function interval (fmin, fmax), fmin ≤ fmax, into an
 // ISF instance per Section 2: c = fmin + ¬fmax and f may be any function in
 // the interval (we use fmin). It panics if fmin does not imply fmax.

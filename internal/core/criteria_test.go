@@ -227,20 +227,3 @@ func TestInterval(t *testing.T) {
 	}()
 	Interval(m, fmax, fmin.Not())
 }
-
-func TestEquivalentISF(t *testing.T) {
-	m := bdd.New(2)
-	c := m.MkVar(0)
-	a := ISF{F: m.MkVar(1), C: c}
-	// Same values on the care set, different elsewhere.
-	b := ISF{F: m.And(m.MkVar(0), m.MkVar(1)), C: c}
-	if !a.Equivalent(m, b) {
-		t.Fatal("ISFs agreeing on the care set must be equivalent")
-	}
-	if a.Equivalent(m, ISF{F: m.MkVar(1).Not(), C: c}) {
-		t.Fatal("ISFs differing on the care set are not equivalent")
-	}
-	if a.Equivalent(m, ISF{F: a.F, C: bdd.One}) {
-		t.Fatal("different care sets are not equivalent")
-	}
-}

@@ -161,11 +161,11 @@ func (p *Product) extractTrace(rings []bdd.Ref, bad bdd.Ref) *Counterexample {
 		inputs[i], inputs[j] = inputs[j], inputs[i]
 	}
 	// Final step: an input showing the output difference at the bad state.
-	diff := bdd.Zero
+	xors := make([]bdd.Ref, len(p.A.Outputs))
 	for i := range p.A.Outputs {
-		diff = m.Or(diff, m.Xor(p.A.Outputs[i], p.B.Outputs[i]))
+		xors[i] = m.Xor(p.A.Outputs[i], p.B.Outputs[i])
 	}
-	show := m.And(diff, p.stateCube(badState))
+	show := m.And(m.OrN(xors...), p.stateCube(badState))
 	cube, ok := m.OneCube(show)
 	if !ok {
 		panic("fsm: bad state does not expose an output difference")

@@ -416,6 +416,51 @@ func TestProductAccessors(t *testing.T) {
 	}
 }
 
+// orChainBad is the miscompare predicate by its definition: the output
+// XORs ORed one after another, then the inputs quantified from the sum.
+func orChainBad(p *Product) bdd.Ref {
+	m := p.M
+	diff := bdd.Zero
+	for i := range p.A.Outputs {
+		diff = m.Or(diff, m.Xor(p.A.Outputs[i], p.B.Outputs[i]))
+	}
+	return m.Exists(diff, m.CubeVars(p.A.InputVars...))
+}
+
+func TestProductBadMatchesOrChain(t *testing.T) {
+	check := func(label string, a, b *logic.Network) (*Product, uint64) {
+		t.Helper()
+		m := bdd.New(0)
+		p, err := NewProduct(m, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		made := m.NodesMade()
+		if p.Bad() != orChainBad(p) {
+			t.Fatalf("%s: Bad() differs from the OR chain of output XORs", label)
+		}
+		return p, made
+	}
+	for _, name := range circuits.Names() {
+		info, err := circuits.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := info.Build()
+		_, made := check(name, net, net)
+		// scf has the suite's widest Table nodes. Summing their rows, and
+		// the output XORs, one term at a time makes 1,315,113 nodes.
+		if name == "scf" && made > 800000 {
+			t.Errorf("NewProduct(scf, scf) made %d nodes, want at most 800000", made)
+		}
+	}
+	a := circuits.RandomControlFSM("a", 30, 5, 3, 2)
+	b := circuits.RandomControlFSM("b", 130, 5, 3, 2)
+	if p, _ := check("mutant pair", a, b); p.Bad() == bdd.Zero {
+		t.Fatal("mutant pair: Bad() is empty, so the check above compared nothing")
+	}
+}
+
 func TestNewProductRejectsMismatches(t *testing.T) {
 	m := bdd.New(0)
 	if _, err := NewProduct(m, circuits.Counter(3), circuits.TrafficLight()); err == nil {

@@ -49,12 +49,16 @@ func NewProduct(m *bdd.Manager, a, b *logic.Network) (*Product, error) {
 	p := &Product{M: m, A: ma, B: mb}
 	p.initial = m.And(ma.Init, mb.Init)
 
-	// Miscompare: ∃w. ∨_i (oA_i ⊕ oB_i).
-	diff := bdd.Zero
+	// Miscompare: ∃w. ∨_i (oA_i ⊕ oB_i), computed as ∨_i ∃w. (oA_i ⊕ oB_i)
+	// because ∃ distributes over ∨. Each output's XOR loses the inputs
+	// before any sum is formed, and OrN folds the quantified terms as a
+	// balanced tree.
+	inputs := m.CubeVars(vb.Inputs...)
+	diffs := make([]bdd.Ref, len(ma.Outputs))
 	for i := range ma.Outputs {
-		diff = m.Or(diff, m.Xor(ma.Outputs[i], mb.Outputs[i]))
+		diffs[i] = m.Exists(m.Xor(ma.Outputs[i], mb.Outputs[i]), inputs)
 	}
-	p.bad = m.Exists(diff, m.CubeVars(vb.Inputs...))
+	p.bad = m.OrN(diffs...)
 
 	// Transition relations, interleaving the two machines' latches the
 	// same way the variables are interleaved.
@@ -69,8 +73,7 @@ func NewProduct(m *bdd.Manager, a, b *logic.Network) (*Product, error) {
 	}
 	p.renameYX = make(map[bdd.Var]bdd.Var)
 	var xs []bdd.Var
-	for k, mc := range []*Machine{ma, mb} {
-		_ = k
+	for _, mc := range []*Machine{ma, mb} {
 		for i := range mc.StateVars {
 			p.renameYX[mc.NextVars[i]] = mc.StateVars[i]
 			xs = append(xs, mc.StateVars[i])
@@ -97,9 +100,11 @@ func (p *Product) buildQuantSchedule() {
 	for _, v := range p.B.StateVars {
 		quantifiable[v] = true
 	}
+	// lastUse −1 marks a variable that no relation uses. It is in no
+	// dieAt cube; Image removes it through leftoverQuantCube.
 	lastUse := make(map[bdd.Var]int)
 	for v := range quantifiable {
-		lastUse[v] = -1 // only in S (or unused): quantify before the first conjunct? No — S uses them; die at 0.
+		lastUse[v] = -1
 	}
 	for i, r := range p.rels {
 		for _, v := range m.Support(r) {

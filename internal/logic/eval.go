@@ -64,8 +64,12 @@ func EvalBDD(m *bdd.Manager, nd *Node, env Env, memo map[*Node]bdd.Ref) bdd.Ref 
 		e := EvalBDD(m, nd.Fanin[2], env, memo)
 		r = m.ITE(sel, t, e)
 	case Table:
-		r = bdd.Zero
-		for _, row := range nd.Cover {
+		// The row cubes are summed by OrN's balanced fold. A Table node
+		// synthesized from a state table can hold hundreds of rows (scf's
+		// widest has 182), and ORing each into one growing sum would walk
+		// that sum once per row.
+		cubes := make([]bdd.Ref, len(nd.Cover))
+		for j, row := range nd.Cover {
 			cube := bdd.One
 			for i, c := range row {
 				fi := EvalBDD(m, nd.Fanin[i], env, memo)
@@ -76,8 +80,9 @@ func EvalBDD(m *bdd.Manager, nd *Node, env Env, memo map[*Node]bdd.Ref) bdd.Ref 
 					cube = m.And(cube, fi.Not())
 				}
 			}
-			r = m.Or(r, cube)
+			cubes[j] = cube
 		}
+		r = m.OrN(cubes...)
 	default:
 		panic(fmt.Sprintf("logic: cannot evaluate node type %v", nd.Type))
 	}

@@ -79,6 +79,47 @@ func TestGateSemanticsAgainstBDD(t *testing.T) {
 	}
 }
 
+func TestEvalBDDWideTable(t *testing.T) {
+	// A Table node as wide as a synthesized FSM's: its rows are summed by
+	// a balanced fold, which must still be exactly the row cover.
+	const fanins, rows = 12, 200
+	rng := rand.New(rand.NewSource(22))
+	b := NewBuilder("wide")
+	in := make([]*Node, fanins)
+	for i := range in {
+		in[i] = b.Input(string(rune('a' + i)))
+	}
+	cover := make([]string, rows)
+	for r := range cover {
+		row := make([]byte, fanins)
+		for i := range row {
+			row[i] = "01-"[rng.Intn(3)]
+		}
+		cover[r] = string(row)
+	}
+	tbl := b.Table(in, cover)
+	b.Output("y", tbl)
+	b.MustBuild()
+
+	m := bdd.New(fanins)
+	env := Env{}
+	for i, nd := range in {
+		env[nd] = m.MkVar(bdd.Var(i))
+	}
+	f := EvalBDD(m, tbl, env, make(map[*Node]bdd.Ref))
+	asn := make([]bool, fanins)
+	vals := make(map[*Node]bool, fanins)
+	for k := 0; k < 1<<fanins; k++ {
+		for i, nd := range in {
+			asn[i] = k&(1<<i) != 0
+			vals[nd] = asn[i]
+		}
+		if want := Simulate(tbl, vals, make(map[*Node]bool)); m.Eval(f, asn) != want {
+			t.Fatalf("assignment %012b: bdd %v, simulation %v", k, !want, want)
+		}
+	}
+}
+
 func TestValidateCatchesErrors(t *testing.T) {
 	// Combinational cycle.
 	b := NewBuilder("cyc")

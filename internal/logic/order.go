@@ -1,10 +1,6 @@
 package logic
 
-import (
-	"sort"
-
-	"bddmin/internal/bdd"
-)
+import "bddmin/internal/bdd"
 
 // Static variable ordering. The minimization framework assumes a fixed
 // order (as the paper does), but when a network is compiled to BDDs the
@@ -94,9 +90,4 @@ func CompareOrders(net *Network) (declSize, dfsSize int) {
 	_, _, declSize = BuildOutputBDDs(net, DeclarationOrder(net))
 	_, _, dfsSize = BuildOutputBDDs(net, SuggestOrder(net))
 	return declSize, dfsSize
-}
-
-// sortLeavesByName is a helper for deterministic diagnostics.
-func sortLeavesByName(leaves []*Node) {
-	sort.Slice(leaves, func(i, j int) bool { return leaves[i].Name < leaves[j].Name })
 }

@@ -107,14 +107,3 @@ func TestBuildOutputBDDsSemantics(t *testing.T) {
 		}
 	}
 }
-
-func TestOrderHelpers(t *testing.T) {
-	net := rippleAdder(2)
-	leaves := DeclarationOrder(net)
-	sortLeavesByName(leaves)
-	for i := 1; i < len(leaves); i++ {
-		if leaves[i-1].Name > leaves[i].Name {
-			t.Fatal("sortLeavesByName broken")
-		}
-	}
-}

@@ -167,27 +167,29 @@ func (p *PLA) OutputISF(m *bdd.Manager, vars []bdd.Var, j int) (f, c bdd.Ref, er
 	if j < 0 || j >= p.NumOutputs {
 		return bdd.Zero, bdd.Zero, fmt.Errorf("pla: output %d out of range", j)
 	}
-	onset, offset, dcset := bdd.Zero, bdd.Zero, bdd.Zero
+	// Each plane is a sum of cubes, folded by OrN as a balanced tree.
+	var on, off, dc []bdd.Ref
 	for _, row := range p.Rows {
-		var plane *bdd.Ref
+		var plane *[]bdd.Ref
 		switch row.Out[j] {
 		case '1':
-			plane = &onset
+			plane = &on
 		case '0':
 			// In type f and fd covers, a 0 output merely means "this
 			// product term does not belong to output j".
 			if p.Type == "fr" || p.Type == "fdr" {
-				plane = &offset
+				plane = &off
 			} else {
 				continue
 			}
 		case '-', '~':
-			plane = &dcset
+			plane = &dc
 		}
 		if plane != nil {
-			*plane = m.Or(*plane, p.cubeBDD(m, vars, row.In))
+			*plane = append(*plane, p.cubeBDD(m, vars, row.In))
 		}
 	}
+	onset, offset, dcset := m.OrN(on...), m.OrN(off...), m.OrN(dc...)
 	switch p.Type {
 	case "f":
 		// Onset only: everything else is offset; fully specified.
