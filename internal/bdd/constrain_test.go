@@ -221,3 +221,62 @@ func TestConstrainImageProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestRangeMatchesRelation checks Range against the relational image: for
+// random vectors F over x_0..x_5 (with constant and repeated entries) and
+// random non-empty domains D, Range(F ↓ D, ys) over y_6..y_{6+k-1} must
+// equal ∃x [D ∧ ∧_j (y_j ≡ F_j)]. Every other trial lists the ys out of
+// order, which costs nodes but not correctness.
+func TestRangeMatchesRelation(t *testing.T) {
+	const nx, ny = 6, 6
+	m := New(nx + ny)
+	if r := m.Range(nil, nil); r != One {
+		t.Fatalf("Range(nil, nil) = %d, want One", r)
+	}
+	rng := newRand(23)
+	xs := m.CubeVars(vars(nx)...)
+	for trial := 0; trial < 300; trial++ {
+		d := randTT(rng, nx)
+		if trial%2 == 0 {
+			d = d.and(randTT(rng, nx)) // sparser domains
+		}
+		D := d.build(m)
+		if D == Zero {
+			continue
+		}
+		k := rng.Intn(ny + 1)
+		fs := make([]Ref, k)
+		for j := range fs {
+			switch r := rng.Intn(6); {
+			case r == 0:
+				fs[j] = One
+			case r == 1:
+				fs[j] = Zero
+			case r == 2 && j > 0:
+				fs[j] = fs[rng.Intn(j)]
+			default:
+				fs[j] = randTT(rng, nx).build(m)
+			}
+		}
+		ys := vars(nx + k)[nx:]
+		if trial%2 == 1 {
+			rng.Shuffle(len(ys), func(a, b int) { ys[a], ys[b] = ys[b], ys[a] })
+		}
+		rel := D
+		cs := make([]Ref, k)
+		for j, f := range fs {
+			rel = m.And(rel, m.Xnor(m.MkVar(ys[j]), f))
+			cs[j] = m.Constrain(f, D)
+		}
+		want := m.Exists(rel, xs)
+		in := append([]Ref(nil), cs...)
+		if got := m.Range(cs, ys); got != want {
+			t.Fatalf("trial %d (%d functions): Range(F↓D) differs from ∃x[D·∏(y≡F)]", trial, k)
+		}
+		for j := range cs {
+			if cs[j] != in[j] {
+				t.Fatalf("trial %d: Range changed its argument at %d", trial, j)
+			}
+		}
+	}
+}

@@ -1,10 +1,6 @@
 package fsm
 
-import (
-	"encoding/binary"
-
-	"bddmin/internal/bdd"
-)
+import "bddmin/internal/bdd"
 
 // Functional-vector image computation after Coudert, Berthet and Madre:
 // the image of the state set S under the next-state vector δ equals the
@@ -14,8 +10,8 @@ import (
 // function is a sparse state set, which is why the experiments' calls
 // cluster in the c_onset_size < 5% bucket).
 //
-// The range is computed by the standard recursive output splitting: for
-// the first function g of the vector, range(g, rest) =
+// bdd.Range computes the range by the standard recursive output splitting:
+// for the first function g of the vector, range(g, rest) =
 // y·range(rest ↓ g) + ¬y·range(rest ↓ ¬g), where ↓ is the generalized
 // cofactor. The cofactor's image property (footnote 1 of the paper) is
 // essential here: an arbitrary cover of [rest_i, g] would give a wrong
@@ -45,9 +41,7 @@ func (p *Product) ImageFV(S bdd.Ref, obs ConstrainObserver) bdd.Ref {
 		}
 		constrained[i] = m.Constrain(d, S)
 	}
-	memo := make(map[string]bdd.Ref)
-	img := p.rangeOf(constrained, vars, memo)
-	return m.RenameMonotone(img, p.renameYX)
+	return m.RenameMonotone(m.Range(constrained, vars), p.renameYX)
 }
 
 // nextVector returns the product's next-state functions ordered by their
@@ -77,50 +71,4 @@ func (p *Product) nextVector() ([]bdd.Ref, []bdd.Var) {
 		vs[i] = e.v
 	}
 	return fs, vs
-}
-
-// rangeOf computes the range of the function vector over fresh output
-// variables vars (ascending). The recursion memoizes on the whole vector.
-func (p *Product) rangeOf(funcs []bdd.Ref, vars []bdd.Var, memo map[string]bdd.Ref) bdd.Ref {
-	m := p.M
-	if len(funcs) == 0 {
-		return bdd.One
-	}
-	key := vecKey(funcs)
-	if r, ok := memo[key]; ok {
-		return r
-	}
-	g := funcs[0]
-	rest := funcs[1:]
-	y := m.MkVar(vars[0])
-	var r bdd.Ref
-	switch g {
-	case bdd.One:
-		r = m.And(y, p.rangeOf(rest, vars[1:], memo))
-	case bdd.Zero:
-		r = m.And(y.Not(), p.rangeOf(rest, vars[1:], memo))
-	default:
-		pos := p.rangeOf(constrainVec(m, rest, g), vars[1:], memo)
-		neg := p.rangeOf(constrainVec(m, rest, g.Not()), vars[1:], memo)
-		r = m.ITE(y, pos, neg)
-	}
-	memo[key] = r
-	return r
-}
-
-// constrainVec cofactors every element of the vector by c.
-func constrainVec(m *bdd.Manager, funcs []bdd.Ref, c bdd.Ref) []bdd.Ref {
-	out := make([]bdd.Ref, len(funcs))
-	for i, f := range funcs {
-		out[i] = m.Constrain(f, c)
-	}
-	return out
-}
-
-func vecKey(funcs []bdd.Ref) string {
-	buf := make([]byte, 4*len(funcs))
-	for i, f := range funcs {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(f))
-	}
-	return string(buf)
 }

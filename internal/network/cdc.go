@@ -87,10 +87,12 @@ func windowFlexibility(m *bdd.Manager, w *window) flexibility {
 		}
 	}
 
-	// Local function over y. Duplicate fanin nodes share one variable (the
-	// image relation forces the duplicated positions equal anyway).
+	// Local function over y. Duplicate fanin nodes share one variable and
+	// enter the image once: their positions carry the same function.
 	ymemo := make(map[*logic.Node]bdd.Ref, len(fanin))
 	fx.yvar = make([]bdd.Var, len(fanin))
+	var fs []bdd.Ref // one fanin function and y variable per fanin node
+	var ys []bdd.Var
 	for j, fi := range fanin {
 		if r, dup := ymemo[fi]; dup {
 			fx.yvar[j] = m.TopVar(r)
@@ -99,24 +101,24 @@ func windowFlexibility(m *bdd.Manager, w *window) flexibility {
 		v := bdd.Var(nx + j)
 		ymemo[fi] = m.MkVar(v)
 		fx.yvar[j] = v
+		fs = append(fs, faninF[j])
+		ys = append(ys, v)
 	}
 	fx.floc = logic.EvalBDD(m, w.target, nil, ymemo)
 
-	// Relational image: a y point is a care point iff some observable
-	// boundary assignment (¬ODC) produces it. Everything else — fanin
-	// combinations no x reaches (window SDCs) or reached only where the
-	// window outputs cannot see the target (ODC) — is free.
-	care := odc.Not()
-	for j, fi := range fanin {
-		care = m.And(care, m.Xnor(ymemo[fi], faninF[j]))
+	// Image: a y point is a care point iff some observable boundary
+	// assignment (¬ODC) produces it. Everything else — fanin combinations
+	// no x reaches (window SDCs) or reached only where the window outputs
+	// cannot see the target (ODC) — is free. It is computed as
+	// bdd.Range(F↓¬ODC), the primitive fsm.ImageFV uses, which equals
+	// ∃x [∧_j (y_j ≡ F_j(x)) ∧ ¬ODC(x)] by constrain's image property.
+	if odc == bdd.One {
+		fx.care = bdd.Zero
+		return fx
 	}
-	if nx > 0 {
-		xvars := make([]bdd.Var, nx)
-		for i := range xvars {
-			xvars[i] = bdd.Var(i)
-		}
-		care = m.Exists(care, m.CubeVars(xvars...))
+	for k, f := range fs {
+		fs[k] = m.Constrain(f, odc.Not())
 	}
-	fx.care = care
+	fx.care = m.Range(fs, ys)
 	return fx
 }

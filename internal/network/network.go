@@ -16,6 +16,8 @@
 //	care(y) = ∃x [ ∧_j (y_j ≡ F_j(x)) ∧ ¬ODC(x) ]
 //
 // where x are the window's boundary variables and F_j the fanin functions.
+// It is computed as bdd.Range(F↓¬ODC), the primitive fsm.ImageFV uses,
+// which equals the quantified relation by constrain's image property.
 // The approximation is conservative by construction: shrinking the window
 // only adds free variables, which only shrinks the don't-care set, never
 // grows it — so any cover of [f_local, care] is a valid replacement.
