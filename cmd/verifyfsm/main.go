@@ -6,8 +6,7 @@
 // Machines come either from the built-in benchmark suite (-bench NAME,
 // checked against itself, as in the paper) or from BLIF files (-a A.blif
 // -b B.blif). The frontier-set minimization heuristic is selectable; the
-// image engine can be the constrained functional vector (default, as in
-// SIS) or clustered transition relations.
+// image is the range of the constrained next-state vector, as in SIS.
 //
 // Resource bounds (-maxnodes, -timeout, -iters) are enforced inside the
 // BDD kernels: a traversal that trips a bound stops mid-recursion, reports
@@ -17,8 +16,8 @@
 //
 // Usage:
 //
-//	verifyfsm -bench tlc [-minimize osm_bt] [-method fv|tr] [-iters N]
-//	          [-maxnodes N] [-timeout D]
+//	verifyfsm -bench tlc [-minimize osm_bt] [-iters N] [-maxnodes N]
+//	          [-timeout D] [-trace]
 //	verifyfsm -a left.blif -b right.blif
 package main
 
@@ -59,7 +58,6 @@ func run() {
 		fileA    = flag.String("a", "", "left machine (BLIF)")
 		fileB    = flag.String("b", "", "right machine (BLIF)")
 		minimize = flag.String("minimize", "const", "frontier minimization heuristic")
-		method   = flag.String("method", "fv", "image engine: fv (functional vector) or tr (transition relation)")
 		iters    = flag.Int("iters", 0, "max BFS iterations (0 = unbounded)")
 		maxNodes = flag.Int("maxnodes", 0, "abort beyond this many live BDD nodes (0 = unbounded; enforced inside the kernels)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget for the traversal, e.g. 30s (0 = none)")
@@ -112,15 +110,6 @@ func run() {
 	if *timeout > 0 {
 		opts.Deadline = time.Now().Add(*timeout)
 	}
-	switch *method {
-	case "fv":
-		opts.Method = fsm.FunctionalVector
-	case "tr":
-		opts.Method = fsm.TransitionRelation
-	default:
-		fail(fmt.Errorf("unknown method %q", *method))
-	}
-
 	m := bdd.New(0)
 	p, err := fsm.NewProduct(m, netA, netB)
 	if err != nil {

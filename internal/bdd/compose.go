@@ -36,50 +36,3 @@ func (m *Manager) compose(f Ref, level int32, g Ref, op uint32) Ref {
 	m.cache.insert(op, f, g, 0, 0, r)
 	return r
 }
-
-// RenameMonotone renames variables of f according to perm: every variable v
-// in f's support is replaced by perm[v]. The mapping restricted to the
-// support must be strictly order-preserving (monotone), which allows a
-// linear rebuild without reordering. It panics otherwise.
-//
-// The FSM package uses this to map next-state variables back to
-// present-state variables after an image computation; with the interleaved
-// variable blocks it allocates, that mapping is always monotone.
-func (m *Manager) RenameMonotone(f Ref, perm map[Var]Var) Ref {
-	m.checkRef(f)
-	sup := m.Support(f)
-	last := Var(-1)
-	for _, v := range sup { // Support returns ascending order
-		t, ok := perm[v]
-		if !ok {
-			t = v
-		}
-		if t <= last {
-			panic("bdd: RenameMonotone permutation is not order-preserving on the support")
-		}
-		m.checkVar(t)
-		last = t
-	}
-	memo := make(map[Ref]Ref)
-	return m.rename(f, perm, memo)
-}
-
-func (m *Manager) rename(f Ref, perm map[Var]Var, memo map[Ref]Ref) Ref {
-	if f.IsConst() {
-		return f
-	}
-	if r, ok := memo[f]; ok {
-		return r
-	}
-	top := Var(m.Level(f))
-	fT, fE := m.branches(f, int32(top))
-	t := m.rename(fT, perm, memo)
-	e := m.rename(fE, perm, memo)
-	nv, ok := perm[top]
-	if !ok {
-		nv = top
-	}
-	r := m.mkNode(int32(nv), t, e)
-	memo[f] = r
-	return r
-}

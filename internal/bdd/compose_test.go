@@ -47,42 +47,3 @@ func TestComposeIdentities(t *testing.T) {
 		t.Fatal("Compose with constants must agree with Branches")
 	}
 }
-
-func TestRenameMonotone(t *testing.T) {
-	m := New(6)
-	f := m.Or(m.And(m.MkVar(0), m.MkVar(2)), m.MkVar(4))
-	perm := map[Var]Var{0: 1, 2: 3, 4: 5}
-	g := m.RenameMonotone(f, perm)
-	want := m.Or(m.And(m.MkVar(1), m.MkVar(3)), m.MkVar(5))
-	if g != want {
-		t.Fatal("monotone rename produced wrong function")
-	}
-	// Renaming back is the inverse.
-	back := m.RenameMonotone(g, map[Var]Var{1: 0, 3: 2, 5: 4})
-	if back != f {
-		t.Fatal("inverse rename must restore the function")
-	}
-}
-
-func TestRenameMonotoneRejectsNonMonotone(t *testing.T) {
-	m := New(4)
-	f := m.And(m.MkVar(0), m.MkVar(1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-monotone rename must panic")
-		}
-	}()
-	m.RenameMonotone(f, map[Var]Var{0: 3, 1: 2}) // order-reversing
-}
-
-func TestRenameIdentityAndPartial(t *testing.T) {
-	m := New(4)
-	f := m.Xor(m.MkVar(1), m.MkVar(2))
-	if m.RenameMonotone(f, map[Var]Var{}) != f {
-		t.Fatal("empty rename must be identity")
-	}
-	// Mapping entries for variables outside the support are ignored.
-	if m.RenameMonotone(f, map[Var]Var{0: 3}) != f {
-		t.Fatal("rename of non-support variable must be identity")
-	}
-}

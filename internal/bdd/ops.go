@@ -15,9 +15,6 @@ func (m *Manager) Xnor(f, g Ref) Ref { return m.ITE(f, g, g.Not()) }
 // AndNot returns f·¬g, the difference of f and g.
 func (m *Manager) AndNot(f, g Ref) Ref { return m.ITE(f, g.Not(), Zero) }
 
-// Implies returns the function ¬f + g.
-func (m *Manager) Implies(f, g Ref) Ref { return m.ITE(f, g, One) }
-
 // AndN folds And over its arguments; AndN() is One.
 func (m *Manager) AndN(fs ...Ref) Ref {
 	r := One

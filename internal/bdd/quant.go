@@ -9,13 +9,6 @@ func (m *Manager) Exists(f, cube Ref) Ref {
 	return m.exists(f, cube)
 }
 
-// Forall computes ∀ vars(cube). f, the universal abstraction.
-func (m *Manager) Forall(f, cube Ref) Ref {
-	m.checkRef(f)
-	m.mustPositiveCube(cube)
-	return m.exists(f.Not(), cube).Not()
-}
-
 func (m *Manager) exists(f, cube Ref) Ref {
 	if cube == One || f.IsConst() {
 		return f

@@ -1,9 +1,6 @@
 package circuits
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // BenchmarkInfo describes one entry of the experiment suite: the paper's
 // benchmark name, the shape of the original circuit, the shape actually
@@ -30,10 +27,10 @@ type logicNetwork = network
 // Suite returns the benchmark table mirroring the paper's list: s344,
 // s386, s510, s641, s820, s953, s1238, s1488, scf, styr, tbk, mult16b,
 // cbp.32.4, minmax5, tlc. Control circuits are generated as seeded random
-// FSMs with the original input/latch counts, capped at 10 latches (the
-// product machine doubles state variables and the traversal must stay
-// laptop-sized); datapath circuits are generated structurally at reduced
-// width. Every substitution is visible by comparing the Orig* and actual
+// FSMs with the original input/latch counts, each capped at 14
+// (maxControlLatches, maxControlInputs: the product machine doubles state
+// variables and the traversal must stay laptop-sized); datapath circuits
+// are generated structurally at reduced width. Every substitution is visible by comparing the Orig* and actual
 // fields.
 func Suite() []BenchmarkInfo {
 	entries := []BenchmarkInfo{
@@ -92,8 +89,8 @@ func Suite() []BenchmarkInfo {
 // product machine traversal stays tractable.
 const maxControlLatches = 14
 
-// maxControlInputs caps primary inputs (they are quantified in every image
-// computation).
+// maxControlInputs caps primary inputs (every image computation
+// eliminates them).
 const maxControlInputs = 14
 
 func ctl(name string, origInputs, origLatches int, seed int64) BenchmarkInfo {
@@ -131,12 +128,5 @@ func Names() []string {
 	for _, e := range Suite() {
 		out = append(out, e.Name)
 	}
-	return out
-}
-
-// SortedNames lists the suite names alphabetically.
-func SortedNames() []string {
-	out := Names()
-	sort.Strings(out)
 	return out
 }

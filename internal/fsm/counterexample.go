@@ -84,12 +84,7 @@ func (p *Product) FindCounterexample(opts Options) (*Counterexample, Result) {
 		var bad bdd.Ref = bdd.Zero
 		err := m.Budgeted(func() {
 			res.Iterations++
-			var img bdd.Ref
-			if opts.Method == TransitionRelation {
-				img = p.Image(frontier)
-			} else {
-				img = p.ImageFV(frontier, opts.OnConstrain)
-			}
+			img := p.ImageFV(frontier, opts.OnConstrain)
 			newFrontier := m.AndNot(img, reached)
 			newReached := m.Or(reached, img)
 			m.Unprotect(reached)
@@ -141,7 +136,7 @@ func (p *Product) extractTrace(rings []bdd.Ref, bad bdd.Ref) *Counterexample {
 		agree := bdd.One
 		for _, mc := range []*Machine{p.A, p.B} {
 			for i, d := range mc.Next {
-				if p.stateBit(target, mc.NextVars[i]) {
+				if target[mc.StateVars[i]] {
 					agree = m.And(agree, d)
 				} else {
 					agree = m.And(agree, d.Not())
@@ -194,18 +189,6 @@ func (p *Product) stateFromCube(cube []bdd.CubeValue) stateValues {
 		}
 	}
 	return sv
-}
-
-func (p *Product) stateBit(sv stateValues, nextVar bdd.Var) bool {
-	// Translate a next-state variable to its present-state partner.
-	for _, mc := range []*Machine{p.A, p.B} {
-		for i, nv := range mc.NextVars {
-			if nv == nextVar {
-				return sv[mc.StateVars[i]]
-			}
-		}
-	}
-	panic("fsm: unknown next-state variable")
 }
 
 // stateCube builds the characteristic cube of a concrete state.

@@ -52,26 +52,7 @@ func TestCounterexampleToggle(t *testing.T) {
 func TestCounterexampleDeepDivergence(t *testing.T) {
 	// Counters diverging at the terminal count: the trace must be at
 	// least as long as the distance to the divergence.
-	build := func(broken bool) *logic.Network {
-		b := logic.NewBuilder("cnt")
-		en := b.Input("en")
-		qs := make([]*logic.Node, 4)
-		for i := range qs {
-			qs[i] = b.Latch("q"+string(rune('0'+i)), false)
-		}
-		carry := en
-		for i := 0; i < 4; i++ {
-			b.SetNext(qs[i], b.Xor(qs[i], carry))
-			carry = b.And(carry, qs[i])
-		}
-		tc := b.And(qs[0], qs[1], qs[2], qs[3])
-		if broken {
-			tc = b.And(qs[0], qs[1], qs[2], qs[3], b.Not(en))
-		}
-		b.Output("tc", tc)
-		return b.MustBuild()
-	}
-	a, bn := build(false), build(true)
+	a, bn := enabledCounter(4, false), enabledCounter(4, true)
 	m := bdd.New(0)
 	p, err := NewProduct(m, a, bn)
 	if err != nil {
@@ -146,17 +127,31 @@ func TestCounterexampleRandomMutants(t *testing.T) {
 }
 
 func TestCounterexampleBothEngines(t *testing.T) {
-	a := toggleNet(t, false)
-	b := toggleNet(t, true)
-	for _, method := range []ImageMethod{FunctionalVector, TransitionRelation} {
-		m := bdd.New(0)
-		p, err := NewProduct(m, a, b)
+	// CheckEquivalence and FindCounterexample run the same image
+	// computation, so they find a difference at the same BFS step, and the
+	// trace is one input per step plus the one that shows the difference.
+	pairs := [][2]*logic.Network{
+		{toggleNet(t, false), toggleNet(t, true)},
+		{enabledCounter(4, false), enabledCounter(4, true)},
+	}
+	for _, pair := range pairs {
+		a, b := pair[0], pair[1]
+		p, err := NewProduct(bdd.New(0), a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ce, res := p.FindCounterexample(Options{Method: method})
-		if res.Equal || ce == nil || !replayDistinguishes(a, b, ce) {
-			t.Fatalf("method %d: bad counterexample", method)
+		check := p.CheckEquivalence(Options{})
+		p, err = NewProduct(bdd.New(0), a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ce, res := p.FindCounterexample(Options{})
+		if check.Equal || res.Equal || ce == nil || !replayDistinguishes(a, b, ce) {
+			t.Fatalf("%s/%s: bad counterexample", a.Name, b.Name)
+		}
+		if res.Iterations != check.Iterations || ce.Length() != check.Iterations+1 {
+			t.Fatalf("%s/%s: CheckEquivalence stopped at step %d, FindCounterexample at %d with %d steps",
+				a.Name, b.Name, check.Iterations, res.Iterations, ce.Length())
 		}
 	}
 }

@@ -28,7 +28,8 @@ type Machine struct {
 	InputVars []bdd.Var
 	// StateVars and NextVars are the per-latch present and next state
 	// variables; NextVars[i] is the variable immediately below
-	// StateVars[i] so that the image rename is monotone.
+	// StateVars[i]. Images come out over StateVars; NextVars name the
+	// next state in a transition relation y_i ≡ δ_i built from Next.
 	StateVars []bdd.Var
 	NextVars  []bdd.Var
 	// Next[i] is the next-state function of latch i over (inputs, state).
@@ -126,14 +127,4 @@ func Compile(m *bdd.Manager, net *logic.Network, vb VarBlocks, k int) (*Machine,
 	}
 	mach.Init = init
 	return mach, nil
-}
-
-// TransitionRelations returns the per-latch relations
-// T_i(w, x, y_i) = y_i ≡ δ_i(w, x).
-func (mc *Machine) TransitionRelations(m *bdd.Manager) []bdd.Ref {
-	rels := make([]bdd.Ref, len(mc.Next))
-	for i, d := range mc.Next {
-		rels[i] = m.Xnor(m.MkVar(mc.NextVars[i]), d)
-	}
-	return rels
 }

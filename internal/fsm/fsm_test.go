@@ -51,30 +51,34 @@ func TestInequivalenceDetected(t *testing.T) {
 	}
 }
 
+// enabledCounter is a bits-wide counter that counts while its input en
+// is 1, with a terminal-count output. The broken copy also requires en = 0
+// for the terminal count, so the two differ only in the all-ones state.
+func enabledCounter(bits int, broken bool) *logic.Network {
+	b := logic.NewBuilder("cnt")
+	en := b.Input("en")
+	qs := make([]*logic.Node, bits)
+	for i := range qs {
+		qs[i] = b.Latch("q"+string(rune('0'+i)), false)
+	}
+	carry := en
+	for _, q := range qs {
+		b.SetNext(q, b.Xor(q, carry))
+		carry = b.And(carry, q)
+	}
+	tc := b.And(qs...)
+	if broken {
+		tc = b.And(append(qs, b.Not(en))...)
+	}
+	b.Output("tc", tc)
+	return b.MustBuild()
+}
+
 func TestInequivalenceDeepInStateSpace(t *testing.T) {
 	// Two counters that diverge only at the terminal count: detected
 	// after several iterations, not at the start.
-	build := func(broken bool) *logic.Network {
-		b := logic.NewBuilder("cnt")
-		en := b.Input("en")
-		qs := make([]*logic.Node, 3)
-		for i := range qs {
-			qs[i] = b.Latch("q"+string(rune('0'+i)), false)
-		}
-		carry := en
-		for i := 0; i < 3; i++ {
-			b.SetNext(qs[i], b.Xor(qs[i], carry))
-			carry = b.And(carry, qs[i])
-		}
-		tc := b.And(qs[0], qs[1], qs[2])
-		if broken {
-			tc = b.And(qs[0], qs[1], qs[2], b.Not(en))
-		}
-		b.Output("tc", tc)
-		return b.MustBuild()
-	}
 	m := bdd.New(0)
-	p, err := NewProduct(m, build(false), build(true))
+	p, err := NewProduct(m, enabledCounter(3, false), enabledCounter(3, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,6 +189,46 @@ func TestSymbolicReachMatchesExplicit(t *testing.T) {
 		want := len(explicitProductReach(net, net))
 		if int(res.ReachedStates) != want {
 			t.Fatalf("%s: symbolic reached %v states, explicit %d", net.Name, res.ReachedStates, want)
+		}
+	}
+}
+
+// TestSuiteReachPinned pins the traversal of every suite machine that
+// takes well under a second (all but s641, s953 and s1238): the verdict,
+// the BFS depth and the number of reached product states.
+func TestSuiteReachPinned(t *testing.T) {
+	want := []struct {
+		name       string
+		iterations int
+		states     float64
+	}{
+		{"s344", 5, 1043},
+		{"s386", 3, 7},
+		{"s510", 5, 64},
+		{"s820", 6, 32},
+		{"s1488", 5, 64},
+		{"scf", 14, 50},
+		{"styr", 8, 29},
+		{"tbk", 10, 28},
+		{"mult16b", 9, 255},
+		{"cbp.32.4", 2, 512},
+		{"minmax5", 3, 529},
+		{"tlc", 20, 24},
+	}
+	for _, w := range want {
+		info, err := circuits.ByName(w.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := info.Build()
+		p, err := NewProduct(bdd.New(0), net, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := p.CheckEquivalence(Options{})
+		if !res.Equal || res.Aborted || res.Iterations != w.iterations || res.ReachedStates != w.states {
+			t.Errorf("%s: %v; want EQUIVALENT after %d iterations, %.0f states reached",
+				w.name, res, w.iterations, w.states)
 		}
 	}
 }
@@ -312,11 +356,8 @@ func TestMinimizeTransitionRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := p.CheckEquivalence(Options{})
-	// Build the monolithic relation and minimize it against reachability.
-	T := bdd.One
-	for _, r := range p.rels {
-		T = m.And(T, r)
-	}
+	// Minimize the monolithic relation against reachability.
+	T := transitionRelation(p)
 	minT := MinimizeTransitionRelation(m, T, res.Reached, nil)
 	if !m.Cover(minT, T, res.Reached) {
 		t.Fatal("minimized relation must cover [T, R]")
@@ -342,30 +383,68 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-func TestImageMethodsAgree(t *testing.T) {
-	// The transition-relation and functional-vector engines must compute
-	// identical reached sets and verdicts.
-	nets := []*logic.Network{
-		circuits.Counter(4),
-		circuits.TrafficLight(),
-		circuits.RandomControlFSM("ia", 21, 5, 3, 2),
-		circuits.MinMax(3),
+// transitionRelation is the product's monolithic transition relation
+// ∏ᵢ (yᵢ ≡ δᵢ(w, x)) over both machines' latches.
+func transitionRelation(p *Product) bdd.Ref {
+	m := p.M
+	T := bdd.One
+	for _, mc := range []*Machine{p.A, p.B} {
+		for i, d := range mc.Next {
+			T = m.And(T, m.Xnor(m.MkVar(mc.NextVars[i]), d))
+		}
 	}
-	for _, net := range nets {
-		m1 := bdd.New(0)
-		p1, err := NewProduct(m1, net, net)
+	return T
+}
+
+// relationImage is the image of S by its definition: ∃w,x [S(x) ·
+// ∏ᵢ (yᵢ ≡ δᵢ(w, x))], with each next-state variable yᵢ then renamed to
+// its present-state variable xᵢ by Compose.
+func relationImage(p *Product, S bdd.Ref) bdd.Ref {
+	m := p.M
+	wx := append([]bdd.Var{}, p.A.InputVars...)
+	wx = append(append(wx, p.A.StateVars...), p.B.StateVars...)
+	img := m.AndExists(S, transitionRelation(p), m.CubeVars(wx...))
+	for _, mc := range []*Machine{p.A, p.B} {
+		for i, y := range mc.NextVars {
+			img = m.Compose(img, y, m.MkVar(mc.StateVars[i]))
+		}
+	}
+	return img
+}
+
+func TestImageMethodsAgree(t *testing.T) {
+	// At every BFS step, the range of the constrained next-state vector
+	// must equal the image computed from the transition relation. The last
+	// pair has different next-state functions, so its product leaves the
+	// diagonal.
+	pairs := [][2]*logic.Network{
+		{circuits.Counter(4), circuits.Counter(4)},
+		{circuits.TrafficLight(), circuits.TrafficLight()},
+		{circuits.RandomControlFSM("ia", 21, 5, 3, 2), circuits.RandomControlFSM("ia", 21, 5, 3, 2)},
+		{circuits.MinMax(3), circuits.MinMax(3)},
+		{circuits.RandomControlFSM("a", 30, 5, 3, 2), circuits.RandomControlFSM("b", 130, 5, 3, 2)},
+	}
+	for _, pair := range pairs {
+		name := pair[0].Name + "/" + pair[1].Name
+		m := bdd.New(0)
+		p, err := NewProduct(m, pair[0], pair[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		r1 := p1.CheckEquivalence(Options{Method: TransitionRelation})
-		m2 := bdd.New(0)
-		p2, err := NewProduct(m2, net, net)
-		if err != nil {
-			t.Fatal(err)
+		reached, frontier := p.Initial(), p.Initial()
+		steps := 0
+		for frontier != bdd.Zero {
+			steps++
+			img := p.ImageFV(frontier, nil)
+			if want := relationImage(p, frontier); img != want {
+				t.Fatalf("%s: step %d: ImageFV differs from the relational image", name, steps)
+			}
+			frontier = m.AndNot(img, reached)
+			reached = m.Or(reached, img)
 		}
-		r2 := p2.CheckEquivalence(Options{Method: FunctionalVector})
-		if r1.Equal != r2.Equal || r1.Iterations != r2.Iterations || r1.ReachedStates != r2.ReachedStates {
-			t.Fatalf("%s: engines disagree: TR %v / FV %v", net.Name, r1, r2)
+		res := p.CheckEquivalence(Options{})
+		if res.Equal && (res.Iterations != steps || res.Reached != reached) {
+			t.Fatalf("%s: CheckEquivalence took %d steps to a different reached set; BFS took %d", name, res.Iterations, steps)
 		}
 	}
 }
@@ -409,10 +488,6 @@ func TestProductAccessors(t *testing.T) {
 	// never at the synchronized reset.
 	if !m.Disjoint(p.Bad(), p.Initial()) {
 		t.Fatal("reset state must not miscompare in a self-product")
-	}
-	cube := p.StateVarsCube()
-	if !m.IsCube(cube) || len(m.Support(cube)) != 6 {
-		t.Fatal("state vars cube must cover both copies")
 	}
 }
 

@@ -26,13 +26,15 @@ type ConstrainObserver func(m *bdd.Manager, f, c bdd.Ref)
 
 // ImageFV computes the successor states of S via the constrained
 // functional vector, notifying obs (if non-nil) of each per-latch
-// constrain instance.
+// constrain instance. The range is taken over the present-state
+// variables, so the image comes out as a set of present states and needs
+// no rename.
 func (p *Product) ImageFV(S bdd.Ref, obs ConstrainObserver) bdd.Ref {
 	m := p.M
 	if S == bdd.Zero {
 		return bdd.Zero
 	}
-	// Combined next-state vector in ascending next-variable order.
+	// Combined next-state vector in ascending state-variable order.
 	funcs, vars := p.nextVector()
 	constrained := make([]bdd.Ref, len(funcs))
 	for i, d := range funcs {
@@ -41,12 +43,12 @@ func (p *Product) ImageFV(S bdd.Ref, obs ConstrainObserver) bdd.Ref {
 		}
 		constrained[i] = m.Constrain(d, S)
 	}
-	return m.RenameMonotone(m.Range(constrained, vars), p.renameYX)
+	return m.Range(constrained, vars)
 }
 
-// nextVector returns the product's next-state functions ordered by their
-// next-state variable, so the range construction can build nodes in
-// variable order.
+// nextVector returns the product's next-state functions ordered by the
+// present-state variable of their latch, with those variables, so the
+// range construction can build nodes in variable order.
 func (p *Product) nextVector() ([]bdd.Ref, []bdd.Var) {
 	type el struct {
 		f bdd.Ref
@@ -55,7 +57,7 @@ func (p *Product) nextVector() ([]bdd.Ref, []bdd.Var) {
 	var els []el
 	for _, mc := range []*Machine{p.A, p.B} {
 		for i := range mc.Next {
-			els = append(els, el{mc.Next[i], mc.NextVars[i]})
+			els = append(els, el{mc.Next[i], mc.StateVars[i]})
 		}
 	}
 	// Insertion sort by variable (lists are short).

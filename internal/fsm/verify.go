@@ -16,30 +16,28 @@ import (
 // SIS.
 type MinimizeHook func(m *bdd.Manager, f, c bdd.Ref) bdd.Ref
 
-// ImageMethod selects the image computation engine.
+// ImageMethod selected the image computation engine.
+//
+// Deprecated: ignored. Images are always the range of the constrained
+// next-state vector (Product.ImageFV).
 type ImageMethod int
 
-// Image computation engines.
-const (
-	// FunctionalVector computes images as the range of the constrained
-	// next-state vector (Coudert–Berthet–Madre), the method used by the
-	// paper's instrumented application. Its per-latch constrain calls are
-	// reported to Options.OnConstrain. This is the default.
-	FunctionalVector ImageMethod = iota
-	// TransitionRelation computes images by relational product against
-	// clustered per-latch transition relations with early quantification.
-	TransitionRelation
-)
+// FunctionalVector was the constrained-functional-vector engine.
+//
+// Deprecated: ignored. It is the only image engine.
+const FunctionalVector ImageMethod = 0
 
 // Options tunes the equivalence check.
 type Options struct {
 	// Minimize replaces the default frontier minimization (constrain).
 	Minimize MinimizeHook
-	// Method selects the image engine (default FunctionalVector).
+	// Method selected the image engine.
+	//
+	// Deprecated: ignored. Images are always computed by Product.ImageFV.
 	Method ImageMethod
 	// OnConstrain observes the per-latch δ_i ↓ S constrain instances of
-	// the functional-vector image engine — the interception point that
-	// yields the bulk of the paper's minimization instances.
+	// the image computation — the interception point that yields the bulk
+	// of the paper's minimization instances.
 	OnConstrain ConstrainObserver
 	// MaxIterations bounds the BFS depth (0 = unbounded).
 	MaxIterations int
@@ -152,12 +150,7 @@ func (p *Product) CheckEquivalence(opts Options) Result {
 				res.MinimizeCalls++
 				from = minimize(m, frontier, care)
 			}
-			var img bdd.Ref
-			if opts.Method == TransitionRelation {
-				img = p.Image(from)
-			} else {
-				img = p.ImageFV(from, opts.OnConstrain)
-			}
+			img := p.ImageFV(from, opts.OnConstrain)
 			newFrontier := m.AndNot(img, reached)
 			newReached := m.Or(reached, img)
 			m.Unprotect(reached)
@@ -190,8 +183,6 @@ func (p *Product) CheckEquivalence(opts Options) Result {
 // GCs during traversal keep them alive alongside the protected sets.
 func (p *Product) persistentRoots() []bdd.Ref {
 	roots := []bdd.Ref{p.initial, p.bad}
-	roots = append(roots, p.rels...)
-	roots = append(roots, p.dieAt...)
 	for _, mc := range []*Machine{p.A, p.B} {
 		roots = append(roots, mc.Init)
 		roots = append(roots, mc.Next...)

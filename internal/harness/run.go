@@ -96,7 +96,6 @@ func RunBenchmark(info circuits.BenchmarkInfo, col *Collector, rc RunConfig) (Be
 	res := p.CheckEquivalence(fsm.Options{
 		Minimize:      col.Hook(),
 		OnConstrain:   col.Observer(),
-		Method:        fsm.FunctionalVector,
 		MaxIterations: rc.MaxIterations,
 		MaxNodes:      rc.MaxNodes,
 		Deadline:      deadline,

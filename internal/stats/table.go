@@ -1,13 +1,9 @@
 // Package stats provides small aggregation and plain-text rendering
-// helpers for the experiment harness: aligned tables, competition
-// ranking, and percentage formatting.
+// helpers for the experiment harness: aligned tables and competition
+// ranking.
 package stats
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Align selects column alignment in a rendered table.
 type Align int
@@ -106,24 +102,4 @@ func CompetitionRanks(totals []int64) []int {
 		ranks[i] = r
 	}
 	return ranks
-}
-
-// Percent formats v/base as an integer percentage (the paper's tables use
-// whole percents); base 0 renders as "-".
-func Percent(v, base int64) string {
-	if base == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%d", (v*100+base/2)/base)
-}
-
-// SortedKeys returns the map's keys sorted; a generic helper for
-// deterministic iteration in reports.
-func SortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

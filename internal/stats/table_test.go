@@ -66,25 +66,3 @@ func TestCompetitionRanks(t *testing.T) {
 		t.Fatal("empty input")
 	}
 }
-
-func TestPercent(t *testing.T) {
-	if Percent(50, 200) != "25" {
-		t.Fatalf("Percent(50,200) = %s", Percent(50, 200))
-	}
-	if Percent(1, 3) != "33" {
-		t.Fatalf("Percent(1,3) = %s", Percent(1, 3))
-	}
-	if Percent(2, 3) != "67" { // rounds
-		t.Fatalf("Percent(2,3) = %s", Percent(2, 3))
-	}
-	if Percent(5, 0) != "-" {
-		t.Fatal("zero base must render as dash")
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	got := SortedKeys(map[string]int{"b": 1, "a": 2, "c": 3})
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Fatalf("SortedKeys = %v", got)
-	}
-}
