@@ -105,7 +105,7 @@ func run() {
 		plaOutput  = flag.Int("output", 0, "which PLA output to minimize")
 		blifFile   = flag.String("blif", "", "read the instance from a BLIF netlist: minimize an internal node against its observability don't cares")
 		nodeName   = flag.String("node", "", "with -blif, the internal node to minimize (default: first node with a non-trivial ODC)")
-		heuristic  = flag.String("heuristic", "osm_bt", "heuristic name (const, restr, osm_td, osm_nv, osm_cp, osm_bt, tsm_td, tsm_cp, opt_lv, sched, robust)")
+		heuristic  = flag.String("heuristic", "osm_bt", "heuristic name (const, restr, osm_td, osm_nv, osm_cp, osm_bt, tsm_td, tsm_cp, opt_lv, f_and_c, f_or_nc, f_orig, sched, sched_w4_s0_nolv, robust)")
 		all        = flag.Bool("all", false, "run every heuristic and the lower bound")
 		exact      = flag.Bool("exact", false, "also compute the exact minimum by brute force")
 		dotFile    = flag.String("dot", "", "write the minimized BDD to this DOT file")

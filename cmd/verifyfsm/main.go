@@ -8,6 +8,11 @@
 // -b B.blif). The frontier-set minimization heuristic is selectable; the
 // image is the range of the constrained next-state vector, as in SIS.
 //
+// -trace runs the same traversal keeping its onion rings (the new-state
+// sets, which the frontier minimization does not change) and, on
+// inequivalence, prints a distinguishing input sequence; the verdict line
+// is the one the plain run prints.
+//
 // Resource bounds (-maxnodes, -timeout, -iters) are enforced inside the
 // BDD kernels: a traversal that trips a bound stops mid-recursion, reports
 // a structured inconclusive verdict with the abort reason, and exits with

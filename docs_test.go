@@ -4,7 +4,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"sort"
@@ -246,6 +250,96 @@ func TestEventSchemaDoc(t *testing.T) {
 	if rows != len(events) {
 		t.Errorf("ARCHITECTURE.md: event-schema table has %d rows, want one per kind (%d)", rows, len(events))
 	}
+}
+
+// Every backticked identifier in the Code column of docs/ARCHITECTURE.md's
+// paper-to-code map is declared (as a function, method, type, variable or
+// constant) in a package its row links to, or, written pkg.Name, in
+// internal/pkg, so the map cannot name code that does not exist.
+func TestPaperMapIdentifiers(t *testing.T) {
+	data, err := os.ReadFile("docs/ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, _ := strings.Cut(string(data), "## Paper-to-code map")
+	table, _, _ = strings.Cut(table, "\n## ")
+	link := regexp.MustCompile(`\]\(\.\./([^)]+)\)`)
+	code := regexp.MustCompile("`([^`]*)`")
+	decls := map[string]map[string]bool{}
+	checked := 0
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "| ") || strings.HasPrefix(line, "| Paper |") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(strings.ReplaceAll(line, `\|`, ""), "| "), " | ")
+		col := cells[len(cells)-1]
+		var dirs []string
+		for _, m := range link.FindAllStringSubmatch(col, -1) {
+			dir := m[1]
+			if strings.HasSuffix(dir, ".go") {
+				dir = filepath.Dir(dir)
+			}
+			dirs = append(dirs, dir)
+		}
+		for _, m := range code.FindAllStringSubmatch(col, -1) {
+			name, where := m[1], dirs
+			if pkg, id, ok := strings.Cut(name, "."); ok {
+				name, where = id, []string{"internal/" + pkg}
+			}
+			found := false
+			for _, dir := range where {
+				if decls[dir] == nil {
+					decls[dir] = declaredNames(t, dir)
+				}
+				found = found || decls[dir][name]
+			}
+			if !found {
+				t.Errorf("ARCHITECTURE.md: %q is declared in none of %q (row %q)", m[1], where, cells[0])
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("ARCHITECTURE.md: the paper-to-code map names no identifiers")
+	}
+}
+
+// declaredNames returns the top-level names (methods included) that the
+// non-test Go files in dir declare.
+func declaredNames(t *testing.T, dir string) map[string]bool {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("ARCHITECTURE.md links to %s, which holds no Go files", dir)
+	}
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				names[d.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
 }
 
 // schemaKeys renders a struct's JSON keys as the event-schema table writes

@@ -41,13 +41,10 @@ type opCounters struct {
 const (
 	opITE uint32 = iota + 1
 	opExists
-	opForall
 	opAndExists
 	opConstrain
 	opRestrict
 	opCompose // compose tags add the variable index: opCompose + uint32(v)<<8
-	opRename
-	opSupport
 	opDisjoint
 	opMatchXor
 	opMatchTSM
@@ -58,13 +55,10 @@ const (
 var opNames = [opLast]string{
 	opITE:       "ite",
 	opExists:    "exists",
-	opForall:    "forall",
 	opAndExists: "and_exists",
 	opConstrain: "constrain",
 	opRestrict:  "restrict",
 	opCompose:   "compose",
-	opRename:    "rename",
-	opSupport:   "support",
 	opDisjoint:  "disjoint",
 	opMatchXor:  "match_xor",
 	opMatchTSM:  "match_tsm",

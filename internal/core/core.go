@@ -14,7 +14,7 @@
 //     spent to make two incompletely specified functions equal — OSDM, OSM
 //     or TSM, in increasing strength; and
 //  2. which functions to try to match — the two children of each node
-//     (sibling matching, GenericTopDown, Figure 2 of the paper) or the
+//     (sibling matching, SiblingHeuristic, Figure 2 of the paper) or the
 //     functions pointed to from at or above a level (level matching,
 //     MinimizeAtLevel, Section 3.3).
 //

@@ -78,20 +78,17 @@ func RegistryWithBounds() []Minimizer {
 	return append(Registry(), FAndC(), FOrNC(), FOrig())
 }
 
-// ByName returns the registered minimizer with the given name, searching
-// RegistryWithBounds plus the extension heuristics ("sched", "robust"),
-// or nil.
+// ByName returns the minimizer named name in RegistryWithBounds or
+// ExtendedRegistry, or the default Scheduler under its own name or the
+// alias "sched", or nil.
 func ByName(name string) Minimizer {
-	for _, h := range RegistryWithBounds() {
+	for _, h := range append(RegistryWithBounds(), ExtendedRegistry()...) {
 		if h.Name() == name {
 			return h
 		}
 	}
 	if s := (&Scheduler{}); s.Name() == name || name == "sched" {
 		return s
-	}
-	if name == "robust" {
-		return &Robust{}
 	}
 	return nil
 }

@@ -300,10 +300,7 @@ func (c *collector) walk(in ISF) {
 		return
 	}
 	fl, cl := c.m.Level(in.F), c.m.Level(in.C)
-	top := fl
-	if cl < top {
-		top = cl
-	}
+	top := min(fl, cl)
 	if top > c.level {
 		// Copy the path into the shared slab. Appends never mutate the
 		// slab's earlier segments, so previously taken Path slices stay
@@ -340,6 +337,10 @@ func (c *collector) walk(in ISF) {
 	sc.path[top] = bdd.DontCare
 }
 
+// branchAt returns f's then and else branches at level top, or f twice
+// when f does not depend on that level's variable: the lock-step
+// cofactoring of [f, c] that generic_td, the collector and the rebuilder
+// share.
 func branchAt(m *bdd.Manager, f bdd.Ref, top int32) (bdd.Ref, bdd.Ref) {
 	if m.Level(f) != top {
 		return f, f
@@ -665,10 +666,7 @@ type rebuilder struct {
 
 func (r *rebuilder) rebuild(in ISF) ISF {
 	fl, cl := r.m.Level(in.F), r.m.Level(in.C)
-	top := fl
-	if cl < top {
-		top = cl
-	}
+	top := min(fl, cl)
 	if top > r.level {
 		if out, ok := r.repl[in]; ok {
 			return out

@@ -67,25 +67,6 @@ func (s *Scheduler) stop() int {
 	return s.StopTopDown
 }
 
-// sibStep runs one windowed sibling-matching step, traced when enabled.
-func (s *Scheduler) sibStep(m *bdd.Manager, in ISF, cr Criterion, nnv bool, lo, hi int) ISF {
-	var inSize int
-	var start time.Time
-	if s.Trace != nil {
-		inSize, start = m.Size(in.F), time.Now()
-	}
-	out, matches := matchSiblingsWindow(m, cr, false, nnv, in, bdd.Var(lo), bdd.Var(hi))
-	if s.Trace != nil {
-		outSize := m.Size(out.F)
-		s.Trace.Emit(obs.HeuristicEvent{
-			Name: "sib_" + cr.String(), Criterion: cr.String(),
-			InSize: inSize, OutSize: outSize, Matches: matches,
-			Accepted: outSize <= inSize, Duration: time.Since(start),
-		})
-	}
-	return out
-}
-
 // lvStep runs one level-matching round, traced when enabled.
 func (s *Scheduler) lvStep(m *bdd.Manager, in ISF, cr Criterion, i int) ISF {
 	var start time.Time
@@ -142,12 +123,16 @@ func (s *Scheduler) steps(m *bdd.Manager, f, c bdd.Ref, catch bool) (bdd.Ref, Ab
 	}
 	run := stepRun{m: m, cur: ISF{f, c}, catch: catch}
 	w, stop, n := s.window(), s.stop(), m.NumVars()
+	// Steps 1 and 2 are windowed sibling passes, traced as "sib_osm" and
+	// "sib_tsm".
+	osm := &SiblingHeuristic{Criterion: OSM, NoNewVars: true, Trace: s.Trace, name: "sib_osm"}
+	tsm := &SiblingHeuristic{Criterion: TSM, Trace: s.Trace, name: "sib_tsm"}
 windows:
 	for lo := 0; lo < n && !run.done() && n-lo > stop; lo += w {
 		hi := min(lo+w-1, n-1)
 		s.emitWindow(m, "open", lo, hi, run.cur)
-		sibOSM := func(in ISF) ISF { return s.sibStep(m, in, OSM, true, lo, hi) }
-		sibTSM := func(in ISF) ISF { return s.sibStep(m, in, TSM, false, lo, hi) }
+		sibOSM := func(in ISF) ISF { return osm.step(m, in, bdd.Var(lo), bdd.Var(hi)) }
+		sibTSM := func(in ISF) ISF { return tsm.step(m, in, bdd.Var(lo), bdd.Var(hi)) }
 		if !run.step(run.phase("window %d-%d sib_osm", lo, hi), sibOSM) ||
 			!run.step(run.phase("window %d-%d sib_tsm", lo, hi), sibTSM) {
 			break

@@ -66,118 +66,131 @@ func canonicalSiblingName(cr Criterion, compl, nnv bool) string {
 // Name returns the paper's identifier for this parameter combination.
 func (h *SiblingHeuristic) Name() string { return h.name }
 
-// Minimize runs the generic top-down traversal (Figure 2) and returns a
-// cover of [f, c]. It panics if c is Zero.
+// Minimize runs generic_td (Figure 2) with matches allowed at every level
+// and returns the function part of the resulting i-cover, which covers
+// [f, c]. It panics if c is Zero.
 func (h *SiblingHeuristic) Minimize(m *bdd.Manager, f, c bdd.Ref) bdd.Ref {
 	if c == bdd.Zero {
 		panic(fmt.Sprintf("core: %s called with empty care set", h.name))
 	}
-	t := &tdTraversal{
-		m:     m,
-		crit:  h.Criterion,
-		compl: h.MatchCompl,
-		nnv:   h.NoNewVars,
-		memo:  make(map[ISF]bdd.Ref),
-	}
-	if h.Trace == nil {
-		return t.run(f, c)
-	}
-	start := time.Now()
-	g := t.run(f, c)
-	in, out := m.Size(f), m.Size(g)
-	h.Trace.Emit(obs.HeuristicEvent{
-		Name: h.name, Criterion: h.Criterion.String(),
-		InSize: in, OutSize: out, Matches: t.matches,
-		Accepted: out <= in, Duration: time.Since(start),
-	})
-	return g
+	return h.step(m, ISF{f, c}, 0, bdd.Var(m.NumVars()-1)).F
 }
 
-// tdTraversal carries the state of one generic_td invocation. The memo
-// table is per-call, so timing measurements of distinct heuristics are
-// independent (the manager-level ITE cache is flushed by the harness
-// between heuristics).
-type tdTraversal struct {
+// step runs one generic_td pass with matches confined to the levels
+// [lo, hi] and returns its i-cover. It is the whole of Minimize and each
+// windowed sibling step of the Scheduler. When Trace is set it emits one
+// obs.HeuristicEvent (sizes of the function part, sibling matches
+// applied, duration).
+func (h *SiblingHeuristic) step(m *bdd.Manager, in ISF, lo, hi bdd.Var) ISF {
+	if h.Trace == nil {
+		out, _ := matchSiblingsWindow(m, h.Criterion, h.MatchCompl, h.NoNewVars, in, lo, hi)
+		return out
+	}
+	inSize, start := m.Size(in.F), time.Now()
+	out, matches := matchSiblingsWindow(m, h.Criterion, h.MatchCompl, h.NoNewVars, in, lo, hi)
+	outSize := m.Size(out.F)
+	h.Trace.Emit(obs.HeuristicEvent{
+		Name: h.name, Criterion: h.Criterion.String(),
+		InSize: inSize, OutSize: outSize, Matches: matches,
+		Accepted: outSize <= inSize, Duration: time.Since(start),
+	})
+	return out
+}
+
+// matchSiblingsWindow is generic_td of Figure 2 with matches restricted to
+// nodes whose level lies in the window [lo, hi]. Unlike a cover-returning
+// heuristic it returns a new incompletely specified function [f', c'] that
+// keeps the unconsumed don't-care freedom: every cover of [f', c'] is a
+// cover of [f, c] (an i-cover). With the window spanning every level, f'
+// is the cover the paper's sibling heuristic returns.
+//
+// The windowed form is the building block of the scheduler (Section 3.4):
+// safe transformations are applied first and the remaining freedom is
+// handed to the next transformation, rather than being consumed greedily.
+// It also reports how many sibling matches were applied (plain and
+// complement), the per-step work measure the traces carry.
+func matchSiblingsWindow(m *bdd.Manager, cr Criterion, compl, nnv bool, in ISF, lo, hi bdd.Var) (ISF, int) {
+	t := &windowTraversal{
+		m:     m,
+		crit:  cr,
+		compl: compl,
+		nnv:   nnv,
+		memo:  make(map[ISF]ISF),
+		lo:    int32(lo),
+		hi:    int32(hi),
+	}
+	return t.run(in), t.matches
+}
+
+// windowTraversal carries the state of one generic_td invocation. The memo
+// table is per call, so timing measurements of distinct heuristics are
+// independent (the manager-level caches are flushed by the harness between
+// heuristics).
+type windowTraversal struct {
 	m       *bdd.Manager
 	crit    Criterion
 	compl   bool
 	nnv     bool
-	memo    map[ISF]bdd.Ref
+	memo    map[ISF]ISF
+	lo, hi  int32 // the window: levels at which matches may be made
 	matches int
 }
 
-// run is generic_td of Figure 2. Invariant: c is never Zero.
-func (t *tdTraversal) run(f, c bdd.Ref) bdd.Ref {
+// run is generic_td of Figure 2 on the window.
+func (t *windowTraversal) run(in ISF) ISF {
 	m := t.m
-	if c == bdd.One || f.IsConst() {
-		return f
+	if in.C == bdd.One || in.C == bdd.Zero || in.F.IsConst() {
+		// A Zero care set comes from a match or a split child: any
+		// function covers, and keeping the value part keeps the result
+		// within the original function's shape.
+		return in
 	}
-	key := ISF{f, c}
-	if r, ok := t.memo[key]; ok {
+	fl, cl := m.Level(in.F), m.Level(in.C)
+	top := min(fl, cl)
+	if top > t.hi {
+		// Entirely below the window: leave the freedom untouched.
+		return in
+	}
+	if r, ok := t.memo[in]; ok {
 		return r
 	}
-	fl, cl := m.Level(f), m.Level(c)
-	top := fl
-	if cl < top {
-		top = cl
-	}
-	fT, fE := t.branch(f, top)
-	cT, cE := t.branch(c, top)
-	var ret bdd.Ref
-	switch {
-	case t.nnv && cl < fl:
+	fT, fE := branchAt(m, in.F, top)
+	cT, cE := branchAt(m, in.C, top)
+	tp, ep := ISF{fT, cT}, ISF{fE, cE}
+	inWindow := top >= t.lo
+	var ret ISF
+	if inWindow && t.nnv && cl < fl {
 		// f is independent of c's top variable: keep it so by
 		// existentially removing the variable from the care function
 		// (the restrict rule). cT + cE cannot be Zero since c is not.
-		ret = t.run(f, m.Or(cT, cE))
-	default:
-		tp := ISF{fT, cT}
-		ep := ISF{fE, cE}
-		if ic, ok := matchSiblings(m, t.crit, false, tp, ep); ok {
-			// Both children are replaced by the common i-cover; the
-			// parent node disappears.
-			t.matches++
-			ret = t.runISF(ic)
-		} else if t.compl {
-			if ic, ok := matchSiblings(m, t.crit, true, tp, ep); ok {
-				// A cover h of ic covers [fT,cT] and the complement of
-				// [fE,cE]: the parent survives as ite(x, h, ¬h), costing
-				// one node but only one recursion.
-				t.matches++
-				temp := t.runISF(ic)
-				ret = m.MkNode(bdd.Var(top), temp, temp.Not())
-			} else {
-				ret = t.split(top, tp, ep)
-			}
-		} else {
-			ret = t.split(top, tp, ep)
+		ret = t.run(ISF{in.F, m.Or(cT, cE)})
+	} else if ic, ok := t.match(inWindow, false, tp, ep); ok {
+		// Both children are replaced by the common i-cover; the parent
+		// node disappears.
+		t.matches++
+		ret = t.run(ic)
+	} else if ic, ok := t.match(inWindow && t.compl, true, tp, ep); ok {
+		// A cover h of ic covers [fT,cT] and the complement of [fE,cE]:
+		// the parent survives as ite(x, h, ¬h), costing one node but only
+		// one recursion. The care function is independent of x.
+		t.matches++
+		h := t.run(ic)
+		ret = ISF{F: m.MkNode(bdd.Var(top), h.F, h.F.Not()), C: h.C}
+	} else {
+		tr, er := t.run(tp), t.run(ep)
+		ret = ISF{
+			F: m.MkNode(bdd.Var(top), tr.F, er.F),
+			C: m.MkNode(bdd.Var(top), tr.C, er.C),
 		}
 	}
-	t.memo[key] = ret
+	t.memo[in] = ret
 	return ret
 }
 
-// runISF recurses on an i-cover, handling the degenerate all-don't-care
-// case that OSM and TSM matches can produce.
-func (t *tdTraversal) runISF(ic ISF) bdd.Ref {
-	if ic.C == bdd.Zero {
-		// Entirely don't care: any function covers; pick the value part,
-		// which keeps the result within the original function's shape.
-		return ic.F
+// match tries is_match of Figure 2 on the siblings when allowed is set.
+func (t *windowTraversal) match(allowed, compl bool, tp, ep ISF) (ISF, bool) {
+	if !allowed {
+		return ISF{}, false
 	}
-	return t.run(ic.F, ic.C)
-}
-
-// split recurses on both children independently and rebuilds the node.
-func (t *tdTraversal) split(top int32, tp, ep ISF) bdd.Ref {
-	tr := t.runISF(tp)
-	er := t.runISF(ep)
-	return t.m.MkNode(bdd.Var(top), tr, er)
-}
-
-func (t *tdTraversal) branch(f bdd.Ref, top int32) (bdd.Ref, bdd.Ref) {
-	if t.m.Level(f) != top {
-		return f, f
-	}
-	return t.m.Branches(f)
+	return matchSiblings(t.m, t.crit, compl, tp, ep)
 }

@@ -23,6 +23,23 @@ func TestAllHeuristicsReturnCovers(t *testing.T) {
 	}
 }
 
+// TestByNameRoundTrips: every name RegistryWithBounds and
+// ExtendedRegistry list resolves to a minimizer of that name, and so does
+// the "sched" alias (to the default Scheduler).
+func TestByNameRoundTrips(t *testing.T) {
+	for _, h := range append(RegistryWithBounds(), ExtendedRegistry()...) {
+		if got := ByName(h.Name()); got == nil || got.Name() != h.Name() {
+			t.Errorf("ByName(%q) = %v", h.Name(), got)
+		}
+	}
+	if got := ByName("sched"); got == nil || got.Name() != (&Scheduler{}).Name() {
+		t.Errorf(`ByName("sched") = %v`, got)
+	}
+	if got := ByName("no_such_heuristic"); got != nil {
+		t.Errorf("unknown name resolved to %s", got.Name())
+	}
+}
+
 // TestFrameworkConstrainEqualsClassical: Table 2 row 1 — the generic
 // sibling matcher with (osdm, no compl, no nnv) is exactly the constrain
 // operator. We compare against the BDD package's independent direct

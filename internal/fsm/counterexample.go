@@ -35,87 +35,34 @@ func (ce *Counterexample) String() string {
 	return b.String()
 }
 
-// FindCounterexample runs the BFS product traversal keeping the frontier
-// onion rings, and on encountering a reachable miscomparing state walks
-// the rings backwards to extract a concrete distinguishing input
-// sequence. It returns nil when the machines are equivalent (or the
-// traversal was aborted by the bounds in opts — check the Result).
+// FindCounterexample runs CheckEquivalence's BFS product traversal
+// keeping the frontier onion rings, and on encountering a reachable
+// miscomparing state walks the rings backwards to extract a concrete
+// distinguishing input sequence. It returns nil when the machines are
+// equivalent (or the traversal was aborted by the bounds in opts — check
+// the Result).
 //
-// The extraction needs the exact frontiers, so opts.Minimize is ignored:
-// rings are the unminimized new-state sets.
+// opts.Minimize is honored: the rings are the new-state sets, which do
+// not depend on the cover of the frontier that was imaged.
 func (p *Product) FindCounterexample(opts Options) (*Counterexample, Result) {
 	m := p.M
-	res := Result{Equal: true}
-	reached := p.initial
-	frontier := p.initial
-	rings := []bdd.Ref{p.initial}
-	protect := func(r bdd.Ref) bdd.Ref { m.Protect(r); return r }
-	protect(reached)
-	protect(frontier)
+	rings := []bdd.Ref{m.Protect(p.initial)}
 	defer func() {
-		m.Unprotect(reached)
-		m.Unprotect(frontier)
 		for _, r := range rings {
 			m.Unprotect(r)
 		}
 	}()
-	protect(rings[0])
-
-	badHere := func(set bdd.Ref) bdd.Ref { return m.And(set, p.bad) }
-	if b := badHere(reached); b != bdd.Zero {
-		res.Equal = false
-		res.Reached = reached
-		ce := p.extractTrace(rings, b)
-		return ce, res
+	res := p.traverse(opts, &rings)
+	if res.Equal {
+		return nil, res
 	}
-	if b := opts.budget(); b != nil {
-		prev := m.SetBudget(b)
-		defer m.SetBudget(prev)
-	}
-	for frontier != bdd.Zero {
-		if opts.MaxIterations > 0 && res.Iterations >= opts.MaxIterations {
-			res.Aborted = true
-			res.AbortReason = "iterations"
-			break
-		}
-		// One BFS step under the kernel budget; see CheckEquivalence for
-		// why an abort leaves the protected sets (and here, the rings)
-		// valid.
-		var bad bdd.Ref = bdd.Zero
-		err := m.Budgeted(func() {
-			res.Iterations++
-			img := p.ImageFV(frontier, opts.OnConstrain)
-			newFrontier := m.AndNot(img, reached)
-			newReached := m.Or(reached, img)
-			m.Unprotect(reached)
-			m.Unprotect(frontier)
-			reached, frontier = newReached, newFrontier
-			m.Protect(reached)
-			m.Protect(frontier)
-			rings = append(rings, protect(frontier))
-			bad = badHere(frontier)
-		})
-		if err != nil {
-			res.Aborted = true
-			res.AbortReason = abortReason(err)
-			m.FlushCaches()
-			break
-		}
-		if bad != bdd.Zero {
-			res.Equal = false
-			res.Reached = reached
-			// Extraction must not be cut short by the traversal budget: the
-			// counterexample is the whole point of the run, and its cost is
-			// bounded by the rings already built. Run it unbudgeted.
-			m.SetBudget(nil)
-			ce := p.extractTrace(rings, bad)
-			return ce, res
-		}
-	}
-	res.Reached = reached
-	nStateVars := len(p.A.StateVars) + len(p.B.StateVars)
-	res.ReachedStates = m.SatCount(reached, nStateVars)
-	return nil, res
+	// Extraction must not be cut short by a budget: the counterexample is
+	// the whole point of the run, and its cost is bounded by the rings
+	// already built. Run it unbudgeted.
+	prev := m.SetBudget(nil)
+	defer m.SetBudget(prev)
+	bad := m.And(rings[len(rings)-1], p.bad)
+	return p.extractTrace(rings, bad), res
 }
 
 // extractTrace walks the onion rings backwards from a set of bad states

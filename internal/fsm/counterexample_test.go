@@ -6,6 +6,7 @@ import (
 
 	"bddmin/internal/bdd"
 	"bddmin/internal/circuits"
+	"bddmin/internal/core"
 	"bddmin/internal/logic"
 )
 
@@ -152,6 +153,55 @@ func TestCounterexampleBothEngines(t *testing.T) {
 		if res.Iterations != check.Iterations || ce.Length() != check.Iterations+1 {
 			t.Fatalf("%s/%s: CheckEquivalence stopped at step %d, FindCounterexample at %d with %d steps",
 				a.Name, b.Name, check.Iterations, res.Iterations, ce.Length())
+		}
+	}
+}
+
+func TestCounterexampleHonorsOptions(t *testing.T) {
+	// FindCounterexample runs CheckEquivalence's loop: with a frontier
+	// minimizer other than constrain and a GC every iteration, both call
+	// the minimizer and collect garbage as often, report the same verdict,
+	// iterations, reached states, peak frontier and minimize calls, and
+	// the rings still yield a replayable trace.
+	pairs := [][2]*logic.Network{
+		{toggleNet(t, false), toggleNet(t, true)},
+		{enabledCounter(4, false), enabledCounter(4, true)},
+		{circuits.TrafficLight(), circuits.TrafficLight()},
+		{circuits.RandomControlFSM("a", 31, 5, 3, 2), circuits.RandomControlFSM("b", 131, 5, 3, 2)},
+	}
+	osmBT := core.ByName("osm_bt")
+	hooked := 0
+	opts := Options{
+		Minimize: func(m *bdd.Manager, f, c bdd.Ref) bdd.Ref {
+			hooked++
+			return osmBT.Minimize(m, f, c)
+		},
+		GCEvery: 1,
+	}
+	for _, pair := range pairs {
+		a, b := pair[0], pair[1]
+		p, err := NewProduct(bdd.New(0), a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hooked = 0
+		check := p.CheckEquivalence(opts)
+		checkHooked, checkGCs := hooked, p.M.GCRuns()
+		p, err = NewProduct(bdd.New(0), a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hooked = 0
+		ce, res := p.FindCounterexample(opts)
+		if res.String() != check.String() || hooked != checkHooked || p.M.GCRuns() != checkGCs {
+			t.Fatalf("%s/%s: FindCounterexample reports %q, %d minimizer calls, %d GCs; CheckEquivalence %q, %d, %d",
+				a.Name, b.Name, res, hooked, p.M.GCRuns(), check, checkHooked, checkGCs)
+		}
+		if res.Iterations > 1 && hooked == 0 {
+			t.Fatalf("%s/%s: no frontier minimization ran", a.Name, b.Name)
+		}
+		if res.Equal != (ce == nil) || (ce != nil && !replayDistinguishes(a, b, ce)) {
+			t.Fatalf("%s/%s: equal %v, counterexample %v", a.Name, b.Name, res.Equal, ce)
 		}
 	}
 }

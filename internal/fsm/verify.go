@@ -104,6 +104,15 @@ type Result struct {
 // image, and tests the miscompare predicate. It returns Equal=false as
 // soon as a reachable miscomparing state appears.
 func (p *Product) CheckEquivalence(opts Options) Result {
+	return p.traverse(opts, nil)
+}
+
+// traverse is the BFS loop behind CheckEquivalence and FindCounterexample.
+// When rings is non-nil, every new frontier is protected and appended to
+// it (the onion rings of the trace extraction); the caller unprotects
+// them. A traversal that finds a miscompare stops with it in the last
+// ring.
+func (p *Product) traverse(opts Options, rings *[]bdd.Ref) Result {
 	m := p.M
 	minimize := opts.Minimize
 	if minimize == nil {
@@ -144,6 +153,9 @@ func (p *Product) CheckEquivalence(opts Options) Result {
 			}
 			// The EBM instance of the paper: f = U, c = U + ¬R. Covers are
 			// exactly the sets S with U ⊆ S ⊆ R-or-new, i.e. U ⊆ S ⊆ U ∪ R.
+			// The successors of R∖U already lie in R, so img(S)∖R =
+			// img(U)∖R: the new frontier, and with it every ring, does not
+			// depend on the cover chosen.
 			care := m.Or(frontier, reached.Not())
 			from := frontier
 			if care != bdd.One {
@@ -158,6 +170,9 @@ func (p *Product) CheckEquivalence(opts Options) Result {
 			reached, frontier = newReached, newFrontier
 			m.Protect(reached)
 			m.Protect(frontier)
+			if rings != nil {
+				*rings = append(*rings, m.Protect(frontier))
+			}
 			if !m.Disjoint(reached, p.bad) {
 				res.Equal = false
 				return

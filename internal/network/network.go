@@ -65,9 +65,6 @@ type Options struct {
 	MaxWindowInputs int
 	// MaxSweeps is the convergence loop's hard iteration cap; 0 means 4.
 	MaxSweeps int
-	// MaxCubes rejects substitutions whose minimized cover enumerates to
-	// more than this many SOP rows; 0 means 1024.
-	MaxCubes int
 	// NodeBudget caps each node's window work (bdd.Budget.MaxNodesMade,
 	// covering the don't-care image and the minimization). 0 is unbounded.
 	// A tripped budget skips or degrades that node only; the sweep goes on.
@@ -101,9 +98,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSweeps <= 0 {
 		o.MaxSweeps = 4
-	}
-	if o.MaxCubes <= 0 {
-		o.MaxCubes = 1024
 	}
 	return o
 }

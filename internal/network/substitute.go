@@ -118,7 +118,7 @@ func optimizeNode(m *bdd.Manager, w *window, opts Options) (out nodeOutcome) {
 	// enumeration walks the existing diagram (no new nodes). A column that
 	// is '-' in every row never appears in the SOP, so its fanin edge is
 	// dropped — this is where dead logic gets exposed.
-	rows, keep, ok := lowerCover(m, g, fx.yvar, nx, opts.MaxCubes)
+	rows, keep, ok := lowerCover(m, g, fx.yvar, nx)
 	if !ok {
 		out.skipped = true
 		return out
@@ -171,12 +171,16 @@ func optimizeNode(m *bdd.Manager, w *window, opts Options) (out nodeOutcome) {
 	return out
 }
 
+// maxCubes rejects substitutions whose minimized cover enumerates to more
+// than this many SOP rows.
+const maxCubes = 1024
+
 // lowerCover enumerates the cubes of g into SOP rows over the y variables
 // yvar (one per fanin position), pruning columns that never appear. It
 // fails (ok=false) when g has more than maxCubes cubes, or — defensively —
 // when g's support escapes into the boundary variables (positions < nx),
 // which no valid cover of a y-only ISF can do.
-func lowerCover(m *bdd.Manager, g bdd.Ref, yvar []bdd.Var, nx, maxCubes int) (rows []string, keep []int, ok bool) {
+func lowerCover(m *bdd.Manager, g bdd.Ref, yvar []bdd.Var, nx int) (rows []string, keep []int, ok bool) {
 	if g == bdd.One || g == bdd.Zero {
 		return nil, nil, true
 	}
