@@ -34,6 +34,7 @@ type Manager struct {
 	stampGen uint32    // current traversal generation; 0 is never valid
 	markBuf  []uint32  // reusable explicit stack / index buffer
 	densMemo []float64 // per-node density memo, valid where stamp matches
+	flatPos  []uint32  // per-node list position during Flatten, valid where stamp matches
 
 	// Signature memo (see signature.go). Nodes are immutable until GC
 	// recycles their slots, so memoized signatures stay valid across calls:

@@ -12,11 +12,10 @@ import (
 // manager with enough variables. Node identity (sharing) is preserved;
 // complement edges are encoded in the references.
 //
-// The serialization is canonical: nodes are emitted in structural
-// post-order (children before parents, high subtree first) under the
-// sorted root names, so the body after the vars line depends only on the
-// functions themselves — the same roots serialize byte-identically from
-// any manager, regardless of arena layout or construction history.
+// The serialization is canonical: it prints the Flatten list of the roots
+// taken in sorted name order, so the body after the vars line depends only
+// on the functions themselves — the same roots serialize byte-identically
+// from any manager, regardless of arena layout or construction history.
 // bddmind relies on it: a cover serializes to the same nodes and roots on
 // every shard.
 //
@@ -29,8 +28,8 @@ import (
 //	roots <m>
 //	<name> <ref>                        (m lines)
 //
-// A ref is 2*localIndex (+1 if complemented); local index 0 is the
-// terminal One.
+// A ref is a flat ref (see FlatNode): 2*localIndex (+1 if complemented),
+// where local index 0 is the terminal One.
 func (m *Manager) WriteFunctions(w io.Writer, roots map[string]Ref) error {
 	names := make([]string, 0, len(roots))
 	for name := range roots {
@@ -40,38 +39,21 @@ func (m *Manager) WriteFunctions(w io.Writer, roots map[string]Ref) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	// Collect nodes in structural post-order under the sorted root names:
-	// children precede parents (a valid dependency order for ReadFunctions)
-	// and the sequence is determined by the diagram alone, never by arena
-	// indexes — the canonicality WriteFunctions documents.
-	gen := m.newStamp()
-	var order []uint32
-	for _, name := range names {
-		m.checkRef(roots[name])
-		order = m.appendReachPost(roots[name], gen, order)
+	fs := make([]Ref, len(names))
+	for i, name := range names {
+		fs[i] = roots[name]
 	}
-	local := map[uint32]uint32{0: 0}
-	for i, idx := range order {
-		local[idx] = uint32(i + 1)
-	}
-	ref := func(r Ref) uint32 {
-		out := local[r.index()] << 1
-		if r.IsComplement() {
-			out |= 1
-		}
-		return out
-	}
+	nodes, refs := m.Flatten(fs...)
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "bddmin-bdd 1\n")
 	fmt.Fprintf(bw, "vars %d\n", m.nvars)
-	fmt.Fprintf(bw, "nodes %d\n", len(order))
-	for _, idx := range order {
-		n := &m.nodes[idx]
-		fmt.Fprintf(bw, "%d %d %d\n", n.level, ref(n.high), ref(n.low))
+	fmt.Fprintf(bw, "nodes %d\n", len(nodes))
+	for _, n := range nodes {
+		fmt.Fprintf(bw, "%d %d %d\n", n.Var, n.High, n.Low)
 	}
 	fmt.Fprintf(bw, "roots %d\n", len(names))
-	for _, name := range names {
-		fmt.Fprintf(bw, "%s %d\n", name, ref(roots[name]))
+	for i, name := range names {
+		fmt.Fprintf(bw, "%s %d\n", name, refs[i])
 	}
 	return bw.Flush()
 }

@@ -186,3 +186,29 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 	m.live--
 }
+
+// TestFlattenRebuilds composes each flattened function back over its own
+// variables, one ITE per list node: the result must be the function, and
+// the list must hold exactly its nonterminal nodes.
+func TestFlattenRebuilds(t *testing.T) {
+	rng := newRand(7)
+	m := New(5)
+	fs := []Ref{One, Zero, m.MkVar(3), m.MkNotVar(0)}
+	for i := 0; i < 40; i++ {
+		fs = append(fs, randTT(rng, 5).build(m))
+	}
+	for i, f := range fs {
+		nodes, roots := m.Flatten(f)
+		if got, want := len(nodes)+1, m.Size(f); got != want {
+			t.Fatalf("function %d: %d flat nodes + terminal, Size %d", i, len(nodes), want)
+		}
+		rebuilt := []Ref{One}
+		flat := func(r uint32) Ref { return rebuilt[r>>1] ^ Ref(r&1) }
+		for _, n := range nodes {
+			rebuilt = append(rebuilt, m.ITE(m.MkVar(n.Var), flat(n.High), flat(n.Low)))
+		}
+		if got := flat(roots[0]); got != f {
+			t.Fatalf("function %d: rebuilt %v, want %v", i, got, f)
+		}
+	}
+}

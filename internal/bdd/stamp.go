@@ -56,25 +56,6 @@ func (m *Manager) appendReach(f Ref, gen uint32, out []uint32) []uint32 {
 	return m.appendReach(n.low, gen, out)
 }
 
-// appendReachPost is appendReach in post-order: children are appended
-// before their parents (high subtree first), so the result is a valid
-// dependency order for serialization. Unlike an arena-index sort, the
-// order depends only on the diagram's structure and the traversal's entry
-// points — structurally identical functions produce the same sequence in
-// any manager, which is what makes WriteFunctions canonical across
-// managers.
-func (m *Manager) appendReachPost(f Ref, gen uint32, out []uint32) []uint32 {
-	idx := f.index()
-	if idx == 0 || m.stamp[idx] == gen {
-		return out
-	}
-	m.stamp[idx] = gen
-	n := &m.nodes[idx]
-	out = m.appendReachPost(n.high, gen, out)
-	out = m.appendReachPost(n.low, gen, out)
-	return append(out, idx)
-}
-
 // countReach counts the nonterminal nodes reachable from f that are not yet
 // stamped with gen, stamping as it goes.
 func (m *Manager) countReach(f Ref, gen uint32) int {

@@ -51,6 +51,35 @@ func TestInequivalenceDetected(t *testing.T) {
 	}
 }
 
+// TestMiscompareAtReset compares two combinational machines, x·y against
+// x+y: the one reset state already miscompares, so the traversal stops
+// before its first image with that state reached.
+func TestMiscompareAtReset(t *testing.T) {
+	gate := func(or bool) *logic.Network {
+		b := logic.NewBuilder("gate")
+		x, y := b.Input("x"), b.Input("y")
+		out := b.And(x, y)
+		if or {
+			out = b.Or(x, y)
+		}
+		b.Output("o", out)
+		return b.MustBuild()
+	}
+	p, err := NewProduct(bdd.New(0), gate(false), gate(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := p.CheckEquivalence(Options{})
+	want := "DIFFERENT after 0 iterations, 1 states reached, peak frontier 0 nodes, 0 minimize calls"
+	if got := res.String(); got != want {
+		t.Fatalf("CheckEquivalence: %q, want %q", got, want)
+	}
+	ce, res := p.FindCounterexample(Options{})
+	if ce == nil || res.ReachedStates != 1 {
+		t.Fatalf("FindCounterexample: trace %v, %v states reached; want a trace and 1 state", ce, res.ReachedStates)
+	}
+}
+
 // enabledCounter is a bits-wide counter that counts while its input en
 // is 1, with a terminal-count output. The broken copy also requires en = 0
 // for the terminal count, so the two differ only in the all-ones state.

@@ -123,8 +123,7 @@ func (p *Product) traverse(opts Options, rings *[]bdd.Ref) Result {
 	frontier := p.initial
 	if !m.Disjoint(reached, p.bad) {
 		res.Equal = false
-		res.Reached = reached
-		return res
+		return p.withReached(res, reached)
 	}
 	m.Protect(reached)
 	m.Protect(frontier)
@@ -188,9 +187,13 @@ func (p *Product) traverse(opts Options, rings *[]bdd.Ref) Result {
 			break
 		}
 	}
+	return p.withReached(res, reached)
+}
+
+// withReached completes a traversal's result with its reached set.
+func (p *Product) withReached(res Result, reached bdd.Ref) Result {
 	res.Reached = reached
-	nStateVars := len(p.A.StateVars) + len(p.B.StateVars)
-	res.ReachedStates = m.SatCount(reached, nStateVars)
+	res.ReachedStates = p.M.SatCount(reached, len(p.A.StateVars)+len(p.B.StateVars))
 	return res
 }
 

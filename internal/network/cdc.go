@@ -1,14 +1,16 @@
 package network
 
 import (
+	"slices"
+
 	"bddmin/internal/bdd"
-	"bddmin/internal/logic"
 )
 
 // Per-node don't-care approximation inside one window. All BDDs live on the
-// run's manager, Reset for the window, with the variable order: the window's
-// boundary variables x_0..x_{nx-1}, then one y variable per target fanin
-// position (duplicate fanin nodes share the first position's variable).
+// run's window manager, Reset for the window, with the variable order: the
+// window's boundary variables x_0..x_{nx-1}, then one y variable per target
+// fanin position (duplicate fanin nodes share the first position's
+// variable).
 
 // flexibility is everything the substitution step needs: the node's local
 // function and care set over the y variables, plus the window outputs'
@@ -24,35 +26,25 @@ type flexibility struct {
 	yvar []bdd.Var
 }
 
-// boundaryMemo seeds an evaluation memo with the boundary binding: window
-// input i evaluates to variable x_i. Because logic.EvalBDD consults the
-// memo before recursing, gate-typed boundary nodes stop the recursion at
-// the window edge exactly like primary inputs do.
-func boundaryMemo(m *bdd.Manager, w *window) map[*logic.Node]bdd.Ref {
-	memo := make(map[*logic.Node]bdd.Ref, len(w.inputs))
-	for i, nd := range w.inputs {
-		memo[nd] = m.MkVar(bdd.Var(i))
-	}
-	return memo
-}
-
 // windowFlexibility computes the target's complete don't-care
-// approximation in the window. It must run under a budget scope (every
-// step is kernel work on m); on abort the caller skips the node.
-func windowFlexibility(m *bdd.Manager, w *window) flexibility {
+// approximation in the window o.w on o.m, which must be Reset for the
+// window. It must run under a budget scope (every step is kernel work on
+// o.m); on abort the caller skips the node.
+func (o *optimizer) windowFlexibility() flexibility {
+	m, w, e := o.m, &o.w, &o.ev
 	nx := len(w.inputs)
-	fanin := w.target.Fanin
+	fanin := o.ix.fanin[w.target]
 
-	// Window outputs and fanin functions under the boundary binding. One
-	// shared memo: the fanin cones and output cones overlap heavily.
-	base := boundaryMemo(m, w)
+	// Window outputs and fanin functions under the boundary binding, in
+	// one base pass: the fanin cones and output cones overlap heavily.
+	e.startBase()
 	fx := flexibility{origOuts: make([]bdd.Ref, len(w.outputs))}
-	for i, o := range w.outputs {
-		fx.origOuts[i] = logic.EvalBDD(m, o, nil, base)
+	for k, i := range w.outputs {
+		fx.origOuts[k] = e.value(i, false)
 	}
 	faninF := make([]bdd.Ref, len(fanin))
-	for j, fi := range fanin {
-		faninF[j] = logic.EvalBDD(m, fi, nil, base)
+	for j, i := range fanin {
+		faninF[j] = e.value(i, false)
 	}
 
 	// ODC over x: outputs compared with the target forced to One and Zero.
@@ -61,50 +53,39 @@ func windowFlexibility(m *bdd.Manager, w *window) flexibility {
 	// logic.ObservabilityDC). An unobserved target (no window outputs) is
 	// all don't care.
 	odc := bdd.One
-	for _, o := range w.outputs {
-		if o == w.target {
-			odc = bdd.Zero
-			break
-		}
+	if slices.Contains(w.outputs, w.target) {
+		odc = bdd.Zero
 	}
 	if odc != bdd.Zero && len(w.outputs) > 0 {
-		forced := func(v bdd.Ref) []bdd.Ref {
-			memo := boundaryMemo(m, w)
-			memo[w.target] = v
-			outs := make([]bdd.Ref, len(w.outputs))
-			for i, o := range w.outputs {
-				outs[i] = logic.EvalBDD(m, o, nil, memo)
-			}
-			return outs
-		}
-		hi := forced(bdd.One)
-		lo := forced(bdd.Zero)
-		for i := range hi {
-			odc = m.And(odc, m.Xnor(hi[i], lo[i]))
+		hi := e.coneOutputs(bdd.One, true)
+		lo := e.coneOutputs(bdd.Zero, true)
+		for k := range hi {
+			odc = m.And(odc, m.Xnor(hi[k], lo[k]))
 			if odc == bdd.Zero {
 				break
 			}
 		}
 	}
 
-	// Local function over y. Duplicate fanin nodes share one variable and
-	// enter the image once: their positions carry the same function.
-	ymemo := make(map[*logic.Node]bdd.Ref, len(fanin))
+	// Local function over y: fanin position j is variable nx+j. Duplicate
+	// fanin nodes share the first position's variable, as in the compiled
+	// list, and enter the image once: their positions carry the same
+	// function.
 	fx.yvar = make([]bdd.Var, len(fanin))
+	ys := make([]bdd.Ref, len(fanin))
 	var fs []bdd.Ref // one fanin function and y variable per fanin node
-	var ys []bdd.Var
-	for j, fi := range fanin {
-		if r, dup := ymemo[fi]; dup {
-			fx.yvar[j] = m.TopVar(r)
+	var vs []bdd.Var
+	for j, i := range fanin {
+		if first := slices.Index(fanin, i); first < j {
+			fx.yvar[j] = fx.yvar[first]
 			continue
 		}
-		v := bdd.Var(nx + j)
-		ymemo[fi] = m.MkVar(v)
-		fx.yvar[j] = v
+		fx.yvar[j] = bdd.Var(nx + j)
+		ys[j] = m.MkVar(fx.yvar[j])
 		fs = append(fs, faninF[j])
-		ys = append(ys, v)
+		vs = append(vs, fx.yvar[j])
 	}
-	fx.floc = logic.EvalBDD(m, w.target, nil, ymemo)
+	fx.floc = e.compose(o.ix.fn[w.target], ys)
 
 	// Image: a y point is a care point iff some observable boundary
 	// assignment (¬ODC) produces it. Everything else — fanin combinations
@@ -119,6 +100,6 @@ func windowFlexibility(m *bdd.Manager, w *window) flexibility {
 	for k, f := range fs {
 		fs[k] = m.Constrain(f, odc.Not())
 	}
-	fx.care = m.Range(fs, ys)
+	fx.care = m.Range(fs, vs)
 	return fx
 }

@@ -7,16 +7,15 @@ import (
 	"bddmin/internal/logic"
 )
 
-// Miter proves two networks observably equivalent: same primary-output
-// functions and same next-state functions, over shared input and
-// present-state variables bound by declaration order. It returns nil when
-// equivalent and an error naming the first differing observable otherwise.
-// (The classical miter XORs each output pair and checks the disjunction for
-// Zero; with a canonical BDD per output, comparing the Refs directly is the
-// same test, and the failing observable falls out for free.)
-func Miter(a, b *logic.Network) error { return miter(bdd.New(0), a, b) }
-
-// miter is Miter on a caller-supplied manager, which it Resets first.
+// miter proves two networks observably equivalent on m, which it Resets
+// first: same primary-output functions and same next-state functions, over
+// shared input and present-state variables bound by declaration order. It
+// returns nil when equivalent and an error naming the first differing
+// observable otherwise. (The classical miter XORs each output pair and
+// checks the disjunction for Zero; with a canonical BDD per output,
+// comparing the Refs directly is the same test, and the failing observable
+// falls out for free.) It evaluates the covers with logic.EvalBDD, so the
+// check does not depend on the compiled lists windows evaluate.
 func miter(m *bdd.Manager, a, b *logic.Network) error {
 	if len(a.Inputs) != len(b.Inputs) {
 		return fmt.Errorf("network: miter: input count %d vs %d", len(a.Inputs), len(b.Inputs))

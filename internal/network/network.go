@@ -34,16 +34,24 @@
 // every primary output and next-state function unchanged against a clone
 // of the pre-optimization network.
 //
-// All of this runs on one BDD manager per Optimize call, Reset per window
-// (bdd.Manager.Reset), so thousands of tiny windows do not each allocate a
-// manager's unique table and computed cache.
+// Each sweep numbers the network's nodes once, so a window is cut and
+// evaluated over node indices with generation-stamped slices, never maps.
+// Each internal node's local function is compiled once per Optimize call
+// into a node list (bdd.Flatten of its cover's BDD over its own fanin
+// variables), on a compile manager Reset per node, and compiled again only
+// when a rewrite changes its cover. A window evaluates a node by composing
+// that list onto its fanins' window functions, one ITE per list node, on
+// a window manager Reset per window; the forced-One and forced-Zero passes
+// evaluate again only the nodes that can see the target. The list's length
+// plus one (the terminal) is the node's local BDD size, its term of Cost.
+// Both managers are private to the call and keep a computed cache sized
+// for windows.
 package network
 
 import (
 	"context"
 	"time"
 
-	"bddmin/internal/bdd"
 	"bddmin/internal/core"
 	"bddmin/internal/logic"
 	"bddmin/internal/obs"
@@ -134,19 +142,24 @@ type Result struct {
 	// MiterOK reports that the final miter proved every primary output and
 	// next-state function unchanged.
 	MiterOK bool
-	// NodesMade sums the BDD allocation counters of every window manager —
-	// the run's work measure for benchmarking.
+	// NodesMade sums the nodes every window made and the nodes every
+	// compile of a local function made: the run's work measure for
+	// benchmarking.
 	NodesMade uint64
-	// LeakedProtected counts window managers left with protected nodes
-	// after their window closed (always 0; asserted by the fuzzer).
+	// LeakedProtected counts windows that left protected nodes on the
+	// window manager (always 0; asserted by the fuzzer).
 	LeakedProtected int
 }
+
+// internal reports whether the optimizer may rewrite nd: every node but
+// inputs (primary inputs and latch outputs) and constants.
+func internal(nd *logic.Node) bool { return nd.Type != logic.Input && nd.Type != logic.Const }
 
 // internalCount counts the nodes the optimizer may rewrite.
 func internalCount(net *logic.Network) int {
 	n := 0
 	for _, nd := range net.Nodes() {
-		if nd.Type != logic.Input && nd.Type != logic.Const {
+		if internal(nd) {
 			n++
 		}
 	}
@@ -159,31 +172,18 @@ func internalCount(net *logic.Network) int {
 // another's term — so an accepted substitution (strictly smaller local
 // BDD) strictly decreases it, which is what makes the convergence loop
 // terminate.
-func Cost(net *logic.Network) int { return cost(bdd.New(0), net) }
-
-// cost is Cost on a caller-supplied manager, which it Resets per node.
-func cost(m *bdd.Manager, net *logic.Network) int {
-	total := 0
-	for _, nd := range net.Nodes() {
-		if nd.Type == logic.Input || nd.Type == logic.Const {
-			continue
-		}
-		m.Reset(len(nd.Fanin))
-		total += m.Size(localFunction(m, nd, 0))
-	}
-	return total
+func Cost(net *logic.Network) int {
+	local, _ := compileAll(newManager(), net)
+	return cost(net, local)
 }
 
-// localFunction evaluates nd's own gate/cover semantics with its fanins
-// bound to consecutive BDD variables starting at base. Duplicate fanin
-// nodes share one variable (the relation semantics force them equal
-// anyway).
-func localFunction(m *bdd.Manager, nd *logic.Node, base int) bdd.Ref {
-	memo := make(map[*logic.Node]bdd.Ref, len(nd.Fanin))
-	for j, fi := range nd.Fanin {
-		if _, dup := memo[fi]; !dup {
-			memo[fi] = m.MkVar(bdd.Var(base + j))
+// cost is Cost read from compiled local functions.
+func cost(net *logic.Network, local map[*logic.Node]localFn) int {
+	total := 0
+	for _, nd := range net.Nodes() {
+		if internal(nd) {
+			total += local[nd].size()
 		}
 	}
-	return logic.EvalBDD(m, nd, nil, memo)
+	return total
 }

@@ -20,20 +20,21 @@ import (
 // network is then left in its final state for post-mortem, with
 // Result.MiterOK false).
 //
-// One BDD manager serves the whole run, Reset per window, per cost
-// evaluation and for the miter. It is private to the call, so concurrent
+// The run's managers and buffers are private to the call, so concurrent
 // Optimize calls share nothing.
 func Optimize(net *logic.Network, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	m := bdd.New(0)
 	baseline := net.Clone()
-	res := &Result{InitialCost: cost(m, net), InitialNodes: internalCount(net)}
+	o := newOptimizer(net, opts)
+	res := o.res
+	res.InitialCost = cost(net, o.local)
+	res.InitialNodes = internalCount(net)
 
 	prevCost := res.InitialCost
 	for sweep := 1; sweep <= opts.MaxSweeps; sweep++ {
-		stat := runSweep(m, net, sweep, opts, res)
+		stat := o.runSweep(sweep)
 		net.RemoveDead()
-		stat.Cost = cost(m, net)
+		stat.Cost = cost(net, o.local)
 		stat.Nodes = internalCount(net)
 		res.Sweeps = append(res.Sweeps, stat)
 		res.Rewrites += stat.Rewrites
@@ -60,9 +61,9 @@ func Optimize(net *logic.Network, opts Options) (*Result, error) {
 		}
 	}
 
-	res.FinalCost = cost(m, net)
+	res.FinalCost = cost(net, o.local)
 	res.FinalNodes = internalCount(net)
-	err := miter(m, baseline, net)
+	err := miter(o.m, baseline, net)
 	res.MiterOK = err == nil
 	if opts.Trace != nil {
 		opts.Trace.Emit(obs.NetworkEvent{
@@ -73,16 +74,42 @@ func Optimize(net *logic.Network, opts Options) (*Result, error) {
 	return res, err
 }
 
-// runSweep performs one topological minimize-substitute pass. The fanout
-// map is rebuilt after every accepted substitution (rewrites drop fanin
-// edges); the window for each node is always cut from the current network.
-// Every window is optimized on m, which optimizeNode resets per window.
-func runSweep(m *bdd.Manager, net *logic.Network, sweep int, opts Options, res *Result) SweepStat {
+// optimizer is one Optimize run: the network, its two managers, every
+// internal node's compiled local function, and the index, window and
+// evaluator that every window of the run reuses.
+type optimizer struct {
+	net   *logic.Network
+	opts  Options
+	res   *Result
+	m     *bdd.Manager // windows, Reset per window, and the final miter
+	lc    *bdd.Manager // local-function compiles, Reset per compile
+	local map[*logic.Node]localFn
+	ix    index
+	w     window
+	ev    evaluator
+}
+
+// newOptimizer compiles every internal node of net and sizes the buffers
+// for its nodes; rewrites only ever remove nodes.
+func newOptimizer(net *logic.Network, opts Options) *optimizer {
+	n := net.NodeCount()
+	o := &optimizer{net: net, opts: opts, res: &Result{}, m: newManager(), lc: newManager(), w: newWindow(n)}
+	o.local, o.res.NodesMade = compileAll(o.lc, net)
+	o.ev = newEvaluator(o.m, &o.ix, &o.w, n)
+	return o
+}
+
+// runSweep performs one topological minimize-substitute pass over the
+// network as numbered at its start. The window for each node is cut from
+// the current network: an accepted rewrite updates the index in place (see
+// index for why fanout lists need no update).
+func (o *optimizer) runSweep(sweep int) SweepStat {
+	opts := o.opts
 	var stat SweepStat
-	fanouts := fanoutMap(net)
-	roots := rootSet(net)
-	for _, nd := range topoOrder(net) {
-		if nd.Type == logic.Input || nd.Type == logic.Const {
+	o.ix.number(o.net, o.local)
+	for _, t := range o.ix.topoOrder() {
+		nd := o.ix.nodes[t]
+		if !internal(nd) {
 			continue
 		}
 		if expired(opts) {
@@ -92,18 +119,17 @@ func runSweep(m *bdd.Manager, net *logic.Network, sweep int, opts Options, res *
 		if opts.Trace != nil {
 			start = time.Now()
 		}
-		w := buildWindow(net, fanouts, roots, nd, opts.FaninLevels, opts.FanoutLevels)
+		o.w.cut(&o.ix, t, opts.FaninLevels, opts.FanoutLevels)
 		var out nodeOutcome
-		if len(w.inputs) > opts.MaxWindowInputs {
+		if len(o.w.inputs) > opts.MaxWindowInputs {
 			out.skipped = true
 		} else {
-			out = optimizeNode(m, w, opts)
+			out = o.optimizeNode()
 		}
-		res.NodesMade += out.nodesMade
-		res.LeakedProtected += out.leaked
+		o.res.NodesMade += out.nodesMade
+		o.res.LeakedProtected += out.leaked
 		if out.accepted {
 			stat.Rewrites++
-			fanouts = fanoutMap(net)
 		}
 		if out.aborted {
 			stat.Aborts++
@@ -114,35 +140,13 @@ func runSweep(m *bdd.Manager, net *logic.Network, sweep int, opts Options, res *
 		if opts.Trace != nil {
 			opts.Trace.Emit(obs.NetworkEvent{
 				Phase: "node", Node: nd.Name, Sweep: sweep,
-				WindowInputs: len(w.inputs), InSize: out.inSize, OutSize: out.outSize,
+				WindowInputs: len(o.w.inputs), InSize: out.inSize, OutSize: out.outSize,
 				Accepted: out.accepted, Aborted: out.aborted,
 				Duration: time.Since(start),
 			})
 		}
 	}
 	return stat
-}
-
-// topoOrder returns the nodes fanin-first. Network node order breaks ties,
-// so the visiting order is deterministic.
-func topoOrder(net *logic.Network) []*logic.Node {
-	order := make([]*logic.Node, 0, net.NodeCount())
-	visited := make(map[*logic.Node]bool, net.NodeCount())
-	var visit func(nd *logic.Node)
-	visit = func(nd *logic.Node) {
-		if visited[nd] {
-			return
-		}
-		visited[nd] = true
-		for _, fi := range nd.Fanin {
-			visit(fi)
-		}
-		order = append(order, nd)
-	}
-	for _, nd := range net.Nodes() {
-		visit(nd)
-	}
-	return order
 }
 
 // expired reports whether the run-level deadline or context has lapsed;

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"slices"
+
 	"bddmin/internal/bdd"
 	"bddmin/internal/core"
 	"bddmin/internal/logic"
@@ -13,7 +15,7 @@ type nodeOutcome struct {
 	skipped  bool // nothing applied: no freedom, not smaller, cube blowup, abort
 	inSize   int  // local BDD size before (0 when the CDC phase aborted)
 	outSize  int  // local BDD size after the attempt (== inSize when skipped)
-	// window manager accounting, folded into Result.
+	// window and compile manager accounting, folded into Result.
 	nodesMade uint64
 	leaked    int
 }
@@ -51,16 +53,18 @@ func (s savedNode) restore(nd *logic.Node) {
 	nd.Type, nd.Value, nd.Cover, nd.Fanin = s.typ, s.value, s.cover, s.fanin
 }
 
-// optimizeNode runs the full per-node pipeline on one window: don't-care
+// optimizeNode runs the full per-node pipeline on the window o.w: don't-care
 // image, budgeted minimization, SOP lowering, in-place substitution, and a
 // window-level equivalence re-check that reverts on any mismatch. The
-// window's BDDs live on m, the run's manager, which is Reset here to the
-// window's variables; the function never calls GC on it, so every Ref stays
-// valid for the node's whole lifetime. The result is named so the deferred
-// accounting capture below lands in the value actually returned.
-func optimizeNode(m *bdd.Manager, w *window, opts Options) (out nodeOutcome) {
-	target := w.target
-	nx := len(w.inputs)
+// window's BDDs live on o.m, which is Reset here to the window's variables;
+// the function never calls GC on it, so every Ref stays valid for the
+// node's whole lifetime. The result is named so the deferred accounting
+// capture below lands in the value actually returned.
+func (o *optimizer) optimizeNode() (out nodeOutcome) {
+	m, opts := o.m, o.opts
+	t := o.w.target
+	target := o.ix.nodes[t]
+	nx := len(o.w.inputs)
 	arity := len(target.Fanin)
 	if arity == 0 {
 		// A fanin-free table is already a constant; nothing to recover.
@@ -70,19 +74,19 @@ func optimizeNode(m *bdd.Manager, w *window, opts Options) (out nodeOutcome) {
 
 	m.Reset(nx + arity)
 	defer func() {
-		out.nodesMade = m.NodesMade()
+		out.nodesMade += m.NodesMade()
 		out.leaked = m.NumProtected()
 	}()
 
 	// Phase 1: window functions and the don't-care image. An abort here
 	// leaves nothing usable — skip the node.
 	var fx flexibility
-	if err := m.RunBudgeted(nodeBudget(opts), func() { fx = windowFlexibility(m, w) }); err != nil {
+	if err := m.RunBudgeted(nodeBudget(opts), func() { fx = o.windowFlexibility() }); err != nil {
 		out.aborted = true
 		out.skipped = true
 		return out
 	}
-	out.inSize = m.Size(fx.floc)
+	out.inSize = o.ix.fn[t].size()
 	out.outSize = out.inSize
 	if fx.care == bdd.One {
 		// No freedom: any valid cover equals f_loc exactly.
@@ -125,47 +129,51 @@ func optimizeNode(m *bdd.Manager, w *window, opts Options) (out nodeOutcome) {
 	}
 
 	saved := saveNode(target)
+	savedFn, savedFanin := o.ix.fn[t], o.ix.fanin[t]
 	switch g {
 	case bdd.One, bdd.Zero:
 		target.Type = logic.Const
 		target.Value = g == bdd.One
 		target.Fanin = nil
 		target.Cover = nil
+		o.ix.fanin[t] = nil
 	default:
 		kept := make([]*logic.Node, len(keep))
+		fanin := make([]int32, len(keep))
 		for k, j := range keep {
 			kept[k] = target.Fanin[j]
+			fanin[k] = savedFanin[j]
 		}
 		target.Type = logic.Table
 		target.Fanin = kept
 		target.Cover = rows
 		target.Value = false
+		o.ix.fanin[t] = fanin
+		// Compiled from the new rows, so phase 4 checks the lowering too.
+		fn, made := compile(o.lc, target)
+		o.ix.fn[t] = fn
+		out.nodesMade += made
 	}
 
 	// Phase 4: re-derive the window outputs under the rewritten node and
-	// compare against the originals, reverting on any difference. With a
-	// correct pipeline this never fires; it turns a latent bug anywhere
-	// above into a skipped node instead of a miscompiled network.
+	// compare against the originals, reverting on any difference. Only the
+	// nodes that can see the target are evaluated again. With a correct
+	// pipeline this never fires; it turns a latent bug anywhere above into
+	// a skipped node instead of a miscompiled network.
 	verified := false
 	err := m.RunBudgeted(nodeBudget(opts), func() {
-		base := boundaryMemo(m, w)
-		match := true
-		for i, o := range w.outputs {
-			if logic.EvalBDD(m, o, nil, base) != fx.origOuts[i] {
-				match = false
-				break
-			}
-		}
-		verified = match
+		verified = slices.Equal(o.ev.coneOutputs(0, false), fx.origOuts) // the target as rewritten
 	})
 	if err != nil || !verified {
 		saved.restore(target)
+		o.ix.fn[t], o.ix.fanin[t] = savedFn, savedFanin
 		if err != nil {
 			out.aborted = true
 		}
 		out.skipped = true
 		return out
 	}
+	o.local[target] = o.ix.fn[t]
 	out.accepted = true
 	out.outSize = newSize
 	return out
