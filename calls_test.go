@@ -4,22 +4,38 @@ import (
 	"bytes"
 	"encoding/csv"
 	"io"
+	"maps"
 	"os"
 	"strings"
 	"testing"
 
 	"bddmin/internal/harness"
+	"bddmin/internal/obs"
 )
 
 // TestExperimentsCallsPinned reruns four machines of the suite (289
 // calls) and requires every per-call size, bound and onset in the
 // committed experiments_calls.csv, so a heuristic or lower-bound change
 // that moves any result fails here until the file is regenerated. Only
-// the runtime (`_us`) columns are left out.
+// the runtime (`_us`) columns are left out. It also pins each machine's
+// NodesMade from its closing gc event, so that work the heuristics add
+// without changing a result (such as care nodes no caller reads) fails
+// here too.
 func TestExperimentsCallsPinned(t *testing.T) {
-	col, _, err := harness.RunSuite([]string{"s344", "mult16b", "minmax5", "tlc"}, harness.RunConfig{}, 1)
+	var trace obs.Buffer
+	rc := harness.RunConfig{Collector: harness.Config{Tracer: &trace}}
+	col, _, err := harness.RunSuite([]string{"s344", "mult16b", "minmax5", "tlc"}, rc, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	made := map[string]uint64{}
+	for _, ev := range trace.Events {
+		if gc, ok := ev.(obs.GCEvent); ok {
+			made[gc.Benchmark] = gc.NodesMade
+		}
+	}
+	if want := map[string]uint64{"s344": 199488, "mult16b": 100855, "minmax5": 44633, "tlc": 1508}; !maps.Equal(made, want) {
+		t.Errorf("nodes made %v, want %v", made, want)
 	}
 	var buf bytes.Buffer
 	if err := harness.WriteCSV(&buf, col.Records, col.HeuristicNames()); err != nil {

@@ -163,10 +163,11 @@ func BenchmarkMatchTSM(b *testing.B) {
 
 func BenchmarkSignature(b *testing.B) {
 	m, fs := benchSetup(14, 16, 23)
+	var sigs []uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Signature(fs[i%16])
+		sigs = m.AppendSignatures(sigs[:0], fs[i%16])
 	}
 }
 

@@ -43,7 +43,7 @@ func resetWorkload(t *testing.T, m *Manager, n int) resetTrace {
 		tr.Refs = append(tr.Refs,
 			m.ITE(f, g, h), m.Constrain(f, c), m.Restrict(f, c), m.Exists(f, cube))
 		tr.Verdicts = append(tr.Verdicts, m.MatchOSM(f, c, g, c), m.MatchTSM(f, g, g, h), m.Disjoint(f, g))
-		tr.Sigs = append(tr.Sigs, m.Signature(f))
+		tr.Sigs = m.AppendSignatures(tr.Sigs, f)
 	}
 	keep := m.Protect(m.And(fs[0], fs[1]))
 	tr.CacheOps = m.CacheStatsByOp()

@@ -48,9 +48,13 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Signature evaluates f on the 64 fixed assignments in one walk over f's
-// not-yet-memoized nodes. Deterministic across runs and Managers (for equal
-// functions under equal orderings).
+// AppendSignatures appends the signature of every f in fs to dst and
+// returns the extended slice: f evaluated on the 64 fixed assignments, in
+// one walk over f's not-yet-memoized nodes. Deterministic across runs and
+// Managers (for equal functions under equal orderings). Nodes shared
+// between the functions (and with any earlier signature query this GC
+// epoch) are visited once — the batch form the level matcher uses to
+// fingerprint its collected pairs.
 //
 // Per-node signatures are memoized for the lifetime of the node: a node is
 // immutable until GC recycles its slot, so the memo is invalidated only
@@ -58,16 +62,6 @@ func splitmix64(x uint64) uint64 {
 // queries — the level matcher fingerprints overlapping pair sets at every
 // level, and the match kernels consult node signatures on every query —
 // therefore cost one array read per node after the first walk.
-func (m *Manager) Signature(f Ref) uint64 {
-	m.checkRef(f)
-	m.growSigMemo()
-	return m.signature(f)
-}
-
-// AppendSignatures appends the signature of every f in fs to dst and
-// returns the extended slice. Nodes shared between the functions (and with
-// any earlier signature query this GC epoch) are visited once — the batch
-// form the level matcher uses to fingerprint its collected pairs.
 func (m *Manager) AppendSignatures(dst []uint64, fs ...Ref) []uint64 {
 	for _, f := range fs {
 		m.checkRef(f)

@@ -2,19 +2,22 @@ package bdd
 
 import "testing"
 
+// sig is one function's signature through AppendSignatures.
+func sig(m *Manager, f Ref) uint64 { return m.AppendSignatures(nil, f)[0] }
+
 func TestSignatureConstantsAndComplement(t *testing.T) {
 	m := New(4)
-	if got := m.Signature(One); got != ^uint64(0) {
-		t.Fatalf("Signature(One) = %x", got)
+	if got := sig(m, One); got != ^uint64(0) {
+		t.Fatalf("sig(One) = %x", got)
 	}
-	if got := m.Signature(Zero); got != 0 {
-		t.Fatalf("Signature(Zero) = %x", got)
+	if got := sig(m, Zero); got != 0 {
+		t.Fatalf("sig(Zero) = %x", got)
 	}
 	f := m.Or(m.MkVar(0), m.And(m.MkVar(1), m.MkNotVar(3)))
-	if m.Signature(f.Not()) != ^m.Signature(f) {
+	if sig(m, f.Not()) != ^sig(m, f) {
 		t.Fatal("signature of a complement edge must be the complemented word")
 	}
-	if m.Signature(m.MkVar(2)) != varSignature(2) {
+	if sig(m, m.MkVar(2)) != varSignature(2) {
 		t.Fatal("signature of a literal must be its variable row")
 	}
 }
@@ -29,14 +32,14 @@ func TestSignatureLanesAreEvaluations(t *testing.T) {
 	rng := newRand(91)
 	for trial := 0; trial < 8; trial++ {
 		f := randTT(rng, n).build(m)
-		sig := m.Signature(f)
+		sf := sig(m, f)
 		asn := make([]bool, n)
 		for lane := 0; lane < 64; lane++ {
 			for v := 0; v < n; v++ {
 				asn[v] = varSignature(int32(v))&(1<<lane) != 0
 			}
 			want := m.Eval(f, asn)
-			if got := sig&(1<<lane) != 0; got != want {
+			if got := sf&(1<<lane) != 0; got != want {
 				t.Fatalf("trial %d lane %d: signature bit %v, Eval %v", trial, lane, got, want)
 			}
 		}
@@ -51,14 +54,14 @@ func TestSignatureHomomorphism(t *testing.T) {
 	for trial := 0; trial < 16; trial++ {
 		f := randTT(rng, 8).build(m)
 		g := randTT(rng, 8).build(m)
-		sf, sg := m.Signature(f), m.Signature(g)
-		if m.Signature(m.And(f, g)) != sf&sg {
+		sf, sg := sig(m, f), sig(m, g)
+		if sig(m, m.And(f, g)) != sf&sg {
 			t.Fatal("sig(f·g) != sig(f)&sig(g)")
 		}
-		if m.Signature(m.Or(f, g)) != sf|sg {
+		if sig(m, m.Or(f, g)) != sf|sg {
 			t.Fatal("sig(f+g) != sig(f)|sig(g)")
 		}
-		if m.Signature(m.Xor(f, g)) != sf^sg {
+		if sig(m, m.Xor(f, g)) != sf^sg {
 			t.Fatal("sig(f⊕g) != sig(f)^sig(g)")
 		}
 	}
@@ -73,11 +76,11 @@ func TestSignatureDeterministic(t *testing.T) {
 	f1 := table.build(m1)
 	junk := randTT(rng, 8).build(m2) // different arena layout
 	f2 := table.build(m2)
-	if m1.Signature(f1) != m2.Signature(f2) {
+	if sig(m1, f1) != sig(m2, f2) {
 		t.Fatal("equal functions produced different signatures")
 	}
 	batch := m2.AppendSignatures(nil, f2, junk, f2.Not())
-	if batch[0] != m2.Signature(f2) || batch[2] != ^batch[0] {
+	if batch[0] != sig(m2, f2) || batch[2] != ^batch[0] {
 		t.Fatalf("batch signatures disagree with single walks: %x", batch)
 	}
 }
@@ -104,13 +107,13 @@ func TestSignatureNeverRejectsTrueMatch(t *testing.T) {
 				checked++
 				if m.MatchOSM(f1, c1, f2, c2) {
 					matched++
-					if !SigMatchOSM(sigs[i], m.Signature(c1), sigs[j], m.Signature(c2)) {
+					if !SigMatchOSM(sigs[i], sig(m, c1), sigs[j], sig(m, c2)) {
 						t.Fatalf("OSM signature filter rejected a true match (%d,%d,%d)", i, j, k)
 					}
 				}
 				if m.MatchTSM(f1, c1, f2, c2) {
 					matched++
-					if !SigMatchTSM(sigs[i], m.Signature(c1), sigs[j], m.Signature(c2)) {
+					if !SigMatchTSM(sigs[i], sig(m, c1), sigs[j], sig(m, c2)) {
 						t.Fatalf("TSM signature filter rejected a true match (%d,%d,%d)", i, j, k)
 					}
 				}

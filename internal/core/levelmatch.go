@@ -14,111 +14,46 @@ import (
 // (used by the distance weighting of Section 3.3.2).
 type LevelPair struct {
 	ISF
-	// Path holds, for each level above the collection boundary, the value
-	// taken to reach the pair on its first visit (CubeZero, CubeOne, or
-	// DontCare when the variable did not appear on the path — the paper's
-	// "2").
-	Path []bdd.CubeValue
 	// FSig and CSig are the 64-assignment semantic signatures of F and C
-	// (bdd.Signature), filled by collectLevelPairs. The solvers use them to
-	// reject provably non-matching pairs with one word operation before any
-	// kernel recursion runs; zero signatures (pairs built by hand) disable
-	// pruning and are always safe.
+	// (bdd.AppendSignatures), filled by collectLevelPairs. The solvers use
+	// them to reject provably non-matching pairs with one word operation
+	// before any kernel recursion runs; zero signatures (pairs built by
+	// hand) disable pruning and are always safe.
 	FSig, CSig uint64
-	// pathVal/pathCare pack Path into words (level i at bit k−i−1, so the
-	// masked XOR below *is* the distance sum): filled by collectLevelPairs
-	// when the path fits in 64 bits, signalled by pathLen > 0. Hand-built
-	// pairs leave pathLen 0 and take the slice-walking PairDistance.
+	// pathVal and pathCare hold the first-visit path for the pairs
+	// collected below level k: the path's level i sits at bit k−i, set in
+	// pathCare when the path took a branch there and in pathVal when it was
+	// the then branch. Levels more than 63 above k fall off the words; the
+	// distance weighs them 2^(k−i) ≥ 2^64, which wraps to 0 in a uint64 sum.
 	pathVal, pathCare uint64
-	pathLen           uint8
 }
 
-// pairDist is PairDistance on the packed path words: the bit layout makes
-// the care-masked XOR equal to the weighted sum directly.
+// pairDist is the distance measure of Section 3.3.2 (after Touati et al.)
+// between the first-visit paths of two collected pairs rooted below level
+// k: dist(g,h) = Σ_i |x_i^g − x_i^h| · 2^(k−i), summed over the levels i
+// where both paths take a branch. Siblings have distance 1; smaller
+// distances identify "nearby" functions whose matches are preferred when
+// building cliques. The bit layout makes the care-masked XOR that sum.
 func pairDist(a, b *LevelPair) uint64 {
-	if a.pathLen > 0 && a.pathLen == b.pathLen {
-		return (a.pathVal ^ b.pathVal) & a.pathCare & b.pathCare
-	}
-	return PairDistance(*a, *b)
+	return (a.pathVal ^ b.pathVal) & a.pathCare & b.pathCare
 }
 
-// isfSet is an open-addressing hash set of ISF pairs used as the
-// collector's visited set: the walk probes it once per reachable (F, C)
-// pair. Keys pack both Refs into one word, offset by one so the zero word
-// can mark empty slots. isfSet and isfMap stay hand-rolled because Go
-// maps emptied with clear() made opt_lv slower in every one of six
-// alternating Table 3 runs (median 0.33 s against 0.50 s over 714 calls;
-// EXPERIMENTS.md, "Level-matching tables").
-type isfSet struct {
-	slots []uint64
-	used  int
-}
-
-// isfKey packs an ISF into one word, offset by one so a zero word can mark
-// an empty slot in the open-addressing tables below.
-func isfKey(in ISF) uint64 { return (uint64(in.F)<<32 | uint64(in.C)) + 1 }
-
-func (s *isfSet) reset(hint int) {
-	want := 16
-	for want < 2*hint {
-		want <<= 1
-	}
-	if cap(s.slots) >= want {
-		s.slots = s.slots[:want]
-		for i := range s.slots {
-			s.slots[i] = 0
-		}
-	} else {
-		s.slots = make([]uint64, want)
-	}
-	s.used = 0
-}
-
-// visit reports whether the pair was already present, inserting it if not.
-func (s *isfSet) visit(in ISF) bool {
-	key := isfKey(in)
-	mask := uint64(len(s.slots) - 1)
-	i := (key * 0x9e3779b97f4a7c15) >> 32 & mask
-	for {
-		switch s.slots[i] {
-		case key:
-			return true
-		case 0:
-			s.slots[i] = key
-			s.used++
-			if 4*s.used > 3*len(s.slots) {
-				s.grow()
-			}
-			return false
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (s *isfSet) grow() {
-	old := s.slots
-	s.slots = make([]uint64, 2*len(old))
-	mask := uint64(len(s.slots) - 1)
-	for _, key := range old {
-		if key == 0 {
-			continue
-		}
-		i := (key * 0x9e3779b97f4a7c15) >> 32 & mask
-		for s.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		s.slots[i] = key
-	}
-}
-
-// isfMap is the ISF→ISF companion of isfSet, backing the rebuilder's memo
-// table: one probe per rebuilt node pair, on scratch-owned memory.
+// isfMap is the one open-addressing table of ISF pairs behind the memos of
+// the paper's lock-step recursions: generic_td's memo, the collector's
+// visited set, the OSM and TSM replacement maps and the rebuilder's memo.
+// Keys pack both Refs into one word, offset by one so the zero word can
+// mark an empty slot; get, put and visit share one probe. It stays
+// hand-rolled because Go maps emptied with clear() made opt_lv slower in
+// every one of six alternating Table 3 runs (median 0.33 s against 0.50 s
+// over 714 calls; EXPERIMENTS.md, "Level-matching tables"). Every user
+// resets it before use.
 type isfMap struct {
 	keys []uint64
 	vals []ISF
 	used int
 }
 
+// reset empties the table, sized for hint entries without growing.
 func (t *isfMap) reset(hint int) {
 	want := 16
 	for want < 2*hint {
@@ -126,9 +61,7 @@ func (t *isfMap) reset(hint int) {
 	}
 	if cap(t.keys) >= want {
 		t.keys = t.keys[:want]
-		for i := range t.keys {
-			t.keys[i] = 0
-		}
+		clear(t.keys)
 		t.vals = t.vals[:want]
 	} else {
 		t.keys = make([]uint64, want)
@@ -137,93 +70,101 @@ func (t *isfMap) reset(hint int) {
 	t.used = 0
 }
 
-func (t *isfMap) get(in ISF) (ISF, bool) {
-	key := isfKey(in)
-	mask := uint64(len(t.keys) - 1)
-	i := key * 0x9e3779b97f4a7c15 >> 32 & mask
-	for {
-		switch t.keys[i] {
-		case key:
-			return t.vals[i], true
-		case 0:
-			return ISF{}, false
-		}
-		i = (i + 1) & mask
-	}
-}
+// isfKey packs an ISF into one word, offset by one so a zero word can mark
+// an empty slot.
+func isfKey(in ISF) uint64 { return (uint64(in.F)<<32 | uint64(in.C)) + 1 }
 
-func (t *isfMap) put(in, v ISF) {
-	if 4*(t.used+1) > 3*len(t.keys) {
-		t.grow()
-	}
-	key := isfKey(in)
+// probe returns the slot that holds key, or the empty slot where it
+// belongs.
+func (t *isfMap) probe(key uint64) uint64 {
 	mask := uint64(len(t.keys) - 1)
 	i := key * 0x9e3779b97f4a7c15 >> 32 & mask
 	for t.keys[i] != 0 && t.keys[i] != key {
 		i = (i + 1) & mask
 	}
-	if t.keys[i] == 0 {
-		t.used++
+	return i
+}
+
+func (t *isfMap) get(in ISF) (ISF, bool) {
+	key := isfKey(in)
+	if i := t.probe(key); t.keys[i] == key {
+		return t.vals[i], true
 	}
-	t.keys[i] = key
+	return ISF{}, false
+}
+
+func (t *isfMap) put(in, v ISF) {
+	i, _ := t.insert(in)
 	t.vals[i] = v
+}
+
+// visit reports whether in was already present, inserting it if not.
+func (t *isfMap) visit(in ISF) bool {
+	_, found := t.insert(in)
+	return found
+}
+
+// insert returns in's slot and whether in was present; an absent in
+// claims an empty slot with the zero value.
+func (t *isfMap) insert(in ISF) (uint64, bool) {
+	key := isfKey(in)
+	i := t.probe(key)
+	if t.keys[i] == key {
+		return i, true
+	}
+	if 4*(t.used+1) > 3*len(t.keys) {
+		t.grow()
+		i = t.probe(key)
+	}
+	t.keys[i], t.vals[i] = key, ISF{}
+	t.used++
+	return i, false
 }
 
 func (t *isfMap) grow() {
 	oldK, oldV := t.keys, t.vals
 	t.keys = make([]uint64, 2*len(oldK))
 	t.vals = make([]ISF, 2*len(oldK))
-	mask := uint64(len(t.keys) - 1)
 	for j, key := range oldK {
-		if key == 0 {
-			continue
+		if key != 0 {
+			i := t.probe(key)
+			t.keys[i], t.vals[i] = key, oldV[j]
 		}
-		i := key * 0x9e3779b97f4a7c15 >> 32 & mask
-		for t.keys[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.keys[i] = key
-		t.vals[i] = oldV[j]
 	}
 }
 
-// lvScratch pools the per-level allocations of the level matcher — the
-// collector's visited set and path buffers, the clique cover's bitsets and
-// the replacement/rebuild maps — so a full per-level sweep (OptLv) pays
-// for them once per Minimize call instead of once per level. A scratch is
-// single-goroutine like the Manager; MinimizeAtLevel takes one from the
-// pool per round, OptLv.Minimize reuses one across its levels.
+// lvScratch pools the allocations of the paper's recursions — the ISF
+// tables, the collected pairs and their signatures, the clique cover's
+// bitsets — so a full per-level sweep (OptLv) pays for them once per
+// Minimize call instead of once per level, and generic_td reuses a memo
+// instead of allocating one per call. A scratch is single-goroutine like
+// the Manager; MinimizeAtLevel and matchSiblingsWindow take one from the
+// pool per call, OptLv.Minimize reuses one across its levels.
 type lvScratch struct {
-	seen       isfSet          // collector's visited set
-	path       []bdd.CubeValue // collector's current path
-	pathBuf    []bdd.CubeValue // backing slab for the collected pairs' Paths
-	pairs      []LevelPair     // collected pairs
-	refs       []bdd.Ref       // signature batch input
-	sigs       []uint64        // signature batch output
-	adj        []uint64        // clique cover: bitset adjacency rows
-	deg        []int           // clique cover: vertex degrees
-	order      []int           // clique cover: seed order
-	covered    []uint64        // clique cover: covered-vertex bitset
-	cand       []uint64        // clique cover: candidate bitset
-	minDist    []uint64        // clique cover: lightest edge into the clique
-	cliqueBuf  []int           // clique cover: member slab
-	cliqueEnds []int           // clique cover: end offset of each clique in the slab
-	degCnt     []int           // clique cover: counting-sort buckets
-	cliques    [][]int         // clique cover: views into the slab
-	repl       map[ISF]ISF     // replacement map of the current level
-	memo       isfMap          // rebuilder memo
-}
-
-func newLvScratch() *lvScratch {
-	return &lvScratch{repl: make(map[ISF]ISF)}
+	seen       isfMap      // collector's visited set
+	pairs      []LevelPair // collected pairs
+	refs       []bdd.Ref   // signature batch input
+	sigs       []uint64    // signature batch output
+	adj        []uint64    // clique cover: bitset adjacency rows
+	deg        []int       // clique cover: vertex degrees
+	order      []int       // clique cover: seed order
+	covered    []uint64    // clique cover: covered-vertex bitset
+	cand       []uint64    // clique cover: candidate bitset
+	minDist    []uint64    // clique cover: lightest edge into the clique
+	cliqueBuf  []int       // clique cover: member slab
+	cliqueEnds []int       // clique cover: end offset of each clique in the slab
+	degCnt     []int       // clique cover: counting-sort buckets
+	cliques    [][]int     // clique cover: views into the slab
+	repl       isfMap      // replacement map of the current level
+	memo       isfMap      // generic_td's or the rebuilder's memo
 }
 
 // lvScratchPool recycles scratches across minimization calls. Only entry
 // points whose results do not alias scratch memory may use it
-// (MinimizeAtLevel, the OptLv level loop); collectLevelPairs and the level
-// solvers return scratch-backed slices/maps, valid until the scratch's
-// next use.
-var lvScratchPool = sync.Pool{New: func() any { return newLvScratch() }}
+// (MinimizeAtLevel, the OptLv level loop, matchSiblingsWindow);
+// collectLevelPairs and the level solvers fill scratch-backed slices and
+// tables, valid until the scratch's next use.
+var lvScratchPool = sync.Pool{New: func() any { return new(lvScratch) }}
 
 // growU64 returns buf resized to n zeroed elements, reusing its capacity.
 func growU64(buf []uint64, n int) []uint64 {
@@ -260,18 +201,9 @@ func growInt(buf []int, n int) []int {
 // entry point.
 func collectLevelPairs(m *bdd.Manager, in ISF, i bdd.Var, sc *lvScratch) []LevelPair {
 	sc.seen.reset(sc.seen.used) // last round's population sizes this one
-	if cap(sc.path) < int(i)+1 {
-		sc.path = make([]bdd.CubeValue, int(i)+1)
-	} else {
-		sc.path = sc.path[:int(i)+1]
-	}
-	for p := range sc.path {
-		sc.path[p] = bdd.DontCare
-	}
 	sc.pairs = sc.pairs[:0]
-	sc.pathBuf = sc.pathBuf[:0]
 	c := &collector{m: m, level: int32(i), sc: sc}
-	c.walk(in)
+	c.walk(in, 0, 0)
 	pairs := sc.pairs
 	if len(pairs) > 0 {
 		// Fingerprint every collected component in one batch; nodes shared
@@ -294,7 +226,9 @@ type collector struct {
 	sc    *lvScratch
 }
 
-func (c *collector) walk(in ISF) {
+// walk visits in, reached on the path packed in val and care (LevelPair's
+// layout).
+func (c *collector) walk(in ISF, val, care uint64) {
 	sc := c.sc
 	if sc.seen.visit(in) {
 		return
@@ -302,39 +236,14 @@ func (c *collector) walk(in ISF) {
 	fl, cl := c.m.Level(in.F), c.m.Level(in.C)
 	top := min(fl, cl)
 	if top > c.level {
-		// Copy the path into the shared slab. Appends never mutate the
-		// slab's earlier segments, so previously taken Path slices stay
-		// intact even when the slab reallocates on growth.
-		start := len(sc.pathBuf)
-		sc.pathBuf = append(sc.pathBuf, sc.path...)
-		p := LevelPair{
-			ISF:  in,
-			Path: sc.pathBuf[start:len(sc.pathBuf):len(sc.pathBuf)],
-		}
-		if k := len(sc.path); k <= 64 {
-			var val, care uint64
-			for lvl, v := range sc.path {
-				if v == bdd.DontCare {
-					continue
-				}
-				bit := uint(k - lvl - 1)
-				care |= 1 << bit
-				if v == bdd.CubeOne {
-					val |= 1 << bit
-				}
-			}
-			p.pathVal, p.pathCare, p.pathLen = val, care, uint8(k)
-		}
-		sc.pairs = append(sc.pairs, p)
+		sc.pairs = append(sc.pairs, LevelPair{ISF: in, pathVal: val, pathCare: care})
 		return
 	}
+	bit := uint64(1) << uint(c.level-top) // 0 when the level is 64 or more above
 	fT, fE := branchAt(c.m, in.F, top)
 	cT, cE := branchAt(c.m, in.C, top)
-	sc.path[top] = bdd.CubeOne
-	c.walk(ISF{fT, cT})
-	sc.path[top] = bdd.CubeZero
-	c.walk(ISF{fE, cE})
-	sc.path[top] = bdd.DontCare
+	c.walk(ISF{fT, cT}, val|bit, care|bit)
+	c.walk(ISF{fE, cE}, val, care|bit)
 }
 
 // branchAt returns f's then and else branches at level top, or f twice
@@ -348,39 +257,15 @@ func branchAt(m *bdd.Manager, f bdd.Ref, top int32) (bdd.Ref, bdd.Ref) {
 	return m.Branches(f)
 }
 
-// PairDistance is the distance measure of Section 3.3.2 (after Touati et
-// al.) between the first-visit paths of two collected pairs rooted below
-// level k: dist(g,h) = Σ_i |x_i^g − x_i^h| · 2^(k−i−1), summed over the
-// levels i where both paths assign a value. Siblings have distance 1;
-// smaller distances identify "nearby" functions whose matches are
-// preferred when building cliques.
-func PairDistance(a, b LevelPair) uint64 {
-	k := len(a.Path)
-	if len(b.Path) < k {
-		k = len(b.Path)
-	}
-	var d uint64
-	for i := 0; i < k; i++ {
-		va, vb := a.Path[i], b.Path[i]
-		if va == bdd.DontCare || vb == bdd.DontCare {
-			continue
-		}
-		if va != vb {
-			d += uint64(1) << uint(k-i-1)
-		}
-	}
-	return d
-}
-
 // solveOSMLevel solves the function matching minimization (FMM) problem
 // exactly for the OSM criterion (Proposition 10): build the directed
 // matching graph (DMG) with an edge j→k iff pair j OSM-matches pair k,
 // then map every vertex to a sink reachable from it. The sinks are the
-// minimum set of i-covers. The returned map sends every replaced pair's
+// minimum set of i-covers. It fills sc.repl, sending every replaced pair's
 // ISF to its i-cover; unreplaced (sink) pairs are absent. It also reports
 // the DMG's edge count and the number of candidate pairs rejected by the
 // signature filter, for tracing.
-func solveOSMLevel(m *bdd.Manager, pairs []LevelPair) (map[ISF]ISF, int, int) {
+func solveOSMLevel(m *bdd.Manager, pairs []LevelPair, sc *lvScratch) (int, int) {
 	n := len(pairs)
 	edges, pruned := 0, 0
 	match := make([][]bool, n)
@@ -442,14 +327,14 @@ func solveOSMLevel(m *bdd.Manager, pairs []LevelPair) (map[ISF]ISF, int, int) {
 		}
 		return sinkOf[j]
 	}
-	repl := make(map[ISF]ISF)
+	sc.repl.reset(sc.repl.used)
 	for j := 0; j < n; j++ {
 		s := follow(j)
 		if s != j && pairs[j].ISF != pairs[s].ISF {
-			repl[pairs[j].ISF] = pairs[s].ISF
+			sc.repl.put(pairs[j].ISF, pairs[s].ISF)
 		}
 	}
-	return repl, edges, pruned
+	return edges, pruned
 }
 
 // solveTSMLevel solves FMM for the TSM criterion heuristically via clique
@@ -461,15 +346,13 @@ func solveOSMLevel(m *bdd.Manager, pairs []LevelPair) (map[ISF]ISF, int, int) {
 // matches of nearby functions. Each clique is folded into a single common
 // i-cover (Lemma 14 guarantees one exists).
 //
-// It also reports the matching graph's edge count, the number of
-// non-singleton cliques folded, and the signature-pruned pair count, for
-// tracing. The returned map is sc.repl: valid until the next solve on the
-// same scratch.
-func solveTSMLevel(m *bdd.Manager, pairs []LevelPair, sc *lvScratch) (map[ISF]ISF, int, int, int) {
+// It fills sc.repl like solveOSMLevel and reports the matching graph's
+// edge count, the number of non-singleton cliques folded, and the
+// signature-pruned pair count, for tracing.
+func solveTSMLevel(m *bdd.Manager, pairs []LevelPair, sc *lvScratch) (int, int, int) {
 	cliques, edges, pruned := tsmCliqueCover(m, pairs, true, sc)
 	folded := 0
-	repl := sc.repl
-	clear(repl)
+	sc.repl.reset(sc.repl.used)
 	for _, clique := range cliques {
 		if len(clique) < 2 {
 			continue
@@ -481,11 +364,11 @@ func solveTSMLevel(m *bdd.Manager, pairs []LevelPair, sc *lvScratch) (map[ISF]IS
 		}
 		for _, v := range clique {
 			if pairs[v].ISF != ic {
-				repl[pairs[v].ISF] = ic
+				sc.repl.put(pairs[v].ISF, ic)
 			}
 		}
 	}
-	return repl, edges, folded, pruned
+	return edges, folded, pruned
 }
 
 // tsmCliqueCover partitions the vertices of the undirected TSM matching
@@ -652,7 +535,7 @@ func tsmCliqueCover(m *bdd.Manager, pairs []LevelPair, optimized bool, sc *lvScr
 // replaced, the replacement i-cover is substituted; the superstructure at
 // and above level i is rebuilt node by node. The result is an i-cover of
 // the input. memo must be reset by the caller.
-func rebuildWithReplacements(m *bdd.Manager, in ISF, i bdd.Var, repl map[ISF]ISF, memo *isfMap) ISF {
+func rebuildWithReplacements(m *bdd.Manager, in ISF, i bdd.Var, repl, memo *isfMap) ISF {
 	r := &rebuilder{m: m, level: int32(i), repl: repl, memo: memo}
 	return r.rebuild(in)
 }
@@ -660,7 +543,7 @@ func rebuildWithReplacements(m *bdd.Manager, in ISF, i bdd.Var, repl map[ISF]ISF
 type rebuilder struct {
 	m     *bdd.Manager
 	level int32
-	repl  map[ISF]ISF
+	repl  *isfMap
 	memo  *isfMap
 }
 
@@ -668,7 +551,7 @@ func (r *rebuilder) rebuild(in ISF) ISF {
 	fl, cl := r.m.Level(in.F), r.m.Level(in.C)
 	top := min(fl, cl)
 	if top > r.level {
-		if out, ok := r.repl[in]; ok {
+		if out, ok := r.repl.get(in); ok {
 			return out
 		}
 		return in
@@ -720,21 +603,20 @@ func minimizeAtLevel(m *bdd.Manager, in ISF, i bdd.Var, cr Criterion, sc *lvScra
 	if len(pairs) < 2 {
 		return in, stats
 	}
-	var repl map[ISF]ISF
 	switch cr {
 	case OSM:
-		repl, stats.Edges, stats.Pruned = solveOSMLevel(m, pairs)
+		stats.Edges, stats.Pruned = solveOSMLevel(m, pairs, sc)
 	case TSM:
-		repl, stats.Edges, stats.Cliques, stats.Pruned = solveTSMLevel(m, pairs, sc)
+		stats.Edges, stats.Cliques, stats.Pruned = solveTSMLevel(m, pairs, sc)
 	default:
 		panic("core: level matching supports OSM and TSM")
 	}
-	stats.Replaced = len(repl)
-	if len(repl) == 0 {
+	stats.Replaced = sc.repl.used
+	if stats.Replaced == 0 {
 		return in, stats
 	}
 	sc.memo.reset(sc.memo.used)
-	return rebuildWithReplacements(m, in, i, repl, &sc.memo), stats
+	return rebuildWithReplacements(m, in, i, &sc.repl, &sc.memo), stats
 }
 
 // OptLv is the level-matching heuristic evaluated in the paper ("opt_lv"):

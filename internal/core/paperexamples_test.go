@@ -16,10 +16,7 @@ func TestPaperExample1Constrain(t *testing.T) {
 	m := bdd.New(2)
 	in := MustParseSpec(m, "d1 01")
 	_, best := ExactMinimize(m, in.F, in.C, 2)
-	minSol, err := ParseFunction(m, "01 01")
-	if err != nil {
-		t.Fatal(err)
-	}
+	minSol := completeSpec(t, m, "01 01")
 	if m.Size(minSol) != best {
 		t.Fatalf("paper's minimum (01 01) has size %d, exact %d", m.Size(minSol), best)
 	}
@@ -29,7 +26,7 @@ func TestPaperExample1Constrain(t *testing.T) {
 		t.Fatalf("constrain must be suboptimal on example 1: size %d, best %d", m.Size(g), best)
 	}
 	// The paper reports constrain returns (11 01).
-	want, _ := ParseFunction(m, "11 01")
+	want := completeSpec(t, m, "11 01")
 	if g != want {
 		t.Fatalf("constrain result is %s, paper reports 11 01", FormatSpec(m, ISF{g, bdd.One}, 2))
 	}
@@ -45,10 +42,7 @@ func TestPaperExample2OsmTd(t *testing.T) {
 	m := bdd.New(3)
 	in := MustParseSpec(m, "d1 01 1d 01")
 	_, best := ExactMinimize(m, in.F, in.C, 3)
-	minSol, err := ParseFunction(m, "11 01 11 01")
-	if err != nil {
-		t.Fatal(err)
-	}
+	minSol := completeSpec(t, m, "11 01 11 01")
 	if m.Size(minSol) != best {
 		t.Fatalf("paper's minimum has size %d, exact %d", m.Size(minSol), best)
 	}
@@ -70,10 +64,7 @@ func TestPaperExample3TsmTd(t *testing.T) {
 	m := bdd.New(3)
 	in := MustParseSpec(m, "1d d1 d0 0d")
 	_, best := ExactMinimize(m, in.F, in.C, 3)
-	minSol, err := ParseFunction(m, "11 11 00 00")
-	if err != nil {
-		t.Fatal(err)
-	}
+	minSol := completeSpec(t, m, "11 11 00 00")
 	if m.Size(minSol) != best {
 		t.Fatalf("paper's minimum has size %d, exact %d", m.Size(minSol), best)
 	}

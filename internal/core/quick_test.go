@@ -153,7 +153,7 @@ func TestQuickWindowedTransformSound(t *testing.T) {
 		lo := bdd.Var(loRaw % 5)
 		hi := lo + bdd.Var(hiRaw%3)
 		cr := Criteria()[int(crRaw)%3]
-		out, _ := matchSiblingsWindow(m, cr, compl, nnv, in, lo, hi)
+		out, _ := matchSiblingsWindow(m, cr, compl, nnv, in, lo, hi, true)
 		if !m.Leq(in.C, out.C) {
 			return false
 		}

@@ -131,8 +131,8 @@ windows:
 	for lo := 0; lo < n && !run.done() && n-lo > stop; lo += w {
 		hi := min(lo+w-1, n-1)
 		s.emitWindow(m, "open", lo, hi, run.cur)
-		sibOSM := func(in ISF) ISF { return osm.step(m, in, bdd.Var(lo), bdd.Var(hi)) }
-		sibTSM := func(in ISF) ISF { return tsm.step(m, in, bdd.Var(lo), bdd.Var(hi)) }
+		sibOSM := func(in ISF) ISF { return osm.step(m, in, bdd.Var(lo), bdd.Var(hi), true) }
+		sibTSM := func(in ISF) ISF { return tsm.step(m, in, bdd.Var(lo), bdd.Var(hi), true) }
 		if !run.step(run.phase("window %d-%d sib_osm", lo, hi), sibOSM) ||
 			!run.step(run.phase("window %d-%d sib_tsm", lo, hi), sibTSM) {
 			break

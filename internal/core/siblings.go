@@ -73,21 +73,22 @@ func (h *SiblingHeuristic) Minimize(m *bdd.Manager, f, c bdd.Ref) bdd.Ref {
 	if c == bdd.Zero {
 		panic(fmt.Sprintf("core: %s called with empty care set", h.name))
 	}
-	return h.step(m, ISF{f, c}, 0, bdd.Var(m.NumVars()-1)).F
+	return h.step(m, ISF{f, c}, 0, bdd.Var(m.NumVars()-1), false).F
 }
 
 // step runs one generic_td pass with matches confined to the levels
-// [lo, hi] and returns its i-cover. It is the whole of Minimize and each
-// windowed sibling step of the Scheduler. When Trace is set it emits one
-// obs.HeuristicEvent (sizes of the function part, sibling matches
-// applied, duration).
-func (h *SiblingHeuristic) step(m *bdd.Manager, in ISF, lo, hi bdd.Var) ISF {
+// [lo, hi] and returns its i-cover, with the care part c' built only when
+// care is set. It is the whole of Minimize, which keeps f' alone, and each
+// windowed sibling step of the Scheduler, which hands [f', c'] on. When
+// Trace is set it emits one obs.HeuristicEvent (sizes of the function
+// part, sibling matches applied, duration).
+func (h *SiblingHeuristic) step(m *bdd.Manager, in ISF, lo, hi bdd.Var, care bool) ISF {
 	if h.Trace == nil {
-		out, _ := matchSiblingsWindow(m, h.Criterion, h.MatchCompl, h.NoNewVars, in, lo, hi)
+		out, _ := matchSiblingsWindow(m, h.Criterion, h.MatchCompl, h.NoNewVars, in, lo, hi, care)
 		return out
 	}
 	inSize, start := m.Size(in.F), time.Now()
-	out, matches := matchSiblingsWindow(m, h.Criterion, h.MatchCompl, h.NoNewVars, in, lo, hi)
+	out, matches := matchSiblingsWindow(m, h.Criterion, h.MatchCompl, h.NoNewVars, in, lo, hi, care)
 	outSize := m.Size(out.F)
 	h.Trace.Emit(obs.HeuristicEvent{
 		Name: h.name, Criterion: h.Criterion.String(),
@@ -102,28 +103,38 @@ func (h *SiblingHeuristic) step(m *bdd.Manager, in ISF, lo, hi bdd.Var) ISF {
 // heuristic it returns a new incompletely specified function [f', c'] that
 // keeps the unconsumed don't-care freedom: every cover of [f', c'] is a
 // cover of [f, c] (an i-cover). With the window spanning every level, f'
-// is the cover the paper's sibling heuristic returns.
+// is the cover the paper's sibling heuristic returns. With care false it
+// builds no care node and returns [f', 1], also an i-cover: the recursion
+// never reads a child's care part, so f' is the same.
 //
 // The windowed form is the building block of the scheduler (Section 3.4):
 // safe transformations are applied first and the remaining freedom is
 // handed to the next transformation, rather than being consumed greedily.
 // It also reports how many sibling matches were applied (plain and
 // complement), the per-step work measure the traces carry.
-func matchSiblingsWindow(m *bdd.Manager, cr Criterion, compl, nnv bool, in ISF, lo, hi bdd.Var) (ISF, int) {
+func matchSiblingsWindow(m *bdd.Manager, cr Criterion, compl, nnv bool, in ISF, lo, hi bdd.Var, care bool) (ISF, int) {
+	sc := lvScratchPool.Get().(*lvScratch)
+	defer lvScratchPool.Put(sc)
+	sc.memo.reset(sc.memo.used)
 	t := &windowTraversal{
 		m:     m,
 		crit:  cr,
 		compl: compl,
 		nnv:   nnv,
-		memo:  make(map[ISF]ISF),
+		care:  care,
+		memo:  &sc.memo,
 		lo:    int32(lo),
 		hi:    int32(hi),
 	}
-	return t.run(in), t.matches
+	out := t.run(in)
+	if !care {
+		out.C = bdd.One
+	}
+	return out, t.matches
 }
 
 // windowTraversal carries the state of one generic_td invocation. The memo
-// table is per call, so timing measurements of distinct heuristics are
+// is emptied per call, so timing measurements of distinct heuristics are
 // independent (the manager-level caches are flushed by the harness between
 // heuristics).
 type windowTraversal struct {
@@ -131,7 +142,8 @@ type windowTraversal struct {
 	crit    Criterion
 	compl   bool
 	nnv     bool
-	memo    map[ISF]ISF
+	care    bool // build the care part of each split
+	memo    *isfMap
 	lo, hi  int32 // the window: levels at which matches may be made
 	matches int
 }
@@ -151,7 +163,7 @@ func (t *windowTraversal) run(in ISF) ISF {
 		// Entirely below the window: leave the freedom untouched.
 		return in
 	}
-	if r, ok := t.memo[in]; ok {
+	if r, ok := t.memo.get(in); ok {
 		return r
 	}
 	fT, fE := branchAt(m, in.F, top)
@@ -178,12 +190,12 @@ func (t *windowTraversal) run(in ISF) ISF {
 		ret = ISF{F: m.MkNode(bdd.Var(top), h.F, h.F.Not()), C: h.C}
 	} else {
 		tr, er := t.run(tp), t.run(ep)
-		ret = ISF{
-			F: m.MkNode(bdd.Var(top), tr.F, er.F),
-			C: m.MkNode(bdd.Var(top), tr.C, er.C),
+		ret = ISF{F: m.MkNode(bdd.Var(top), tr.F, er.F), C: bdd.One}
+		if t.care {
+			ret.C = m.MkNode(bdd.Var(top), tr.C, er.C)
 		}
 	}
-	t.memo[in] = ret
+	t.memo.put(in, ret)
 	return ret
 }
 

@@ -317,3 +317,48 @@ func TestHeuristicsSurviveGC(t *testing.T) {
 		requireCover(t, m, g, in, h.Name()+" after GC")
 	}
 }
+
+// TestSiblingMinimizeBuildsNoCare: Minimize keeps only f', so it builds no
+// care node. For every sibling heuristic it returns the f' of the
+// care-building recursion over all levels, makes no more nodes than that
+// recursion on a twin manager, and makes strictly fewer on some instance.
+func TestSiblingMinimizeBuildsNoCare(t *testing.T) {
+	for _, cr := range Criteria() {
+		for _, compl := range []bool{false, true} {
+			for _, nnv := range []bool{false, true} {
+				if (cr == OSDM && compl) || (cr == TSM && nnv) {
+					continue // Table 2's duplicates: 3≡1, 4≡2, 10≡9, 12≡11
+				}
+				h := NewSiblingHeuristic(cr, compl, nnv)
+				fewer := 0
+				for trial := int64(0); trial < 40; trial++ {
+					n := 3 + int(trial%4)
+					build := func() (*bdd.Manager, ISF) {
+						m := bdd.New(n)
+						return m, randISF(newRand(210+trial), m, n)
+					}
+					m, in := build()
+					made := m.NodesMade()
+					g := h.Minimize(m, in.F, in.C)
+					made = m.NodesMade() - made
+					if out, _ := matchSiblingsWindow(m, cr, compl, nnv, in, 0, bdd.Var(n-1), true); out.F != g {
+						t.Fatalf("%s trial %d: Minimize differs from the care-building recursion", h.Name(), trial)
+					}
+					twin, twinIn := build()
+					careMade := twin.NodesMade()
+					matchSiblingsWindow(twin, cr, compl, nnv, twinIn, 0, bdd.Var(n-1), true)
+					careMade = twin.NodesMade() - careMade
+					if made > careMade {
+						t.Fatalf("%s trial %d: Minimize made %d nodes, the care-building recursion %d", h.Name(), trial, made, careMade)
+					}
+					if made < careMade {
+						fewer++
+					}
+				}
+				if fewer == 0 {
+					t.Errorf("%s: Minimize made as many nodes as the care-building recursion on all 40 instances", h.Name())
+				}
+			}
+		}
+	}
+}

@@ -86,19 +86,6 @@ func MustParseSpec(m *bdd.Manager, spec string) ISF {
 	return i
 }
 
-// ParseFunction parses a completely specified function in the same leaf
-// notation (no 'd' symbols allowed).
-func ParseFunction(m *bdd.Manager, spec string) (bdd.Ref, error) {
-	i, err := ParseSpec(m, spec)
-	if err != nil {
-		return bdd.Zero, err
-	}
-	if i.C != bdd.One {
-		return bdd.Zero, fmt.Errorf("core: spec %q contains don't cares", spec)
-	}
-	return i.F, nil
-}
-
 // FormatSpec renders [f, c] back into leaf notation over the given number
 // of variables, grouping symbols in blocks of two for readability.
 func FormatSpec(m *bdd.Manager, in ISF, n int) string {

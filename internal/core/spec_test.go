@@ -42,8 +42,8 @@ func TestParseSpecErrors(t *testing.T) {
 	if _, err := ParseSpec(m, "01 01 01 01"); err == nil {
 		t.Fatal("spec needing more variables than the manager has must error")
 	}
-	if _, err := ParseFunction(m, "d1 01"); err == nil {
-		t.Fatal("ParseFunction must reject don't cares")
+	if in := MustParseSpec(m, "d1 01"); in.C == bdd.One {
+		t.Fatal("a spec with don't cares must not parse to care set One")
 	}
 }
 

@@ -65,3 +65,14 @@ func requireCover(t *testing.T, m *bdd.Manager, g bdd.Ref, in ISF, label string)
 		t.Fatalf("%s: result is not a cover", label)
 	}
 }
+
+// completeSpec parses a completely specified function in ParseSpec's leaf
+// notation, failing the test if spec has a don't care.
+func completeSpec(t *testing.T, m *bdd.Manager, spec string) bdd.Ref {
+	t.Helper()
+	in := MustParseSpec(m, spec)
+	if in.C != bdd.One {
+		t.Fatalf("spec %q has don't cares", spec)
+	}
+	return in.F
+}

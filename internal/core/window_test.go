@@ -17,7 +17,7 @@ func TestWindowTransformationIsICover(t *testing.T) {
 		for _, cr := range Criteria() {
 			for lo := 0; lo < n; lo++ {
 				for hi := lo; hi < n; hi++ {
-					out, _ := matchSiblingsWindow(m, cr, trial%2 == 0, trial%3 == 0, in, bdd.Var(lo), bdd.Var(hi))
+					out, _ := matchSiblingsWindow(m, cr, trial%2 == 0, trial%3 == 0, in, bdd.Var(lo), bdd.Var(hi), true)
 					allCovers(m, out, n, func(g bdd.Ref) {
 						if !in.Cover(m, g) {
 							t.Fatalf("%v window [%d,%d]: output cover is not an input cover", cr, lo, hi)
@@ -37,7 +37,7 @@ func TestWindowBelowLeavesUntouched(t *testing.T) {
 	f := m.Or(m.And(m.MkVar(3), m.MkVar(4)), m.MkVar(5))
 	c := m.Xor(m.MkVar(3), m.MkVar(5))
 	in := ISF{f, c}
-	out, _ := matchSiblingsWindow(m, TSM, true, true, in, 0, 2)
+	out, _ := matchSiblingsWindow(m, TSM, true, true, in, 0, 2, true)
 	if out != in {
 		t.Fatal("window above the support must not change the instance")
 	}
@@ -54,7 +54,7 @@ func TestWindowComposesWithConstrain(t *testing.T) {
 		n := 2 + rng.Intn(4)
 		m := bdd.New(n)
 		in := randISF(rng, m, n)
-		out, _ := matchSiblingsWindow(m, OSM, true, true, in, 0, bdd.Var(n-1))
+		out, _ := matchSiblingsWindow(m, OSM, true, true, in, 0, bdd.Var(n-1), true)
 		var g bdd.Ref
 		if out.C == bdd.Zero {
 			g = out.F
@@ -74,7 +74,7 @@ func TestWindowMonotoneCare(t *testing.T) {
 		m := bdd.New(n)
 		in := randISF(rng, m, n)
 		for _, cr := range Criteria() {
-			out, _ := matchSiblingsWindow(m, cr, true, false, in, 0, bdd.Var(n-1))
+			out, _ := matchSiblingsWindow(m, cr, true, false, in, 0, bdd.Var(n-1), true)
 			if !m.Leq(in.C, out.C) {
 				t.Fatalf("%v: window transformation enlarged the DC set", cr)
 			}
@@ -150,8 +150,8 @@ func TestWindowSequenceConsumesAllLevels(t *testing.T) {
 		in := randISF(rng, m, n)
 		cur := in
 		for lo := 0; lo < n; lo++ {
-			cur, _ = matchSiblingsWindow(m, OSM, false, true, cur, bdd.Var(lo), bdd.Var(lo))
-			cur, _ = matchSiblingsWindow(m, TSM, false, false, cur, bdd.Var(lo), bdd.Var(lo))
+			cur, _ = matchSiblingsWindow(m, OSM, false, true, cur, bdd.Var(lo), bdd.Var(lo), true)
+			cur, _ = matchSiblingsWindow(m, TSM, false, false, cur, bdd.Var(lo), bdd.Var(lo), true)
 		}
 		var g bdd.Ref
 		if cur.C == bdd.Zero {
@@ -176,7 +176,7 @@ func TestWindowComplMatchPair(t *testing.T) {
 	f := m.ITE(m.MkVar(0), g, g.Not())
 	c := m.Or(m.MkVar(0), m.MkVar(1)) // cT = 1, cE = x1 ≠ 0
 	in := ISF{F: f, C: c}
-	out, _ := matchSiblingsWindow(m, OSM, true, false, in, 0, 0)
+	out, _ := matchSiblingsWindow(m, OSM, true, false, in, 0, 0, true)
 	// The result's function part must still be of the ite(x0, h, ¬h) shape.
 	hi, lo := m.Branches(out.F)
 	if m.TopVar(out.F) != 0 || hi != lo.Not() {

@@ -12,11 +12,10 @@
 // arithmetic on the sequence number (EveryNth) or explicit windows
 // (Script).
 //
-// Health probes are forwarded clean by default: a faulted backend still
+// Health probes are always forwarded clean: a faulted backend still
 // answers /healthz promptly, which is precisely what makes a failure
 // *grey* — probe-based ejection never fires and only in-band evidence
-// (attempt timeouts, circuit breakers) can catch it. Set HealthFaults
-// to also fault the probe path when a scenario wants clean failures.
+// (attempt timeouts, circuit breakers) can catch it.
 package faultnet
 
 import (
@@ -143,33 +142,20 @@ func (e EveryNth) FaultFor(seq uint64) Fault {
 type Proxy struct {
 	backend string
 	sched   Schedule
-	// healthSched faults /healthz too when non-nil; by default probes
-	// pass through clean (grey failures).
-	healthSched Schedule
 
 	ln     net.Listener
 	srv    *http.Server
 	client *http.Client
 
-	seq       atomic.Uint64
-	healthSeq atomic.Uint64
-	counts    [numKinds]atomic.Uint64
-	closed    chan struct{}
-}
-
-// Option customizes a Proxy.
-type Option func(*Proxy)
-
-// WithHealthFaults also schedules faults on /healthz probes (seq counted
-// separately from work requests). Without it probes pass through clean.
-func WithHealthFaults(s Schedule) Option {
-	return func(p *Proxy) { p.healthSched = s }
+	seq    atomic.Uint64
+	counts [numKinds]atomic.Uint64
+	closed chan struct{}
 }
 
 // New starts a proxy for backend (a base URL like "http://127.0.0.1:123")
 // on an ephemeral localhost port. The returned proxy is serving when New
 // returns; URL() is its base address.
-func New(backend string, sched Schedule, opts ...Option) (*Proxy, error) {
+func New(backend string, sched Schedule) (*Proxy, error) {
 	if sched == nil {
 		sched = Clean{}
 	}
@@ -184,9 +170,6 @@ func New(backend string, sched Schedule, opts ...Option) (*Proxy, error) {
 		closed:  make(chan struct{}),
 		client:  &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}},
 	}
-	for _, o := range opts {
-		o(p)
-	}
 	p.srv = &http.Server{Handler: p}
 	go func() { _ = p.srv.Serve(ln) }()
 	return p, nil
@@ -195,9 +178,6 @@ func New(backend string, sched Schedule, opts ...Option) (*Proxy, error) {
 // URL is the proxy's base address — what the router or client targets in
 // place of the backend.
 func (p *Proxy) URL() string { return "http://" + p.ln.Addr().String() }
-
-// Seq is the number of work requests seen so far.
-func (p *Proxy) Seq() uint64 { return p.seq.Load() }
 
 // Counts snapshots how many requests received each fault kind.
 func (p *Proxy) Counts() map[string]uint64 {
@@ -225,16 +205,11 @@ func (p *Proxy) Close() error {
 
 // ServeHTTP applies the scheduled fault and (usually) proxies.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	var fault Fault
 	if r.URL.Path == "/healthz" {
-		if p.healthSched == nil {
-			p.proxy(w, r) // clean probes: the grey-failure default
-			return
-		}
-		fault = p.healthSched.FaultFor(p.healthSeq.Add(1) - 1)
-	} else {
-		fault = p.sched.FaultFor(p.seq.Add(1) - 1)
+		p.proxy(w, r) // clean probes: the grey failure
+		return
 	}
+	fault := p.sched.FaultFor(p.seq.Add(1) - 1)
 	p.counts[fault.Kind].Add(1)
 	switch fault.Kind {
 	case Reset:

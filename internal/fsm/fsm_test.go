@@ -460,7 +460,7 @@ func TestImageMethodsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reached, frontier := p.Initial(), p.Initial()
+		reached, frontier := p.initial, p.initial
 		steps := 0
 		for frontier != bdd.Zero {
 			steps++
@@ -510,12 +510,12 @@ func TestProductAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Initial() == bdd.Zero || !m.IsCube(p.Initial()) {
+	if p.initial == bdd.Zero || !m.IsCube(p.initial) {
 		t.Fatal("initial state must be a nonempty cube")
 	}
 	// Bad states exist off the diagonal (copy A ahead of copy B), but
 	// never at the synchronized reset.
-	if !m.Disjoint(p.Bad(), p.Initial()) {
+	if !m.Disjoint(p.bad, p.initial) {
 		t.Fatal("reset state must not miscompare in a self-product")
 	}
 }
@@ -540,7 +540,7 @@ func TestProductBadMatchesOrChain(t *testing.T) {
 			t.Fatal(err)
 		}
 		made := m.NodesMade()
-		if p.Bad() != orChainBad(p) {
+		if p.bad != orChainBad(p) {
 			t.Fatalf("%s: Bad() differs from the OR chain of output XORs", label)
 		}
 		return p, made
@@ -560,7 +560,7 @@ func TestProductBadMatchesOrChain(t *testing.T) {
 	}
 	a := circuits.RandomControlFSM("a", 30, 5, 3, 2)
 	b := circuits.RandomControlFSM("b", 130, 5, 3, 2)
-	if p, _ := check("mutant pair", a, b); p.Bad() == bdd.Zero {
+	if p, _ := check("mutant pair", a, b); p.bad == bdd.Zero {
 		t.Fatal("mutant pair: Bad() is empty, so the check above compared nothing")
 	}
 }

@@ -56,9 +56,3 @@ func NewProduct(m *bdd.Manager, a, b *logic.Network) (*Product, error) {
 	p.bad = m.OrN(diffs...)
 	return p, nil
 }
-
-// Initial returns the combined reset state cube.
-func (p *Product) Initial() bdd.Ref { return p.initial }
-
-// Bad returns the miscompare predicate over the product state space.
-func (p *Product) Bad() bdd.Ref { return p.bad }
