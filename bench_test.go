@@ -229,18 +229,6 @@ func BenchmarkAblationScheduleWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkOptLv measures the level-matching heuristic alone (the paper's
-// "easily the most costly").
-func BenchmarkOptLv(b *testing.B) {
-	insts, _ := buildCorpus(b)
-	o := &core.OptLv{}
-	for i := 0; i < b.N; i++ {
-		in := insts[i%len(insts)]
-		in.m.FlushCaches()
-		o.Minimize(in.m, in.f, in.c)
-	}
-}
-
 // BenchmarkExtensionRobust measures the conclusion's combined heuristic
 // against its ingredients.
 func BenchmarkExtensionRobust(b *testing.B) {

@@ -62,13 +62,11 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 	"time"
 
 	"bddmin/internal/bdd"
@@ -128,17 +126,6 @@ func run() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
 
 	// The tracer fans out to every requested sink; nil when tracing is off,
 	// which keeps the heuristics on their unobserved (allocation-free) path.
@@ -151,23 +138,30 @@ func run() {
 		sinks = append(sinks, metrics, obs.NewProgress(os.Stderr))
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+		jl, err := obs.CreateJSONL(*traceOut, *traceTimes)
 		if err != nil {
 			fail(err)
 		}
-		bw := bufio.NewWriter(f)
-		jl := obs.NewJSONL(bw)
-		jl.Timings = *traceTimes
 		sinks = append(sinks, jl)
 		defer func() {
-			if err := jl.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+			if err := jl.Close(); err != nil {
+				fail(err)
 			}
-			bw.Flush()
-			f.Close()
 		}()
 	}
 	tracer := obs.Multi(sinks...)
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fail(err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fail(err)
+		}
+		defer pprof.StopCPUProfile()
+	}
 
 	// mkBudget builds a fresh per-run kernel budget from the resource flags
 	// (budgets carry per-run counters, so they are never shared across
@@ -371,72 +365,31 @@ func degraded(ab core.AbortInfo) string {
 // heuristicResult is one heuristic's report line: the cover's size, its
 // leaf-notation spec (when asked for) and the budget-abort annotation.
 type heuristicResult struct {
-	name  string
-	size  int
-	spec  string
-	ab    core.AbortInfo
-	crash any // a panic in the worker, re-raised on the caller's goroutine
+	name string
+	size int
+	spec string
+	ab   core.AbortInfo
 }
 
-// runAll is -all: it fans the registered heuristics out over a worker pool
-// (workers <= 0 selects GOMAXPROCS), one fresh manager and one fresh
-// budget per heuristic run, so no heuristic is charged for the nodes its
-// predecessors left behind, and managers, which are not goroutine-safe,
-// are never shared. Results come back in registry order whatever the
-// worker count. Trace events are buffered per heuristic and replayed into
-// the tracer in registry order after all workers finish, so the merged
-// stream does not depend on scheduling either. withSpec renders each
-// cover in leaf notation.
+// runAll is -all: it runs the registered heuristics on obs.RunOrdered's
+// workers (workers <= 0 selects GOMAXPROCS), one fresh manager and one
+// fresh budget per heuristic run, so no heuristic is charged for the nodes
+// its predecessors left behind, and managers, which are not goroutine-safe,
+// are never shared. Results and trace events come back in registry order
+// whatever the worker count. withSpec renders each cover in leaf notation.
 func runAll(prob *problem.Problem, workers int, tracer obs.Tracer, mkBudget func() *bdd.Budget, withSpec bool) []heuristicResult {
 	heus := core.Registry()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(heus))
 	results := make([]heuristicResult, len(heus))
-	buffers := make([]*obs.Buffer, len(heus))
-	run := func(i int) (r heuristicResult) {
-		r.name = heus[i].Name()
-		defer func() { r.crash = recover() }()
+	obs.RunOrdered(len(heus), workers, tracer, func(i int, tr obs.Tracer) {
 		m, in, err := prob.NewManager()
 		if err != nil {
 			fail(err)
 		}
-		var tr obs.Tracer
-		if tracer != nil {
-			buffers[i] = &obs.Buffer{}
-			tr = buffers[i]
-		}
 		g, ab := minimize(heus[i], m, in, tr, mkBudget(), prob.Label)
-		r.size, r.ab = m.Size(g), ab
+		results[i] = heuristicResult{name: heus[i].Name(), size: m.Size(g), ab: ab}
 		if withSpec {
-			r.spec = core.FormatSpec(m, core.ISF{F: g, C: bdd.One}, prob.Vars)
+			results[i].spec = core.FormatSpec(m, core.ISF{F: g, C: bdd.One}, prob.Vars)
 		}
-		return r
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i] = run(i)
-			}
-		}()
-	}
-	for i := range heus {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for i, r := range results {
-		if r.crash != nil {
-			panic(r.crash)
-		}
-		if buffers[i] != nil {
-			buffers[i].ReplayTo(tracer)
-		}
-	}
+	})
 	return results
 }

@@ -43,7 +43,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -96,19 +95,15 @@ func main() {
 		fail(fmt.Errorf("bddmind: -cache must be on or off, got %q", *cache))
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+		jl, err := obs.CreateJSONL(*traceOut, false)
 		if err != nil {
 			fail(err)
 		}
-		bw := bufio.NewWriter(f)
-		jl := obs.NewJSONL(bw)
 		cfg.Trace = jl
 		defer func() {
-			if err := jl.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+			if err := jl.Close(); err != nil {
+				fail(err)
 			}
-			bw.Flush()
-			f.Close()
 		}()
 	}
 

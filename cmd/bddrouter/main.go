@@ -54,7 +54,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -112,20 +111,15 @@ func main() {
 		}},
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+		jl, err := obs.CreateJSONL(*traceOut, true)
 		if err != nil {
 			fail(err)
 		}
-		bw := bufio.NewWriter(f)
-		jl := obs.NewJSONL(bw)
-		jl.Timings = true
 		cfg.Trace = jl
 		defer func() {
-			if err := jl.Err(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+			if err := jl.Close(); err != nil {
+				fail(err)
 			}
-			bw.Flush()
-			f.Close()
 		}()
 	}
 

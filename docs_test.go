@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"bddmin/internal/kernelbench"
 	"bddmin/internal/obs"
 )
 
@@ -62,26 +63,46 @@ func TestExperimentsDoc(t *testing.T) {
 	}
 }
 
+// BENCH_kernel.json records internal/kernelbench's loops, in order, so a
+// loop renamed or added without regenerating the record fails here.
+func TestKernelRecordNamesTheSharedLoops(t *testing.T) {
+	var got, want []string
+	for _, r := range kernelRecord(t).Benchmarks {
+		got = append(got, r.Name)
+	}
+	for _, mb := range kernelbench.Micros {
+		want = append(want, "micro/"+mb.Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("BENCH_kernel.json records %v, the shared list is %v (regenerate it with benchdump)", got, want)
+	}
+}
+
+// kernelRecord reads the committed BENCH_kernel.json.
+func kernelRecord(t *testing.T) (rep struct {
+	Schema     string    `json:"schema"`
+	Timestamp  time.Time `json:"timestamp"`
+	GoMaxProcs int       `json:"gomaxprocs"`
+	Benchmarks []struct {
+		Name        string  `json:"name"`
+		NsPerOp     float64 `json:"ns_per_op"`
+		AllocsPerOp int64   `json:"allocs_per_op"`
+	} `json:"benchmarks"`
+}) {
+	data, err := os.ReadFile("BENCH_kernel.json")
+	if err == nil {
+		err = json.Unmarshal(data, &rep)
+	}
+	if err != nil {
+		t.Fatalf("BENCH_kernel.json: %v", err)
+	}
+	return rep
+}
+
 // kernelBlock renders BENCH_kernel.json as a table of ns/op and allocs/op
 // per micro-benchmark.
 func kernelBlock(t *testing.T) string {
-	data, err := os.ReadFile("BENCH_kernel.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Schema     string    `json:"schema"`
-		Timestamp  time.Time `json:"timestamp"`
-		GoMaxProcs int       `json:"gomaxprocs"`
-		Benchmarks []struct {
-			Name        string  `json:"name"`
-			NsPerOp     float64 `json:"ns_per_op"`
-			AllocsPerOp int64   `json:"allocs_per_op"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("BENCH_kernel.json: %v", err)
-	}
+	rep := kernelRecord(t)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Schema `%s`, written %s with GOMAXPROCS=%d:\n\n",
 		rep.Schema, rep.Timestamp.Format("2006-01-02"), rep.GoMaxProcs)

@@ -1,42 +1,12 @@
 package bdd
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
-// benchSetup builds a deterministic pool of functions over n variables.
-func benchSetup(n, count int, seed int64) (*Manager, []Ref) {
-	m := New(n)
-	rng := rand.New(rand.NewSource(seed))
-	vs := make([]Var, n)
-	for i := range vs {
-		vs[i] = Var(i)
-	}
-	funcs := make([]Ref, count)
-	for i := range funcs {
-		vals := make([]bool, 1<<n)
-		for j := range vals {
-			vals[j] = rng.Intn(2) == 1
-		}
-		funcs[i] = m.FromTruthTable(vs, vals)
-	}
-	return m, funcs
-}
-
-func BenchmarkITE(b *testing.B) {
-	m, fs := benchSetup(12, 64, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%1024 == 0 {
-			m.FlushCaches()
-		}
-		m.ITE(fs[i%64], fs[(i+7)%64], fs[(i+13)%64])
-	}
-}
+// The loops BENCH_kernel.json publishes live in internal/kernelbench;
+// these are the kernel benchmarks it does not publish.
 
 func BenchmarkAnd(b *testing.B) {
-	m, fs := benchSetup(12, 64, 2)
+	m, fs := randPool(12, 64, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%1024 == 0 {
@@ -47,7 +17,7 @@ func BenchmarkAnd(b *testing.B) {
 }
 
 func BenchmarkExists(b *testing.B) {
-	m, fs := benchSetup(12, 64, 3)
+	m, fs := randPool(12, 64, 3)
 	cube := m.CubeVars(1, 3, 5, 7, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -59,7 +29,7 @@ func BenchmarkExists(b *testing.B) {
 }
 
 func BenchmarkAndExists(b *testing.B) {
-	m, fs := benchSetup(12, 64, 4)
+	m, fs := randPool(12, 64, 4)
 	cube := m.CubeVars(0, 2, 4, 6, 8, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -70,23 +40,8 @@ func BenchmarkAndExists(b *testing.B) {
 	}
 }
 
-func BenchmarkConstrain(b *testing.B) {
-	m, fs := benchSetup(12, 64, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := fs[(i+17)%64]
-		if c == Zero {
-			continue
-		}
-		if i%256 == 0 {
-			m.FlushCaches()
-		}
-		m.Constrain(fs[i%64], c)
-	}
-}
-
 func BenchmarkRestrict(b *testing.B) {
-	m, fs := benchSetup(12, 64, 6)
+	m, fs := randPool(12, 64, 6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := fs[(i+17)%64]
@@ -100,69 +55,8 @@ func BenchmarkRestrict(b *testing.B) {
 	}
 }
 
-func BenchmarkSize(b *testing.B) {
-	m, fs := benchSetup(14, 16, 7)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Size(fs[i%16])
-	}
-}
-
-func BenchmarkDensity(b *testing.B) {
-	m, fs := benchSetup(14, 16, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Density(fs[i%16])
-	}
-}
-
-func BenchmarkSupport(b *testing.B) {
-	m, fs := benchSetup(14, 16, 7)
-	var buf []Var
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = m.AppendSupport(buf[:0], fs[i%16])
-	}
-}
-
-func BenchmarkSharedSize(b *testing.B) {
-	m, fs := benchSetup(14, 16, 9)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.SharedSize(fs...)
-	}
-}
-
-func BenchmarkMatchOSM(b *testing.B) {
-	m, fs := benchSetup(12, 64, 21)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%1024 == 0 {
-			m.FlushCaches()
-		}
-		m.MatchOSM(fs[i%64], fs[(i+7)%64], fs[(i+13)%64], fs[(i+29)%64])
-	}
-}
-
-func BenchmarkMatchTSM(b *testing.B) {
-	m, fs := benchSetup(12, 64, 22)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%1024 == 0 {
-			m.FlushCaches()
-		}
-		m.MatchTSM(fs[i%64], fs[(i+7)%64], fs[(i+13)%64], fs[(i+29)%64])
-	}
-}
-
 func BenchmarkSignature(b *testing.B) {
-	m, fs := benchSetup(14, 16, 23)
+	m, fs := randPool(14, 16, 23)
 	var sigs []uint64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -173,7 +67,7 @@ func BenchmarkSignature(b *testing.B) {
 
 func BenchmarkMkNodeHashCons(b *testing.B) {
 	// Rebuilding an existing function exercises pure unique-table hits.
-	m, fs := benchSetup(10, 4, 9)
+	m, fs := randPool(10, 4, 9)
 	tables := make([][]bool, 4)
 	for i := range tables {
 		tables[i] = m.TruthTable(fs[i], vars(10))
@@ -187,7 +81,7 @@ func BenchmarkMkNodeHashCons(b *testing.B) {
 func BenchmarkGC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		m, fs := benchSetup(12, 32, int64(i))
+		m, fs := randPool(12, 32, int64(i))
 		m.Protect(fs[0])
 		b.StartTimer()
 		m.GC()
@@ -195,7 +89,7 @@ func BenchmarkGC(b *testing.B) {
 }
 
 func BenchmarkForEachCube(b *testing.B) {
-	m, fs := benchSetup(12, 8, 11)
+	m, fs := randPool(12, 8, 11)
 	b.ResetTimer()
 	count := 0
 	for i := 0; i < b.N; i++ {

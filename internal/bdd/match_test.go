@@ -13,20 +13,8 @@ func naiveMatchTSM(m *Manager, f1, c1, f2, c2 Ref) bool {
 	return m.AndN(m.Xor(f1, f2), c1, c2) == Zero
 }
 
-// randISFPool builds count deterministic (f, c) operand functions.
-func randISFPool(t *testing.T, n, count int, seed int64) (*Manager, []Ref) {
-	t.Helper()
-	m := New(n)
-	rng := newRand(seed)
-	out := make([]Ref, count)
-	for i := range out {
-		out[i] = randTT(rng, n).build(m)
-	}
-	return m, out
-}
-
 func TestMatchKernelsAgreeWithNaive(t *testing.T) {
-	m, fs := randISFPool(t, 7, 24, 411)
+	m, fs := randPool(7, 24, 411)
 	consts := []Ref{One, Zero}
 	operands := append(consts, fs...)
 	for i, f1 := range operands {
@@ -46,7 +34,7 @@ func TestMatchKernelsAgreeWithNaive(t *testing.T) {
 }
 
 func TestMatchTSMSymmetric(t *testing.T) {
-	m, fs := randISFPool(t, 7, 16, 412)
+	m, fs := randPool(7, 16, 412)
 	for i, f1 := range fs {
 		for j, f2 := range fs {
 			c1, c2 := fs[(i+5)%len(fs)], fs[(j+11)%len(fs)]
@@ -59,7 +47,7 @@ func TestMatchTSMSymmetric(t *testing.T) {
 
 // The kernels are pure queries: zero nodes allocated, live count constant.
 func TestMatchKernelsAllocateNoNodes(t *testing.T) {
-	m, fs := randISFPool(t, 8, 16, 413)
+	m, fs := randPool(8, 16, 413)
 	liveBefore, madeBefore := m.NumNodes(), m.NodesMade()
 	for i, f1 := range fs {
 		for j, f2 := range fs {
@@ -90,7 +78,7 @@ func opCount(m *Manager, op string) CacheOpStats {
 // one probe: exactly one additional hit, no additional misses (no
 // recursion re-ran).
 func TestMatchKernelsMemoized(t *testing.T) {
-	m, fs := randISFPool(t, 8, 4, 414)
+	m, fs := randPool(8, 4, 414)
 	// Signature refutation answers non-matching queries without touching
 	// the cache, so exercise the memo with operands the filter can never
 	// reject: a genuine TSM match (f2 agrees with f1 wherever both care)

@@ -53,6 +53,16 @@ func vars(n int) []Var {
 // build materializes the truth table in m.
 func (t tt) build(m *Manager) Ref { return m.FromTruthTable(vars(t.n), t.bits) }
 
+// randPool builds count deterministic random functions over n variables.
+func randPool(n, count int, seed int64) (*Manager, []Ref) {
+	m, rng := New(n), newRand(seed)
+	fs := make([]Ref, count)
+	for i := range fs {
+		fs[i] = randTT(rng, n).build(m)
+	}
+	return m, fs
+}
+
 // sameFunction checks pointwise equality of f against the truth table.
 func sameFunction(t *testing.T, m *Manager, f Ref, want tt, label string) {
 	t.Helper()

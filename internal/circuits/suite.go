@@ -17,12 +17,8 @@ type BenchmarkInfo struct {
 	// Kind is "control", "datapath", or "canonical".
 	Kind string
 	// Build generates the machine.
-	Build func() *logicNetwork
+	Build func() *network
 }
-
-// logicNetwork aliases the logic package's Network to keep this file's
-// table readable.
-type logicNetwork = network
 
 // Suite returns the benchmark table mirroring the paper's list: s344,
 // s386, s510, s641, s820, s953, s1238, s1488, scf, styr, tbk, mult16b,
@@ -49,37 +45,37 @@ func Suite() []BenchmarkInfo {
 		{
 			Name: "scf", OrigInputs: 27, OrigLatches: 7,
 			Inputs: 10, Latches: 6, Kind: "stg",
-			Build: func() *logicNetwork { return RandomSTG("scf", 109, 64, 10, 6) },
+			Build: func() *network { return RandomSTG("scf", 109, 64, 10, 6) },
 		},
 		{
 			Name: "styr", OrigInputs: 9, OrigLatches: 5,
 			Inputs: 9, Latches: 5, Kind: "stg",
-			Build: func() *logicNetwork { return RandomSTG("styr", 110, 30, 9, 5) },
+			Build: func() *network { return RandomSTG("styr", 110, 30, 9, 5) },
 		},
 		{
 			Name: "tbk", OrigInputs: 6, OrigLatches: 5,
 			Inputs: 6, Latches: 5, Kind: "stg",
-			Build: func() *logicNetwork { return RandomSTG("tbk", 111, 32, 6, 3) },
+			Build: func() *network { return RandomSTG("tbk", 111, 32, 6, 3) },
 		},
 		{
 			Name: "mult16b", OrigInputs: 18, OrigLatches: 16,
 			Inputs: 10, Latches: 8, Kind: "datapath",
-			Build: func() *logicNetwork { return SerialMultiplier(8) },
+			Build: func() *network { return SerialMultiplier(8) },
 		},
 		{
 			Name: "cbp.32.4", OrigInputs: 65, OrigLatches: 33,
 			Inputs: 17, Latches: 9, Kind: "datapath",
-			Build: func() *logicNetwork { return CarryBypassAdder(8, 4) },
+			Build: func() *network { return CarryBypassAdder(8, 4) },
 		},
 		{
 			Name: "minmax5", OrigInputs: 6, OrigLatches: 10,
 			Inputs: 6, Latches: 10, Kind: "canonical",
-			Build: func() *logicNetwork { return MinMax(5) },
+			Build: func() *network { return MinMax(5) },
 		},
 		{
 			Name: "tlc", OrigInputs: 1, OrigLatches: 5,
 			Inputs: 1, Latches: 5, Kind: "canonical",
-			Build: func() *logicNetwork { return TrafficLight() },
+			Build: func() *network { return TrafficLight() },
 		},
 	}
 	return entries
@@ -106,7 +102,7 @@ func ctl(name string, origInputs, origLatches int, seed int64) BenchmarkInfo {
 	return BenchmarkInfo{
 		Name: name, OrigInputs: origInputs, OrigLatches: origLatches,
 		Inputs: inputs, Latches: latches, Kind: "control",
-		Build: func() *logicNetwork {
+		Build: func() *network {
 			return RandomControlFSM(name, seed, latches, inputs, outputs)
 		},
 	}

@@ -356,18 +356,6 @@ func BenchmarkAblationCliqueOrder(b *testing.B) {
 	}
 }
 
-func BenchmarkOptLv(b *testing.B) {
-	rng := newRand(314)
-	m := bdd.New(12)
-	in := randISF(rng, m, 12)
-	o := &OptLv{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.FlushCaches()
-		o.Minimize(m, in.F, in.C)
-	}
-}
-
 func TestSolveOSMLevelSinks(t *testing.T) {
 	// Proposition 10: the number of i-covers equals the number of sinks
 	// of the DMG, and every replaced pair osm-matches its replacement.

@@ -377,28 +377,6 @@ func TestGCDuringTraversal(t *testing.T) {
 	}
 }
 
-func TestMinimizeTransitionRelation(t *testing.T) {
-	m := bdd.New(0)
-	net := circuits.Counter(3)
-	p, err := NewProduct(m, net, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := p.CheckEquivalence(Options{})
-	// Minimize the monolithic relation against reachability.
-	T := transitionRelation(p)
-	minT := MinimizeTransitionRelation(m, T, res.Reached, nil)
-	if !m.Cover(minT, T, res.Reached) {
-		t.Fatal("minimized relation must cover [T, R]")
-	}
-	if m.Size(minT) > m.Size(T) {
-		t.Fatalf("restrict grew the relation: %d > %d", m.Size(minT), m.Size(T))
-	}
-	if MinimizeTransitionRelation(m, T, bdd.One, nil) != T {
-		t.Fatal("full care set must be identity")
-	}
-}
-
 func TestResultString(t *testing.T) {
 	r := Result{Equal: true, Iterations: 5, ReachedStates: 32, PeakFrontierSize: 7, MinimizeCalls: 4}
 	s := r.String()

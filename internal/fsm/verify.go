@@ -209,23 +209,6 @@ func (p *Product) persistentRoots() []bdd.Ref {
 	return roots
 }
 
-// MinimizeTransitionRelation minimizes a transition relation against a
-// reachability invariant: given T and the reached set R(x), any cover of
-// [T, R] is a valid replacement when images are only ever computed from
-// subsets of R — the second application named in the paper's introduction.
-func MinimizeTransitionRelation(m *bdd.Manager, T, reached bdd.Ref, hook MinimizeHook) bdd.Ref {
-	if hook == nil {
-		hook = func(m *bdd.Manager, f, c bdd.Ref) bdd.Ref { return m.Restrict(f, c) }
-	}
-	if reached == bdd.One {
-		return T
-	}
-	if reached == bdd.Zero {
-		panic("fsm: empty reachable set")
-	}
-	return hook(m, T, reached)
-}
-
 // String renders a short human-readable result summary.
 func (r Result) String() string {
 	verdict := "EQUIVALENT"

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"bddmin/internal/bdd"
+	"bddmin/internal/core"
 )
 
 var parallelNames = []string{"tlc", "minmax5", "tbk"}
@@ -114,4 +117,26 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.w.Write(p)
+}
+
+// panicky is a heuristic that panics on its first call.
+type panicky struct{}
+
+func (panicky) Name() string                                    { return "panicky" }
+func (panicky) Minimize(*bdd.Manager, bdd.Ref, bdd.Ref) bdd.Ref { panic("panicky heuristic") }
+
+// A heuristic's panic in a worker reaches the caller's deferred recover,
+// where experiments turns it into its crash report.
+func TestRunSuitePanicReachesCaller(t *testing.T) {
+	rc := RunConfig{Collector: Config{Heuristics: []core.Minimizer{panicky{}}}}
+	for _, workers := range []int{1, 2} {
+		func() {
+			defer func() {
+				if r := recover(); r != "panicky heuristic" {
+					t.Errorf("workers %d: recovered %v", workers, r)
+				}
+			}()
+			RunSuite([]string{"tlc", "minmax5"}, rc, workers)
+		}()
+	}
 }

@@ -1,12 +1,9 @@
 package harness
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
@@ -60,19 +57,20 @@ type BenchmarkRun struct {
 // RunBenchmark checks one suite machine against itself with the collector
 // installed and returns the traversal result. With rc.TraceDir set the
 // benchmark's event stream is additionally written to its own
-// <name>.trace.jsonl file, on top of any configured tracer.
-func RunBenchmark(info circuits.BenchmarkInfo, col *Collector, rc RunConfig) (BenchmarkRun, error) {
+// <name>.trace.jsonl file, on top of any configured tracer; an error
+// writing that file is returned, wrapped with the benchmark's name.
+func RunBenchmark(info circuits.BenchmarkInfo, col *Collector, rc RunConfig) (_ BenchmarkRun, err error) {
 	rc = rc.withDefaults()
 	if rc.TraceDir != "" {
-		f, err := os.Create(filepath.Join(rc.TraceDir, info.Name+".trace.jsonl"))
-		if err != nil {
-			return BenchmarkRun{}, fmt.Errorf("harness: %s: %w", info.Name, err)
+		sink, cerr := obs.CreateJSONL(filepath.Join(rc.TraceDir, info.Name+".trace.jsonl"), rc.TraceTimings)
+		if cerr != nil {
+			return BenchmarkRun{}, fmt.Errorf("harness: %s: %w", info.Name, cerr)
 		}
-		defer f.Close()
-		bw := bufio.NewWriter(f)
-		defer bw.Flush()
-		sink := obs.NewJSONL(bw)
-		sink.Timings = rc.TraceTimings
+		defer func() {
+			if cerr := sink.Close(); cerr != nil && err == nil {
+				err = fmt.Errorf("harness: %s: %w", info.Name, cerr)
+			}
+		}()
 		prev := col.Tracer()
 		col.SetTracer(obs.Multi(prev, sink))
 		defer col.SetTracer(prev)
@@ -120,29 +118,22 @@ func RunBenchmark(info circuits.BenchmarkInfo, col *Collector, rc RunConfig) (Be
 	return BenchmarkRun{Name: info.Name, Result: res, Calls: len(col.Records) - before}, nil
 }
 
-// RunSuite runs every named benchmark (nil = the full paper suite) across a
-// pool of workers and returns the merged per-call records alongside the
-// per-benchmark traversal results.
+// RunSuite runs every named benchmark (nil = the full paper suite) on
+// obs.RunOrdered's workers (workers <= 0 selects GOMAXPROCS) and returns
+// the merged per-call records alongside the per-benchmark traversal
+// results, or the first error in request order.
 //
-// Parallelism follows the bdd package's concurrency model: a Manager is not
-// safe for concurrent use, so nothing manager-owned is shared. Each
-// benchmark run builds its own Manager (inside RunBenchmark) and records
-// into its own private Collector; the workers only share the job queue and
-// disjoint slots of the result slices. Merging happens after all workers
-// have finished.
-//
-// The output is deterministic regardless of scheduling: runs and records
-// appear in the order of the requested names for every worker count
-// (per-call runtimes differ, sizes and bounds do not — see
-// TestParallelMatchesSequential). workers <= 0 selects GOMAXPROCS; one
-// worker runs the benchmarks one after another.
-//
-// Tracing follows the same discipline: a configured rc.Collector.Tracer
-// is never written concurrently. Each worker records its benchmark's
-// events into a private obs.Buffer, and after all workers finish the
-// buffers are replayed into the tracer in request order, so the merged
-// stream is byte-identical for every worker count (modulo durations; see
-// TestParallelTraceMergeDeterministic).
+// A Manager is not safe for concurrent use, so nothing manager-owned is
+// shared: each benchmark builds its own Manager (inside RunBenchmark) and
+// records into its own Collector, and the collectors are merged after
+// every worker has finished. Runs and records appear in the order of the
+// requested names for every worker count (per-call runtimes differ, sizes
+// and bounds do not — see TestParallelMatchesSequential). A configured
+// rc.Collector.Tracer is never written concurrently: each benchmark's
+// events are buffered and replayed in request order, so the merged stream
+// is byte-identical for every worker count (modulo durations; see
+// TestParallelTraceMergeDeterministic). A heuristic's panic is re-raised
+// on the caller's goroutine.
 func RunSuite(names []string, rc RunConfig, workers int) (*Collector, []BenchmarkRun, error) {
 	if names == nil {
 		names = circuits.Names()
@@ -157,57 +148,29 @@ func RunSuite(names []string, rc RunConfig, workers int) (*Collector, []Benchmar
 		}
 		infos[i] = info
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(infos) {
-		workers = len(infos)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	var (
-		cols    = make([]*Collector, len(infos))
-		runs    = make([]BenchmarkRun, len(infos))
-		errs    = make([]error, len(infos))
-		buffers = make([]*obs.Buffer, len(infos))
-		jobs    = make(chan int)
-		wg      sync.WaitGroup
-		outMu   sync.Mutex // serializes Progress lines only
+		cols  = make([]*Collector, len(infos))
+		runs  = make([]BenchmarkRun, len(infos))
+		errs  = make([]error, len(infos))
+		outMu sync.Mutex // serializes Progress lines only
 	)
-	mergedTracer := rc.Collector.Tracer
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				cfg := rc.Collector
-				if mergedTracer != nil {
-					buffers[i] = &obs.Buffer{}
-					cfg.Tracer = buffers[i]
-				}
-				col := NewCollector(cfg)
-				run, err := RunBenchmark(infos[i], col, rc)
-				cols[i], runs[i], errs[i] = col, run, err
-				if rc.Progress != nil {
-					outMu.Lock()
-					if err != nil {
-						fmt.Fprintf(rc.Progress, "%-10s FAILED: %v\n", infos[i].Name, err)
-					} else {
-						fmt.Fprintf(rc.Progress, "%-10s %s (%d minimize calls recorded)\n",
-							infos[i].Name, run.Result.String(), run.Calls)
-					}
-					outMu.Unlock()
-				}
+	obs.RunOrdered(len(infos), workers, rc.Collector.Tracer, func(i int, tr obs.Tracer) {
+		cfg := rc.Collector
+		cfg.Tracer = tr
+		col := NewCollector(cfg)
+		run, err := RunBenchmark(infos[i], col, rc)
+		cols[i], runs[i], errs[i] = col, run, err
+		if rc.Progress != nil {
+			outMu.Lock()
+			if err != nil {
+				fmt.Fprintf(rc.Progress, "%-10s FAILED: %v\n", infos[i].Name, err)
+			} else {
+				fmt.Fprintf(rc.Progress, "%-10s %s (%d minimize calls recorded)\n",
+					infos[i].Name, run.Result.String(), run.Calls)
 			}
-		}()
-	}
-	for i := range infos {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+			outMu.Unlock()
+		}
+	})
 
 	// First error in request order, for determinism.
 	for _, err := range errs {
@@ -216,12 +179,9 @@ func RunSuite(names []string, rc RunConfig, workers int) (*Collector, []Benchmar
 		}
 	}
 	merged := NewCollector(rc.Collector)
-	for i, col := range cols {
+	for _, col := range cols {
 		merged.Records = append(merged.Records, col.Records...)
 		merged.FilteredTrivial += col.FilteredTrivial
-		if buffers[i] != nil {
-			buffers[i].ReplayTo(mergedTracer)
-		}
 	}
 	return merged, runs, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bddmin/internal/obs"
@@ -111,5 +112,21 @@ func TestTraceDirStacksOnTracer(t *testing.T) {
 	}
 	if col.Tracer() != obs.Tracer(buf) {
 		t.Error("collector tracer not restored after benchmark run")
+	}
+}
+
+// A per-benchmark trace file that cannot be written fails the run with an
+// error that names the benchmark.
+func TestTraceDirReportsWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "tlc.trace.jsonl")); err != nil {
+		t.Skip(err)
+	}
+	_, _, err := RunSuite([]string{"tlc"}, RunConfig{TraceDir: dir}, 1)
+	if err == nil || !strings.HasPrefix(err.Error(), "harness: tlc: ") {
+		t.Fatalf("RunSuite = %v, want the trace file's write error for tlc", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"reflect"
 )
 
@@ -27,6 +28,41 @@ type JSONL struct {
 // NewJSONL returns a sink writing to w. The caller owns buffering and
 // closing of w; call Err after the run to observe a deferred write error.
 func NewJSONL(w io.Writer) *JSONL { return &JSONL{w: w} }
+
+// JSONLFile is a JSONL sink that owns its file and writes it through a
+// buffer: the -trace-out files of bddmin, bddmind and bddrouter and the
+// harness's per-benchmark trace files.
+type JSONLFile struct {
+	*JSONL
+	bw *bufio.Writer
+	f  *os.File
+}
+
+// CreateJSONL creates the file at path and returns a sink writing to it,
+// with durations included when timings is true.
+func CreateJSONL(path string, timings bool) (*JSONLFile, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	bw := bufio.NewWriter(f)
+	s := &JSONL{Timings: timings, w: bw}
+	return &JSONLFile{JSONL: s, bw: bw, f: f}, nil
+}
+
+// Close flushes the buffer and closes the file. It returns the first of
+// the sink's write error, the flush error and the close error, so a trace
+// that a full disk cut short is reported.
+func (s *JSONLFile) Close() error {
+	err := s.Err()
+	if ferr := s.bw.Flush(); err == nil {
+		err = ferr
+	}
+	if cerr := s.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
 // Err returns the first write or marshal error encountered, if any. After
 // an error the sink drops subsequent events.

@@ -20,7 +20,11 @@
 // them (Buffer copies).
 package obs
 
-import "time"
+import (
+	"runtime"
+	"sync"
+	"time"
+)
 
 // Event is one observation from the minimization pipeline. The concrete
 // types below are the full set; Kind returns the stable identifier used as
@@ -283,9 +287,9 @@ func (mt multiTracer) Emit(ev Event) {
 	}
 }
 
-// Buffer records events in order for later replay. The parallel harness
-// gives each worker its own Buffer and replays them in request order, so a
-// merged trace is deterministic regardless of scheduling.
+// Buffer records events in order for later replay. RunOrdered gives each
+// job its own Buffer and replays them in index order, so a merged trace is
+// deterministic regardless of scheduling.
 type Buffer struct {
 	Events []Event
 }
@@ -309,5 +313,57 @@ func (b *Buffer) ReplayTo(t Tracer) {
 	}
 	for _, ev := range b.Events {
 		t.Emit(ev)
+	}
+}
+
+// RunOrdered runs job(0), …, job(n-1) on up to workers goroutines
+// (workers <= 0 selects GOMAXPROCS). It is the one parallel runner behind
+// harness.RunSuite and `bddmin -all`, whose jobs each build their own
+// manager and write only their own slots of the caller's result slices.
+//
+// With a non-nil t, each job traces into its own Buffer, passed as tr
+// (nil otherwise), and after every job has returned the buffers are
+// replayed into t in index order. A job's panic is recovered on its
+// worker and re-raised on the caller's goroutine after every job has
+// returned and the buffers of the jobs before it have been replayed, so
+// the caller's deferred recover sees it.
+func RunOrdered(n, workers int, t Tracer, job func(i int, tr Tracer)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	bufs := make([]*Buffer, n)
+	crashes := make([]any, n)
+	run := func(i int) {
+		defer func() { crashes[i] = recover() }()
+		var tr Tracer
+		if t != nil {
+			bufs[i] = &Buffer{}
+			tr = bufs[i]
+		}
+		job(i, tr)
+	}
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				run(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
+	for i, crash := range crashes {
+		if crash != nil {
+			panic(crash)
+		}
+		if bufs[i] != nil {
+			bufs[i].ReplayTo(t)
+		}
 	}
 }

@@ -3,7 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -216,5 +219,59 @@ func TestJSONLDeterministicWithoutTimings(t *testing.T) {
 	}
 	if run(time.Millisecond) != run(time.Hour) {
 		t.Fatal("trace depends on durations with Timings off")
+	}
+}
+
+// RunOrdered replays each job's trace in index order whatever order the
+// jobs finish in, and re-raises job 3's panic on the caller's goroutine
+// only after every job has returned and the traces of jobs 0…2 have been
+// replayed.
+func TestRunOrderedReplaysInOrderAndReraisesPanics(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		for crash, want := range map[any]string{nil: "0 1 2 3 4 5", 3: "0 1 2"} {
+			var buf Buffer
+			var returned atomic.Int32
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				RunOrdered(6, workers, &buf, func(i int, tr Tracer) {
+					defer returned.Add(1)
+					time.Sleep(time.Duration(6-i) * time.Millisecond) // later jobs finish first
+					tr.Emit(BenchmarkEvent{Name: strconv.Itoa(i)})
+					if any(i) == crash {
+						panic(i)
+					}
+				})
+				return nil
+			}()
+			var names []string
+			for _, ev := range buf.Events {
+				names = append(names, ev.(BenchmarkEvent).Name)
+			}
+			if got != crash || returned.Load() != 6 || strings.Join(names, " ") != want {
+				t.Errorf("workers %d, crash %v: recovered %v after %d jobs returned, replayed %v",
+					workers, crash, got, returned.Load(), names)
+			}
+		}
+	}
+	RunOrdered(3, 2, nil, func(i int, tr Tracer) {
+		if tr != nil {
+			t.Errorf("job %d got a tracer without one to replay into", i)
+		}
+	})
+}
+
+// A trace file's Close reports a write that failed because the device is
+// full.
+func TestCreateJSONLCloseReportsWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	s, err := CreateJSONL("/dev/full", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Emit(BenchmarkEvent{Name: "tlc", Phase: "start"})
+	if err := s.Close(); err == nil {
+		t.Fatal("Close on /dev/full reported no error")
 	}
 }

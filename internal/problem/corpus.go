@@ -27,17 +27,24 @@ import (
 // loaded corpus is self-contained: the load generator forwards Raw over
 // the wire and the server never touches the filesystem.
 
-// ParseLine parses one corpus line against baseDir. It returns (nil, nil)
-// for blank lines and comments.
-func ParseLine(line, baseDir string) (*Problem, error) {
+// ExpandLine parses one corpus line against baseDir. A spec, @pla or @blif
+// line yields one instance; an `@netblif path` line expands a BLIF network
+// into one EBM instance per internal node — the whole-network optimizer's
+// workload (package network) expressed as corpus entries, so load runs and
+// the harness can replay exactly the per-node minimizations a network
+// sweep performs. Blank lines and comments return (nil, nil).
+func ExpandLine(line, baseDir string) ([]*Problem, error) {
 	trimmed := strings.TrimSpace(line)
 	if trimmed == "" || strings.HasPrefix(trimmed, "#") {
 		return nil, nil
 	}
 	if !strings.HasPrefix(trimmed, "@") {
-		return FromSpec(trimmed)
+		return one(FromSpec(trimmed))
 	}
 	fields := strings.Fields(trimmed)
+	if fields[0] == "@netblif" && len(fields) != 2 {
+		return nil, fmt.Errorf("problem: corpus line %q: @netblif takes exactly a file path", trimmed)
+	}
 	if len(fields) < 2 {
 		return nil, fmt.Errorf("problem: corpus line %q needs a file path", trimmed)
 	}
@@ -57,47 +64,31 @@ func ParseLine(line, baseDir string) (*Problem, error) {
 				return nil, fmt.Errorf("problem: corpus line %q: bad output column", trimmed)
 			}
 		}
-		return ParsePLA(string(src), output, fields[1])
+		return one(ParsePLA(string(src), output, fields[1]))
 	case "@blif":
 		node := ""
 		if len(fields) > 2 {
 			node = fields[2]
 		}
-		return ParseBLIF(string(src), node, fields[1])
+		return one(ParseBLIF(string(src), node, fields[1]))
 	case "@netblif":
-		return nil, fmt.Errorf("problem: corpus line %q: @netblif expands to one instance per node; load it through ExpandLine or LoadCorpus", trimmed)
+		return expandNetwork(string(src), fields[1], trimmed)
 	}
 	return nil, fmt.Errorf("problem: corpus line %q: unknown directive %s (want @pla, @blif or @netblif)", trimmed, fields[0])
 }
 
-// ExpandLine parses one corpus line like ParseLine but supports directives
-// that yield multiple instances: an `@netblif path` line expands a BLIF
-// network into one EBM instance per internal node — the whole-network
-// optimizer's workload (package network) expressed as corpus entries, so
-// load runs and the harness can replay exactly the per-node minimizations a
-// network sweep performs. Blank lines and comments return (nil, nil).
-func ExpandLine(line, baseDir string) ([]*Problem, error) {
-	trimmed := strings.TrimSpace(line)
-	fields := strings.Fields(trimmed)
-	if len(fields) == 0 || fields[0] != "@netblif" {
-		p, err := ParseLine(line, baseDir)
-		if err != nil || p == nil {
-			return nil, err
-		}
-		return []*Problem{p}, nil
-	}
-	if len(fields) != 2 {
-		return nil, fmt.Errorf("problem: corpus line %q: @netblif takes exactly a file path", trimmed)
-	}
-	path := fields[1]
-	if !filepath.IsAbs(path) {
-		path = filepath.Join(baseDir, path)
-	}
-	src, err := os.ReadFile(path)
+// one wraps a single parsed instance as ExpandLine's result.
+func one(p *Problem, err error) ([]*Problem, error) {
 	if err != nil {
-		return nil, fmt.Errorf("problem: corpus line %q: %w", trimmed, err)
+		return nil, err
 	}
-	net, err := logic.ParseBLIFString(string(src))
+	return []*Problem{p}, nil
+}
+
+// expandNetwork is @netblif: one instance per named internal node of the
+// BLIF network src, read from file and listed on corpus line trimmed.
+func expandNetwork(src, file, trimmed string) ([]*Problem, error) {
+	net, err := logic.ParseBLIFString(src)
 	if err != nil {
 		return nil, fmt.Errorf("problem: corpus line %q: %w", trimmed, err)
 	}
@@ -111,7 +102,7 @@ func ExpandLine(line, baseDir string) ([]*Problem, error) {
 			continue // unnamed helpers and shadowed names are unaddressable
 		}
 		seen[nd.Name] = true
-		p, err := ParseBLIF(string(src), nd.Name, fields[1])
+		p, err := ParseBLIF(src, nd.Name, file)
 		if err != nil {
 			return nil, fmt.Errorf("problem: corpus line %q: node %s: %w", trimmed, nd.Name, err)
 		}

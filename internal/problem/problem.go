@@ -13,12 +13,11 @@
 //
 // The package also defines the corpus line format shared by `bddmin
 // -spec -` batch mode and `bddload`: one instance per line, either a
-// leaf-notation spec or an @pla/@blif file reference (see ParseLine).
+// leaf-notation spec or an @pla/@blif file reference (see ExpandLine).
 package problem
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"bddmin/internal/bdd"
@@ -269,14 +268,4 @@ func pickNode(net *logic.Network, name string) (*logic.Node, error) {
 		return nil, fmt.Errorf("problem: %s has no internal nodes", net.Name)
 	}
 	return first, nil // every ODC trivial; fall back to the first gate
-}
-
-// ReadAll is a small convenience for loaders that take file contents as a
-// string (Parse, the corpus loader).
-func ReadAll(r io.Reader) (string, error) {
-	var b strings.Builder
-	if _, err := io.Copy(&b, r); err != nil {
-		return "", err
-	}
-	return b.String(), nil
 }

@@ -221,7 +221,7 @@ d1 01 1d 01
 	}
 
 	for _, bad := range []string{"@pla", "@kiss t.pla", "@pla missing.pla", "@pla t.pla x"} {
-		if _, err := ParseLine(bad, dir); err == nil {
+		if _, err := ExpandLine(bad, dir); err == nil {
 			t.Fatalf("line %q must fail", bad)
 		}
 	}
@@ -267,10 +267,6 @@ func TestCorpusNetBLIF(t *testing.T) {
 		t.Fatalf("got %d problems, want 2 after dedup", len(probs))
 	}
 
-	// ParseLine keeps its one-instance contract and refuses the directive.
-	if _, err := ParseLine("@netblif m.blif", dir); err == nil {
-		t.Fatal("ParseLine must reject @netblif")
-	}
 	for _, bad := range []string{"@netblif", "@netblif m.blif extra", "@netblif missing.blif"} {
 		if _, err := ExpandLine(bad, dir); err == nil {
 			t.Fatalf("line %q must fail", bad)
