@@ -34,7 +34,7 @@ func TestExperimentsCallsPinned(t *testing.T) {
 			made[gc.Benchmark] = gc.NodesMade
 		}
 	}
-	if want := map[string]uint64{"s344": 199488, "mult16b": 100855, "minmax5": 44633, "tlc": 1508}; !maps.Equal(made, want) {
+	if want := map[string]uint64{"s344": 195326, "mult16b": 94965, "minmax5": 44630, "tlc": 1484}; !maps.Equal(made, want) {
 		t.Errorf("nodes made %v, want %v", made, want)
 	}
 	var buf bytes.Buffer

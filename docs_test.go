@@ -83,9 +83,12 @@ func kernelRecord(t *testing.T) (rep struct {
 	Schema     string    `json:"schema"`
 	Timestamp  time.Time `json:"timestamp"`
 	GoMaxProcs int       `json:"gomaxprocs"`
+	Runs       int       `json:"runs"`
 	Benchmarks []struct {
 		Name        string  `json:"name"`
 		NsPerOp     float64 `json:"ns_per_op"`
+		NsPerOpMin  float64 `json:"ns_per_op_min"`
+		NsPerOpMax  float64 `json:"ns_per_op_max"`
 		AllocsPerOp int64   `json:"allocs_per_op"`
 	} `json:"benchmarks"`
 }) {
@@ -99,16 +102,17 @@ func kernelRecord(t *testing.T) (rep struct {
 	return rep
 }
 
-// kernelBlock renders BENCH_kernel.json as a table of ns/op and allocs/op
-// per micro-benchmark.
+// kernelBlock renders BENCH_kernel.json as a table of the median ns/op,
+// its range over the runs, and allocs/op per micro-benchmark.
 func kernelBlock(t *testing.T) string {
 	rep := kernelRecord(t)
+	ns := func(v float64) string { return groupDigits(fmt.Sprintf("%.0f", v)) }
 	var b strings.Builder
-	fmt.Fprintf(&b, "Schema `%s`, written %s with GOMAXPROCS=%d:\n\n",
-		rep.Schema, rep.Timestamp.Format("2006-01-02"), rep.GoMaxProcs)
-	b.WriteString("| benchmark | ns/op | allocs/op |\n|---|---|---|\n")
+	fmt.Fprintf(&b, "Schema `%s`, written %s with GOMAXPROCS=%d; each micro ran %d times:\n\n",
+		rep.Schema, rep.Timestamp.Format("2006-01-02"), rep.GoMaxProcs, rep.Runs)
+	b.WriteString("| benchmark | ns/op (median) | min – max | allocs/op |\n|---|---|---|---|\n")
 	for _, r := range rep.Benchmarks {
-		fmt.Fprintf(&b, "| %s | %s | %d |\n", r.Name, groupDigits(fmt.Sprintf("%.0f", r.NsPerOp)), r.AllocsPerOp)
+		fmt.Fprintf(&b, "| %s | %s | %s – %s | %d |\n", r.Name, ns(r.NsPerOp), ns(r.NsPerOpMin), ns(r.NsPerOpMax), r.AllocsPerOp)
 	}
 	return b.String()
 }

@@ -11,7 +11,8 @@ package bdd
 // One slot per key is a measured choice. Most probes are cold, because the
 // cache is flushed before every heuristic (below), and set-associative
 // lookup with move-to-front cost more in scanning and shifting than its
-// extra hits saved; see EXPERIMENTS.md, "Computed cache".
+// extra hits saved; see EXPERIMENTS.md, "Computed cache". The default size
+// (defaultCacheBits) is kept small for the same reason.
 //
 // The cache is cleared by Manager.FlushCaches and Manager.GC. Clearing
 // between heuristic invocations reproduces the measurement protocol of the

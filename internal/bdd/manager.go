@@ -65,7 +65,7 @@ type Config struct {
 	// to a power of two). Default 1 << 12, capped at maxBuckets.
 	InitialBuckets int
 	// CacheBits selects the computed-cache size as 1 << CacheBits entries.
-	// Default 16, capped at maxCacheBits.
+	// Default 14 (defaultCacheBits), capped at maxCacheBits.
 	CacheBits int
 }
 
@@ -76,6 +76,19 @@ const (
 	maxCacheBits = 26
 )
 
+// defaultCacheBits sizes the computed cache at 2^14 entries of 28 bytes
+// (448 KiB), so that it stays in a 2 MiB per-core L2 next to the node
+// arena. Most probes miss anyway, because callers that reproduce the
+// paper's protocol flush before every heuristic, and a larger table adds
+// few hits but a CPU cache miss on the first read of nearly every slot: on
+// the paper's experiment 2^14 and 2^15 entries ran fastest of 2^12 through
+// 2^18, and 2^16 about 15% slower (EXPERIMENTS.md, "A computed cache that
+// fits"). A loop that reuses more results between flushes, such as the
+// micro/ite benchmark, runs faster with a larger CacheBits. The cache is
+// lossy, so without a budget no Ref, node count or cover depends on its
+// size.
+const defaultCacheBits = 14
+
 // normalize applies defaults and caps, returning a Config that is safe to
 // allocate from on any platform.
 func (c Config) normalize() Config {
@@ -84,7 +97,7 @@ func (c Config) normalize() Config {
 	}
 	c.InitialBuckets = ceilPow2(c.InitialBuckets)
 	if c.CacheBits <= 0 {
-		c.CacheBits = 16
+		c.CacheBits = defaultCacheBits
 	}
 	if c.CacheBits > maxCacheBits {
 		c.CacheBits = maxCacheBits

@@ -24,12 +24,12 @@ func TestCeilPow2(t *testing.T) {
 func TestConfigNormalization(t *testing.T) {
 	// Defaults.
 	c := Config{}.normalize()
-	if c.InitialBuckets != 1<<12 || c.CacheBits != 16 {
+	if c.InitialBuckets != 1<<12 || c.CacheBits != 14 {
 		t.Fatalf("zero config normalized to %+v", c)
 	}
 	// Negatives fall back to defaults.
 	c = Config{InitialBuckets: -5, CacheBits: -1}.normalize()
-	if c.InitialBuckets != 1<<12 || c.CacheBits != 16 {
+	if c.InitialBuckets != 1<<12 || c.CacheBits != 14 {
 		t.Fatalf("negative config normalized to %+v", c)
 	}
 	// Non-powers round up; absurd values are capped rather than allocated.

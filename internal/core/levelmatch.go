@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -53,20 +54,15 @@ type isfMap struct {
 	used int
 }
 
-// reset empties the table, sized for hint entries without growing.
-func (t *isfMap) reset(hint int) {
-	want := 16
-	for want < 2*hint {
-		want <<= 1
+// reset empties the table and keeps every slot it has had, so a table that
+// serves many levels and calls is sized from its peak population and grows
+// only past it.
+func (t *isfMap) reset() {
+	if len(t.keys) == 0 {
+		t.keys = make([]uint64, 16)
+		t.vals = make([]ISF, 16)
 	}
-	if cap(t.keys) >= want {
-		t.keys = t.keys[:want]
-		clear(t.keys)
-		t.vals = t.vals[:want]
-	} else {
-		t.keys = make([]uint64, want)
-		t.vals = make([]ISF, want)
-	}
+	clear(t.keys)
 	t.used = 0
 }
 
@@ -157,6 +153,7 @@ type lvScratch struct {
 	cliques    [][]int     // clique cover: views into the slab
 	repl       isfMap      // replacement map of the current level
 	memo       isfMap      // generic_td's or the rebuilder's memo
+	levels     []bdd.Var   // OptLv: the levels that hold a node of f or c
 }
 
 // lvScratchPool recycles scratches across minimization calls. Only entry
@@ -200,7 +197,7 @@ func growInt(buf []int, n int) []int {
 // limit is left to the kernel budget, which bounds opt_lv's work at every
 // entry point.
 func collectLevelPairs(m *bdd.Manager, in ISF, i bdd.Var, sc *lvScratch) []LevelPair {
-	sc.seen.reset(sc.seen.used) // last round's population sizes this one
+	sc.seen.reset()
 	sc.pairs = sc.pairs[:0]
 	c := &collector{m: m, level: int32(i), sc: sc}
 	c.walk(in, 0, 0)
@@ -327,7 +324,7 @@ func solveOSMLevel(m *bdd.Manager, pairs []LevelPair, sc *lvScratch) (int, int) 
 		}
 		return sinkOf[j]
 	}
-	sc.repl.reset(sc.repl.used)
+	sc.repl.reset()
 	for j := 0; j < n; j++ {
 		s := follow(j)
 		if s != j && pairs[j].ISF != pairs[s].ISF {
@@ -352,7 +349,7 @@ func solveOSMLevel(m *bdd.Manager, pairs []LevelPair, sc *lvScratch) (int, int) 
 func solveTSMLevel(m *bdd.Manager, pairs []LevelPair, sc *lvScratch) (int, int, int) {
 	cliques, edges, pruned := tsmCliqueCover(m, pairs, true, sc)
 	folded := 0
-	sc.repl.reset(sc.repl.used)
+	sc.repl.reset()
 	for _, clique := range cliques {
 		if len(clique) < 2 {
 			continue
@@ -615,7 +612,7 @@ func minimizeAtLevel(m *bdd.Manager, in ISF, i bdd.Var, cr Criterion, sc *lvScra
 	if stats.Replaced == 0 {
 		return in, stats
 	}
-	sc.memo.reset(sc.memo.used)
+	sc.memo.reset()
 	return rebuildWithReplacements(m, in, i, &sc.repl, &sc.memo), stats
 }
 
@@ -623,22 +620,31 @@ func minimizeAtLevel(m *bdd.Manager, in ISF, i bdd.Var, cr Criterion, sc *lvScra
 // it visits the levels in increasing order and matches the functions at
 // each level under TSM, then returns the function part of the final
 // i-cover. OSM level matching runs inside the Scheduler.
+//
+// A level that holds no node of f or c is skipped: its round would collect
+// the pair set that the last executed round left, in which no two pairs
+// TSM-match, since a greedy clique stops only when no uncovered pair
+// matches all of its members. No round adds a variable, so the levels of f
+// and c, taken once per call, decide every skip.
 type OptLv struct {
-	// Trace, when non-nil, receives one obs.LevelMatchEvent per level.
+	// Trace, when non-nil, receives one obs.LevelMatchEvent per level
+	// that runs a round; skipped levels emit none.
 	Trace obs.Tracer
 }
 
 // Name returns "opt_lv".
 func (o *OptLv) Name() string { return "opt_lv" }
 
-// Minimize runs level matching per Section 3.3 at every level, top-down.
+// Minimize runs level matching per Section 3.3 at every level of f and c,
+// top-down.
 func (o *OptLv) Minimize(m *bdd.Manager, f, c bdd.Ref) bdd.Ref {
 	g, _ := o.steps(m, f, c, false)
 	return g
 }
 
 // steps is the level loop behind Minimize and MinimizeAnytime. Every level
-// is one step; a level cut short by an abort is traced with Aborted set.
+// of f and c is one step; a level cut short by an abort is traced with
+// Aborted set.
 func (o *OptLv) steps(m *bdd.Manager, f, c bdd.Ref, catch bool) (bdd.Ref, AbortInfo) {
 	if c == bdd.Zero {
 		panic("core: opt_lv called with empty care set")
@@ -646,19 +652,24 @@ func (o *OptLv) steps(m *bdd.Manager, f, c bdd.Ref, catch bool) (bdd.Ref, AbortI
 	run := stepRun{m: m, cur: ISF{f, c}, catch: catch}
 	sc := lvScratchPool.Get().(*lvScratch) // one scratch serves every level
 	defer lvScratchPool.Put(sc)
-	for i := 0; i < m.NumVars() && !run.done(); i++ {
+	sc.levels = m.AppendSupport(m.AppendSupport(sc.levels[:0], f), c)
+	slices.Sort(sc.levels)
+	for _, v := range slices.Compact(sc.levels) {
+		if run.done() {
+			break
+		}
 		var start time.Time
 		if o.Trace != nil {
 			start = time.Now()
 		}
 		var stats LevelMatchStats
-		ok := run.step(run.phase("level %d", i), func(in ISF) (out ISF) {
-			out, stats = minimizeAtLevel(m, in, bdd.Var(i), TSM, sc)
+		ok := run.step(run.phase("level %d", v), func(in ISF) (out ISF) {
+			out, stats = minimizeAtLevel(m, in, v, TSM, sc)
 			return out
 		})
 		if o.Trace != nil {
 			stats.Aborted = !ok
-			o.Trace.Emit(levelMatchEvent(i, TSM, stats, time.Since(start)))
+			o.Trace.Emit(levelMatchEvent(int(v), TSM, stats, time.Since(start)))
 		}
 		if !ok {
 			break

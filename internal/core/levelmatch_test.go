@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"bddmin/internal/bdd"
+	"bddmin/internal/obs"
 )
 
 func TestCollectLevelPairsBasics(t *testing.T) {
@@ -166,19 +168,21 @@ func slicePairDistance(a, b []bdd.CubeValue) uint64 {
 
 // TestISFMapMatchesGoMap drives the ISF table and a Go map through the same
 // random put, get and visit sequence. The first round grows the table
-// several times; the next rounds reuse it after resets to other hints.
+// several times; the next rounds, over fewer keys, reuse it after resets
+// and keep its peak size without growing.
 func TestISFMapMatchesGoMap(t *testing.T) {
 	rng := newRand(316)
 	var tab isfMap
-	for round, hint := range []int{0, 900, 3} {
-		tab.reset(hint)
-		if hint == 3 && len(tab.keys) != 16 {
-			t.Fatalf("reset(3) left %d slots, want 16", len(tab.keys))
+	peak := 0
+	for round, keys := range []int{1200, 400, 1} {
+		tab.reset()
+		if round > 0 && len(tab.keys) != peak {
+			t.Fatalf("round %d: reset left %d slots, want the peak %d", round, len(tab.keys), peak)
 		}
 		want := make(map[ISF]ISF)
 		grows := 0
 		for op := 0; op < 8000; op++ {
-			key := ISF{bdd.Ref(rng.Intn(1200)), bdd.Ref(rng.Intn(3))}
+			key := ISF{bdd.Ref(rng.Intn(keys)), bdd.Ref(rng.Intn(3))}
 			slots := len(tab.keys)
 			switch rng.Intn(3) {
 			case 0:
@@ -212,9 +216,10 @@ func TestISFMapMatchesGoMap(t *testing.T) {
 				t.Fatalf("round %d: get(%v) = %v, %v at the end; want %v", round, key, got, ok, w)
 			}
 		}
-		if hint == 0 && grows < 5 {
-			t.Fatalf("round %d grew %d times, want at least 5", round, grows)
+		if round == 0 && grows < 5 || round > 0 && grows > 0 {
+			t.Fatalf("round %d grew %d times", round, grows)
 		}
+		peak = len(tab.keys)
 	}
 }
 
@@ -541,8 +546,8 @@ func TestRebuildIdentityWhenNoReplacements(t *testing.T) {
 	rng := newRand(306)
 	in := randISF(rng, m, 4)
 	var repl, memo isfMap
-	repl.reset(0)
-	memo.reset(0)
+	repl.reset()
+	memo.reset()
 	out := rebuildWithReplacements(m, in, 1, &repl, &memo)
 	if out != in {
 		t.Fatal("rebuild with no replacements must be the identity")
@@ -565,5 +570,51 @@ func TestOptLvReturnsCoverAndShrinks(t *testing.T) {
 	}
 	if !shrunk {
 		t.Fatal("opt_lv never reduced any instance; something is off")
+	}
+}
+
+// TestOptLvSkipsLevelsWithoutNodes: on random ISFs over a few of a
+// manager's variables, OptLv returns the Ref that MinimizeAtLevel reaches
+// when run at every level in order, and traces rounds only at levels that
+// hold a node of f or c.
+func TestOptLvSkipsLevelsWithoutNodes(t *testing.T) {
+	const n = 10
+	rng := newRand(319)
+	for trial := 0; trial < 60; trial++ {
+		m := bdd.New(n)
+		var vs []bdd.Var
+		for _, v := range rng.Perm(n)[:3+rng.Intn(3)] {
+			vs = append(vs, bdd.Var(v))
+		}
+		slices.Sort(vs)
+		random := func() bdd.Ref {
+			vals := make([]bool, 1<<len(vs))
+			for i := range vals {
+				vals[i] = rng.Intn(2) == 1
+			}
+			return m.FromTruthTable(vs, vals)
+		}
+		in := ISF{F: random(), C: random()}
+		for in.C == bdd.Zero {
+			in.C = random()
+		}
+		var buf obs.Buffer
+		g := (&OptLv{Trace: &buf}).Minimize(m, in.F, in.C)
+		want := in
+		for i := 0; i < n; i++ {
+			want, _ = MinimizeAtLevel(m, want, bdd.Var(i), TSM)
+		}
+		if g != want.F {
+			t.Fatalf("trial %d: opt_lv returned %v, every level in order %v", trial, g, want.F)
+		}
+		held := append(m.Support(in.F), m.Support(in.C)...)
+		last := -1
+		for _, ev := range buf.Events {
+			lv := ev.(obs.LevelMatchEvent).Level
+			if lv <= last || !slices.Contains(held, bdd.Var(lv)) {
+				t.Fatalf("trial %d: round at level %d after %d; f and c hold levels %v", trial, lv, last, held)
+			}
+			last = lv
+		}
 	}
 }

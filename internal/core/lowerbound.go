@@ -50,7 +50,9 @@ func lowerBound(m *bdd.Manager, f, c bdd.Ref, maxPairs int) (lb, pairs int) {
 		seen[pair{g, c}] = true
 		v := m.TopVar(c)
 		ct, ce := m.Branches(c)
-		return walk(m.Constrain(g, m.MkVar(v)), ct) && walk(m.Constrain(g, m.MkNotVar(v)), ce)
+		// A Zero branch holds no 1-path, so its cofactor is never built.
+		return (ct == bdd.Zero || walk(m.Constrain(g, m.MkVar(v)), ct)) &&
+			(ce == bdd.Zero || walk(m.Constrain(g, m.MkNotVar(v)), ce))
 	}
 	walk(f, c)
 	return lb, len(seen)

@@ -115,7 +115,7 @@ func (h *SiblingHeuristic) step(m *bdd.Manager, in ISF, lo, hi bdd.Var, care boo
 func matchSiblingsWindow(m *bdd.Manager, cr Criterion, compl, nnv bool, in ISF, lo, hi bdd.Var, care bool) (ISF, int) {
 	sc := lvScratchPool.Get().(*lvScratch)
 	defer lvScratchPool.Put(sc)
-	sc.memo.reset(sc.memo.used)
+	sc.memo.reset()
 	t := &windowTraversal{
 		m:     m,
 		crit:  cr,

@@ -9,7 +9,9 @@ import (
 // managers at 2^12 entries: their diagrams live over at most
 // MaxWindowInputs + arity variables. On the 15 suite machines, caches of
 // 2^10, 2^12 and 2^14 entries ran within run-to-run noise of each other,
-// and bdd.New's 2^16 entries (1.8 MB per manager) ran 38–54% slower.
+// and 2^16 entries (1.8 MB per manager) ran 38–54% slower. bdd.New's
+// 2^14 entries cost more here: in three pairs of netopt benchmark runs
+// they raised rss_mb by 9% and setup_s by 3–22%.
 const windowCacheBits = 12
 
 // newManager returns a manager with a computed cache sized for windows.

@@ -83,7 +83,9 @@ func (HeuristicEvent) Kind() string { return "heuristic" }
 // LevelMatchEvent reports one round of level matching (Section 3.3): the
 // directed (OSM) or undirected (TSM) matching graph built over the
 // functions cut at Level, and how much of it was used. Cliques is zero for
-// OSM, where the exact DMG solution replaces clique covering.
+// OSM, where the exact DMG solution replaces clique covering. opt_lv runs
+// no round, and emits no event, at a level that holds no node of its f or
+// c.
 type LevelMatchEvent struct {
 	Level     int           `json:"level"`
 	Criterion string        `json:"criterion"`         // "osm" or "tsm"
