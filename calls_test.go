@@ -3,15 +3,19 @@ package bddmin_test
 import (
 	"bytes"
 	"encoding/csv"
+	"flag"
 	"io"
-	"maps"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
+	"bddmin/internal/circuits"
 	"bddmin/internal/harness"
 	"bddmin/internal/obs"
 )
+
+var fullCalls = flag.Bool("full", false, "rerun all 15 suite machines against experiments_calls.csv")
 
 // TestExperimentsCallsPinned reruns four machines of the suite (289
 // calls) and requires every per-call size, bound and onset in the
@@ -20,11 +24,18 @@ import (
 // the runtime (`_us`) columns are left out. It also pins each machine's
 // NodesMade from its closing gc event, so that work the heuristics add
 // without changing a result (such as care nodes no caller reads) fails
-// here too.
+// here too. With -full it reruns all 15 machines (GOMAXPROCS workers)
+// and requires every row of the file:
+//
+//	go test -run TestExperimentsCallsPinned -full .
 func TestExperimentsCallsPinned(t *testing.T) {
+	names, workers := []string{"s344", "mult16b", "minmax5", "tlc"}, 1
+	if *fullCalls {
+		names, workers = circuits.Names(), runtime.GOMAXPROCS(0)
+	}
 	var trace obs.Buffer
 	rc := harness.RunConfig{Collector: harness.Config{Tracer: &trace}}
-	col, _, err := harness.RunSuite([]string{"s344", "mult16b", "minmax5", "tlc"}, rc, 1)
+	col, _, err := harness.RunSuite(names, rc, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +45,10 @@ func TestExperimentsCallsPinned(t *testing.T) {
 			made[gc.Benchmark] = gc.NodesMade
 		}
 	}
-	if want := map[string]uint64{"s344": 195326, "mult16b": 94965, "minmax5": 44630, "tlc": 1484}; !maps.Equal(made, want) {
-		t.Errorf("nodes made %v, want %v", made, want)
+	for name, want := range map[string]uint64{"s344": 196401, "mult16b": 101567, "minmax5": 45382, "tlc": 1502} {
+		if made[name] != want {
+			t.Errorf("%s: nodes made %d, want %d", name, made[name], want)
+		}
 	}
 	var buf bytes.Buffer
 	if err := harness.WriteCSV(&buf, col.Records, col.HeuristicNames()); err != nil {
@@ -48,8 +61,12 @@ func TestExperimentsCallsPinned(t *testing.T) {
 	}
 	defer f.Close()
 	want := readCalls(t, "experiments_calls.csv", f)
-	if len(got) != 289 {
-		t.Fatalf("rerun has %d calls, want 289", len(got))
+	calls := 289
+	if *fullCalls {
+		calls = len(want)
+	}
+	if len(got) != calls {
+		t.Fatalf("rerun has %d calls, want %d", len(got), calls)
 	}
 	for key, row := range got {
 		if w, ok := want[key]; !ok {

@@ -1,6 +1,9 @@
 package circuits
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"strings"
 	"testing"
 
 	"bddmin/internal/logic"
@@ -218,6 +221,27 @@ func TestRandomControlFSMDeterministic(t *testing.T) {
 	}
 }
 
+// suiteBLIFSHA256 holds the sha256 of logic.WriteBLIF's output for each
+// suite machine. The Builder's gates are the tables WriteBLIF prints, so a
+// change to a gate's cover, a generator or the writer moves a digest.
+var suiteBLIFSHA256 = map[string]string{
+	"s344":     "52e631dcd09dab57ce951154c510857665a45729c3567c856bb700ede5a0925d",
+	"s386":     "d68afeac64ab9550fe3b8e145b14831b00d18562937467d9e7fe34b1384f5006",
+	"s510":     "698b9518019a6a55f00684cd685ba3ada3529a1796631a79de7f301a9f541c85",
+	"s641":     "3c87c02d40e58a84e95dc462d12be9c36460eeeb398d788d11e98d3b7c199870",
+	"s820":     "75d40667c034dcb035b980323b2cf0d9c9eb4e2df10061d602ccfc386e024550",
+	"s953":     "467da651d2ce4c64c3ebf101c6f335040a02aa13e5b04f076b77920768144dbc",
+	"s1238":    "2a7d99c96d253b609c4af887a0d3e019dd6e216d8e58b1ff6750e6585f02a832",
+	"s1488":    "4926420dc9d68481471baf98b9e0de12e3594f65b5ba6b69329bb403b3223f3f",
+	"scf":      "afdf267a1e99f1b58f5112593e92ccaff6dec2208d51d24cf72c09ff1bf24def",
+	"styr":     "24408c6e0c0a3a800966a78a8eb99a865453af92c5226e622c1e2d5c673b8b10",
+	"tbk":      "ba07506438a36cc7fe814b1cb41dbbcaec3415bf921aa5bf3e766998d73453a4",
+	"mult16b":  "5aa1fd97dcd4ae560322aac0b0b85e43627fbdafef94e6dd5febedd6742c64cb",
+	"cbp.32.4": "c02dccb75984914f31d85c3e868b12099a191a57f081a346e3a4db44021d7e4e",
+	"minmax5":  "cbacb62695f5a9945a81cfc2b21ae1f67dbbe3975a5a15b573018faf9341e3d0",
+	"tlc":      "f1de11d819eaf959fdf1fa45560c2f59748952ff5f0704a96a77efbc869f4669",
+}
+
 func TestSuiteBuildsAndMatchesShapes(t *testing.T) {
 	if len(Suite()) != 15 {
 		t.Fatalf("suite has %d entries, want 15 (the paper's list)", len(Suite()))
@@ -226,6 +250,14 @@ func TestSuiteBuildsAndMatchesShapes(t *testing.T) {
 		net := e.Build()
 		if err := net.Validate(); err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
+		}
+		var sb strings.Builder
+		if err := logic.WriteBLIF(&sb, net); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		sum := sha256.Sum256([]byte(sb.String()))
+		if got := hex.EncodeToString(sum[:]); got != suiteBLIFSHA256[e.Name] {
+			t.Errorf("%s: written BLIF sha256 %s, want %s", e.Name, got, suiteBLIFSHA256[e.Name])
 		}
 		if net.PrimaryInputCount() != e.Inputs {
 			t.Fatalf("%s: inputs %d, declared %d", e.Name, net.PrimaryInputCount(), e.Inputs)

@@ -9,6 +9,14 @@
 // Size / Density / SharedSize / ITE / budgeted ITE (budget_overhead, the
 // governance tax against ite) / Constrain / GC / the OSM and TSM match
 // tests of Definition 5 / one opt_lv pass of §3.3 (levelmatch).
+//
+// micro/ite, micro/budget_overhead, micro/osm_match and micro/tsm_match
+// flush the computed cache only every 1024 calls, and micro/constrain
+// every 256, so they time a warm cache over 64 functions. The paper's
+// protocol flushes before every heuristic, and its experiment never runs
+// that warm: for a change to the cache's size or policy these five can
+// point the opposite way from the experiment's time. micro/levelmatch
+// flushes before every pass.
 package kernelbench
 
 import (

@@ -193,12 +193,12 @@ func (p *blifParser) build() (*Network, error) {
 			nd.Type = Const
 			nd.Value = len(onset) > 0
 		case len(offset) > 0:
-			// Offset cover: build the complement via a Not wrapper.
+			// Offset cover: its complement, a one-row "0" table over a
+			// table of the offset rows.
 			inner := &Node{Name: outName + "$off", Type: Table, Fanin: fanin, Cover: offset}
 			net.nodes = append(net.nodes, inner)
-			nd.Type = Not
 			nd.Fanin = []*Node{inner}
-			nd.Cover = nil
+			nd.Cover = []string{"0"}
 		default:
 			nd.Cover = onset
 		}
@@ -279,7 +279,7 @@ func splitCover(rows []string, arity int, name string) (onset, offset []string, 
 }
 
 // WriteBLIF serializes the network in the same subset, for round-trip
-// tests and interchange. Gate nodes are lowered to .names covers.
+// tests and interchange: each Table node is written as its cover.
 func WriteBLIF(w io.Writer, n *Network) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, ".model %s\n", n.Name)
@@ -289,8 +289,8 @@ func WriteBLIF(w io.Writer, n *Network) error {
 	}
 	fmt.Fprintln(bw)
 	fmt.Fprint(bw, ".outputs")
-	for i, o := range n.Outputs {
-		fmt.Fprintf(bw, " %s", outName(o, i))
+	for _, o := range n.Outputs {
+		fmt.Fprintf(bw, " %s", o.Name)
 	}
 	fmt.Fprintln(bw)
 	for _, l := range n.Latches {
@@ -301,96 +301,29 @@ func WriteBLIF(w io.Writer, n *Network) error {
 		fmt.Fprintf(bw, ".latch %s %s %d\n", l.Input.Name, l.Output.Name, init)
 	}
 	for _, nd := range n.nodes {
-		if err := writeNode(bw, nd); err != nil {
-			return err
-		}
+		writeNode(bw, nd)
 	}
-	// Outputs driven by inputs or latches need alias tables only if the
-	// name differs; positional outputs reuse node names, so nothing to do.
 	fmt.Fprintln(bw, ".end")
 	return bw.Flush()
 }
 
-func outName(nd *Node, _ int) string { return nd.Name }
-
-func writeNode(w io.Writer, nd *Node) error {
+func writeNode(w io.Writer, nd *Node) {
 	switch nd.Type {
 	case Input:
-		return nil
+		return
 	case Const:
 		fmt.Fprintf(w, ".names %s\n", nd.Name)
 		if nd.Value {
 			fmt.Fprintln(w, "1")
 		}
-		return nil
+		return
 	}
 	fmt.Fprint(w, ".names")
 	for _, fi := range nd.Fanin {
 		fmt.Fprintf(w, " %s", fi.Name)
 	}
 	fmt.Fprintf(w, " %s\n", nd.Name)
-	rows, err := coverOf(nd)
-	if err != nil {
-		return err
-	}
-	for _, row := range rows {
+	for _, row := range nd.Cover {
 		fmt.Fprintf(w, "%s 1\n", row)
 	}
-	return nil
-}
-
-// coverOf lowers a gate node to SOP rows over its fanins.
-func coverOf(nd *Node) ([]string, error) {
-	k := len(nd.Fanin)
-	all := func(c byte) string { return strings.Repeat(string(c), k) }
-	switch nd.Type {
-	case Table:
-		return nd.Cover, nil
-	case Buf:
-		return []string{"1"}, nil
-	case Not:
-		return []string{"0"}, nil
-	case And:
-		return []string{all('1')}, nil
-	case Nor:
-		return []string{all('0')}, nil
-	case Or, Nand:
-		want := byte('1')
-		if nd.Type == Nand {
-			want = '0'
-		}
-		rows := make([]string, k)
-		for i := 0; i < k; i++ {
-			b := []byte(strings.Repeat("-", k))
-			b[i] = want
-			rows[i] = string(b)
-		}
-		return rows, nil
-	case Xor, Xnor:
-		// Enumerate parity minterms; fine for the small arities we emit.
-		if k > 16 {
-			return nil, fmt.Errorf("logic: %s with %d fanins too wide for BLIF export", nd.Type, k)
-		}
-		wantOdd := nd.Type == Xor
-		var rows []string
-		for mask := 0; mask < 1<<k; mask++ {
-			ones := 0
-			b := make([]byte, k)
-			for i := 0; i < k; i++ {
-				if mask&(1<<i) != 0 {
-					b[i] = '1'
-					ones++
-				} else {
-					b[i] = '0'
-				}
-			}
-			if (ones%2 == 1) == wantOdd {
-				rows = append(rows, string(b))
-			}
-		}
-		return rows, nil
-	case Mux:
-		return []string{"11-", "0-1"}, nil
-	}
-	return nil, fmt.Errorf("logic: cannot lower node type %v", nd.Type)
 }

@@ -1,10 +1,17 @@
 package logic
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"strings"
+)
 
 // Builder constructs Networks programmatically; the benchmark generators
-// in package circuits are written against it. Node names are optional
-// (empty names get generated ones) but must be unique when given.
+// in package circuits are written against it. Each gate method (Not, Buf,
+// And, Or, Nand, Nor, Xor, Xnor, Mux) adds one Table node holding the
+// gate's cover, so a built network is made of the same tables a parsed
+// BLIF file is. Node names are optional (empty names get generated ones)
+// but must be unique when given.
 type Builder struct {
 	net   *Network
 	names map[string]*Node
@@ -44,40 +51,77 @@ func (b *Builder) Const(v bool) *Node {
 	return b.add(&Node{Type: Const, Value: v})
 }
 
-// Not returns the complement of a.
-func (b *Builder) Not(a *Node) *Node { return b.add(&Node{Type: Not, Fanin: []*Node{a}}) }
+// Not returns the complement of a: the table "0".
+func (b *Builder) Not(a *Node) *Node { return b.Table([]*Node{a}, []string{"0"}) }
 
-// Buf returns a buffer of a (an alias node).
-func (b *Builder) Buf(a *Node) *Node { return b.add(&Node{Type: Buf, Fanin: []*Node{a}}) }
+// Buf returns a buffer of a (an alias node): the table "1".
+func (b *Builder) Buf(a *Node) *Node { return b.Table([]*Node{a}, []string{"1"}) }
 
-// And returns the conjunction of the operands.
-func (b *Builder) And(xs ...*Node) *Node { return b.nary(And, xs) }
+// And returns the conjunction of the operands: one cube of 1s.
+func (b *Builder) And(xs ...*Node) *Node { return b.nary(xs, []string{strings.Repeat("1", len(xs))}) }
 
-// Or returns the disjunction of the operands.
-func (b *Builder) Or(xs ...*Node) *Node { return b.nary(Or, xs) }
+// Or returns the disjunction of the operands: one row per operand, holding
+// its positive literal.
+func (b *Builder) Or(xs ...*Node) *Node { return b.nary(xs, literals(len(xs), '1')) }
 
-// Nand returns the complemented conjunction.
-func (b *Builder) Nand(xs ...*Node) *Node { return b.nary(Nand, xs) }
+// Nand returns the complemented conjunction: one row per operand, holding
+// its negative literal.
+func (b *Builder) Nand(xs ...*Node) *Node { return b.nary(xs, literals(len(xs), '0')) }
 
-// Nor returns the complemented disjunction.
-func (b *Builder) Nor(xs ...*Node) *Node { return b.nary(Nor, xs) }
+// Nor returns the complemented disjunction: one cube of 0s.
+func (b *Builder) Nor(xs ...*Node) *Node { return b.nary(xs, []string{strings.Repeat("0", len(xs))}) }
 
-// Xor returns the parity of the operands.
-func (b *Builder) Xor(xs ...*Node) *Node { return b.nary(Xor, xs) }
+// Xor returns the parity of the operands: its odd minterms.
+func (b *Builder) Xor(xs ...*Node) *Node { return b.nary(xs, parity(len(xs), true)) }
 
-// Xnor returns the complemented parity.
-func (b *Builder) Xnor(xs ...*Node) *Node { return b.nary(Xnor, xs) }
+// Xnor returns the complemented parity: its even minterms.
+func (b *Builder) Xnor(xs ...*Node) *Node { return b.nary(xs, parity(len(xs), false)) }
 
-func (b *Builder) nary(t GateType, xs []*Node) *Node {
+// nary adds the table of an n-ary gate; a single operand gives its buffer,
+// whatever the gate.
+func (b *Builder) nary(xs []*Node, cover []string) *Node {
 	if len(xs) == 1 {
 		return b.Buf(xs[0])
 	}
-	return b.add(&Node{Type: t, Fanin: append([]*Node(nil), xs...)})
+	return b.Table(xs, cover)
 }
 
-// Mux returns "if sel then t else e".
+// literals returns k rows over k fanins, row i holding fanin i's literal
+// lit and don't cares elsewhere.
+func literals(k int, lit byte) []string {
+	rows := make([]string, k)
+	for i := range rows {
+		row := []byte(strings.Repeat("-", k))
+		row[i] = lit
+		rows[i] = string(row)
+	}
+	return rows
+}
+
+// parity returns the minterms over k fanins with an odd (or even) number
+// of ones, in binary order with fanin 0 as the low bit. It panics beyond
+// 16 fanins, where the cover would hold 2¹⁶ or more rows.
+func parity(k int, odd bool) []string {
+	if k > 16 {
+		panic(fmt.Sprintf("logic: parity of %d operands is too wide for a cover", k))
+	}
+	var rows []string
+	row := make([]byte, k)
+	for mask := 0; mask < 1<<k; mask++ {
+		if (bits.OnesCount(uint(mask))%2 == 1) != odd {
+			continue
+		}
+		for i := range row {
+			row[i] = '0' + byte(mask>>i&1)
+		}
+		rows = append(rows, string(row))
+	}
+	return rows
+}
+
+// Mux returns "if sel then t else e": the table 11-, 0-1.
 func (b *Builder) Mux(sel, t, e *Node) *Node {
-	return b.add(&Node{Type: Mux, Fanin: []*Node{sel, t, e}})
+	return b.Table([]*Node{sel, t, e}, []string{"11-", "0-1"})
 }
 
 // Table adds a SOP-cover node over the fanins.

@@ -30,39 +30,6 @@ func EvalBDD(m *bdd.Manager, nd *Node, env Env, memo map[*Node]bdd.Ref) bdd.Ref 
 		if nd.Value {
 			r = bdd.One
 		}
-	case Buf:
-		r = EvalBDD(m, nd.Fanin[0], env, memo)
-	case Not:
-		r = EvalBDD(m, nd.Fanin[0], env, memo).Not()
-	case And, Nand:
-		r = bdd.One
-		for _, fi := range nd.Fanin {
-			r = m.And(r, EvalBDD(m, fi, env, memo))
-		}
-		if nd.Type == Nand {
-			r = r.Not()
-		}
-	case Or, Nor:
-		r = bdd.Zero
-		for _, fi := range nd.Fanin {
-			r = m.Or(r, EvalBDD(m, fi, env, memo))
-		}
-		if nd.Type == Nor {
-			r = r.Not()
-		}
-	case Xor, Xnor:
-		r = bdd.Zero
-		for _, fi := range nd.Fanin {
-			r = m.Xor(r, EvalBDD(m, fi, env, memo))
-		}
-		if nd.Type == Xnor {
-			r = r.Not()
-		}
-	case Mux:
-		sel := EvalBDD(m, nd.Fanin[0], env, memo)
-		t := EvalBDD(m, nd.Fanin[1], env, memo)
-		e := EvalBDD(m, nd.Fanin[2], env, memo)
-		r = m.ITE(sel, t, e)
 	case Table:
 		// The row cubes are summed by OrN's balanced fold. A Table node
 		// synthesized from a state table can hold hundreds of rows (scf's
@@ -90,8 +57,9 @@ func EvalBDD(m *bdd.Manager, nd *Node, env Env, memo map[*Node]bdd.Ref) bdd.Ref 
 	return r
 }
 
-// Simulate evaluates node nd on concrete values, memoizing in memo. The
-// gate-level reference semantics used to cross-check the BDD compilation.
+// Simulate evaluates node nd on concrete values, memoizing in memo: a
+// Table is true when some row matches. It is the reference semantics used
+// to cross-check the BDD compilation.
 func Simulate(nd *Node, values map[*Node]bool, memo map[*Node]bool) bool {
 	if v, ok := memo[nd]; ok {
 		return v
@@ -106,40 +74,6 @@ func Simulate(nd *Node, values map[*Node]bool, memo map[*Node]bool) bool {
 		v = val
 	case Const:
 		v = nd.Value
-	case Buf:
-		v = Simulate(nd.Fanin[0], values, memo)
-	case Not:
-		v = !Simulate(nd.Fanin[0], values, memo)
-	case And, Nand:
-		v = true
-		for _, fi := range nd.Fanin {
-			v = v && Simulate(fi, values, memo)
-		}
-		if nd.Type == Nand {
-			v = !v
-		}
-	case Or, Nor:
-		v = false
-		for _, fi := range nd.Fanin {
-			v = v || Simulate(fi, values, memo)
-		}
-		if nd.Type == Nor {
-			v = !v
-		}
-	case Xor, Xnor:
-		v = false
-		for _, fi := range nd.Fanin {
-			v = v != Simulate(fi, values, memo)
-		}
-		if nd.Type == Xnor {
-			v = !v
-		}
-	case Mux:
-		if Simulate(nd.Fanin[0], values, memo) {
-			v = Simulate(nd.Fanin[1], values, memo)
-		} else {
-			v = Simulate(nd.Fanin[2], values, memo)
-		}
 	case Table:
 		for _, row := range nd.Cover {
 			match := true

@@ -177,7 +177,7 @@ func (k *KISS) checkDeterministic() error {
 	return nil
 }
 
-// Synthesize lowers the STG to a gate-level Network with binary state
+// Synthesize lowers the STG to a Network with binary state
 // encoding: states are numbered in order of first appearance (the reset
 // state is re-numbered to code 0 so latch initialization is all-zero).
 // Next-state and output logic are built as SOP tables over the inputs and

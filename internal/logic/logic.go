@@ -1,6 +1,7 @@
-// Package logic provides a gate-level Boolean network substrate: sequential
-// circuits made of primitive gates, sum-of-products tables and latches,
-// together with a builder API, a BLIF-subset parser, gate-level simulation,
+// Package logic provides a Boolean network substrate: sequential circuits
+// whose logic is made of single-output sum-of-products tables (the BLIF
+// .names construct) and latches, together with a builder API whose gate
+// methods emit those tables, a BLIF-subset parser and writer, simulation,
 // and symbolic evaluation into BDDs.
 //
 // The experiment pipeline uses it as the source of finite state machines:
@@ -16,22 +17,12 @@ import "fmt"
 type GateType int
 
 // Node kinds. Input nodes have no fanin; Const nodes hold a fixed value;
-// Table nodes carry a single-output sum-of-products cover (the BLIF .names
-// construct); the remaining kinds are primitive gates with the obvious
-// semantics (Not and Buf take one fanin, Mux takes select/then/else, the
-// rest take two or more fanins).
+// Table nodes carry a single-output sum-of-products cover over their
+// fanins (the BLIF .names construct). Every internal node is a Table: the
+// Builder's gate methods emit the gate's cover.
 const (
 	Input GateType = iota
 	Const
-	Buf
-	Not
-	And
-	Or
-	Nand
-	Nor
-	Xor
-	Xnor
-	Mux
 	Table
 )
 
@@ -41,32 +32,14 @@ func (g GateType) String() string {
 		return "input"
 	case Const:
 		return "const"
-	case Buf:
-		return "buf"
-	case Not:
-		return "not"
-	case And:
-		return "and"
-	case Or:
-		return "or"
-	case Nand:
-		return "nand"
-	case Nor:
-		return "nor"
-	case Xor:
-		return "xor"
-	case Xnor:
-		return "xnor"
-	case Mux:
-		return "mux"
 	case Table:
 		return "table"
 	}
 	return "invalid"
 }
 
-// Node is a vertex of the network: a primary input, a constant, a gate, or
-// a cube-cover table. Latch outputs are represented as Input nodes (their
+// Node is a vertex of the network: a primary input, a constant, or a
+// cube-cover table. Latch outputs are represented as Input nodes (their
 // value is a state variable, not a combinational function).
 type Node struct {
 	Name  string
@@ -116,9 +89,9 @@ func (n *Network) NodeCount() int { return len(n.nodes) }
 // shared; callers must not modify it.
 func (n *Network) Nodes() []*Node { return n.nodes }
 
-// Validate checks structural sanity: fanin arities, combinational
-// acyclicity (latches break cycles), covers matching fanin widths, and
-// that every latch has a next-state function.
+// Validate checks structural sanity: inputs and constants without fanin,
+// covers matching fanin widths, combinational acyclicity (latches break
+// cycles), and that every latch has a next-state function.
 func (n *Network) Validate() error {
 	for _, nd := range n.nodes {
 		if err := checkArity(nd); err != nil {
@@ -165,18 +138,6 @@ func checkArity(nd *Node) error {
 	case Input, Const:
 		if len(nd.Fanin) != 0 {
 			return fmt.Errorf("logic: %s node %q must have no fanin", nd.Type, nd.Name)
-		}
-	case Buf, Not:
-		if len(nd.Fanin) != 1 {
-			return fmt.Errorf("logic: %s node %q needs exactly one fanin", nd.Type, nd.Name)
-		}
-	case Mux:
-		if len(nd.Fanin) != 3 {
-			return fmt.Errorf("logic: mux node %q needs select/then/else", nd.Name)
-		}
-	case And, Or, Nand, Nor, Xor, Xnor:
-		if len(nd.Fanin) < 2 {
-			return fmt.Errorf("logic: %s node %q needs at least two fanins", nd.Type, nd.Name)
 		}
 	case Table:
 		for _, row := range nd.Cover {

@@ -25,10 +25,46 @@ func buildFullAdder(t *testing.T) *Network {
 	return net
 }
 
+// fullAdderBLIF is the full adder as WriteBLIF writes it: each gate is the
+// table of its cover (Xor's parity minterms, And's one cube, Or's one
+// literal per row). Builder.Output keeps a node's generated name.
+const fullAdderBLIF = `.model fa
+.inputs a b cin
+.outputs n1 n5
+.names a b cin n1
+100 1
+010 1
+001 1
+111 1
+.names a b n2
+11 1
+.names a b n3
+10 1
+01 1
+.names cin n3 n4
+11 1
+.names n2 n4 n5
+1- 1
+-1 1
+.end
+`
+
 func TestBuilderFullAdder(t *testing.T) {
 	net := buildFullAdder(t)
 	if net.PrimaryInputCount() != 3 || net.OutputCount() != 2 || net.LatchCount() != 0 {
 		t.Fatal("full adder shape")
+	}
+	for _, nd := range net.Nodes() {
+		if nd.Type != Input && nd.Type != Table {
+			t.Fatalf("node %s is a %v, want a table", nd.Name, nd.Type)
+		}
+	}
+	var sb strings.Builder
+	if err := WriteBLIF(&sb, net); err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != fullAdderBLIF {
+		t.Fatalf("full adder BLIF:\n%s\nwant:\n%s", sb.String(), fullAdderBLIF)
 	}
 	for k := 0; k < 8; k++ {
 		in := []bool{k&4 != 0, k&2 != 0, k&1 != 0}
@@ -45,35 +81,86 @@ func TestBuilderFullAdder(t *testing.T) {
 	}
 }
 
+// TestGateSemanticsAgainstBDD checks every Builder gate against Go's
+// boolean operators on every input assignment, through both Simulate and
+// EvalBDD: Not, Buf and Mux, and the n-ary gates at 2 to 4 operands and
+// at none, where each is its identity (And 1, Or 0, ...).
 func TestGateSemanticsAgainstBDD(t *testing.T) {
-	// Every gate type: simulate vs. symbolic evaluation.
-	b := NewBuilder("gates")
-	x := b.Input("x")
-	y := b.Input("y")
-	z := b.Input("z")
-	nodes := []*Node{
-		b.And(x, y), b.Or(x, y), b.Nand(x, y, z), b.Nor(x, y), b.Xor(x, y, z),
-		b.Xnor(x, y), b.Not(x), b.Buf(y), b.Mux(x, y, z),
-		b.Table([]*Node{x, y, z}, []string{"1-0", "01-"}),
-		b.Const(true), b.Const(false),
+	and := func(v []bool) bool {
+		r := true
+		for _, x := range v {
+			r = r && x
+		}
+		return r
 	}
-	for i, nd := range nodes {
-		b.Output("o"+string(rune('a'+i)), nd)
+	or := func(v []bool) bool {
+		r := false
+		for _, x := range v {
+			r = r || x
+		}
+		return r
 	}
-	net := b.MustBuild()
+	xor := func(v []bool) bool {
+		r := false
+		for _, x := range v {
+			r = r != x
+		}
+		return r
+	}
+	type gate struct {
+		name  string
+		arity int
+		build func(b *Builder, xs []*Node) *Node
+		want  func(v []bool) bool
+	}
+	gates := []gate{
+		{"not", 1, func(b *Builder, xs []*Node) *Node { return b.Not(xs[0]) }, func(v []bool) bool { return !v[0] }},
+		{"buf", 1, func(b *Builder, xs []*Node) *Node { return b.Buf(xs[0]) }, func(v []bool) bool { return v[0] }},
+		{"mux", 3, func(b *Builder, xs []*Node) *Node { return b.Mux(xs[0], xs[1], xs[2]) },
+			func(v []bool) bool { return v[0] && v[1] || !v[0] && v[2] }},
+	}
+	for _, k := range []int{0, 2, 3, 4} {
+		gates = append(gates,
+			gate{"and", k, func(b *Builder, xs []*Node) *Node { return b.And(xs...) }, and},
+			gate{"or", k, func(b *Builder, xs []*Node) *Node { return b.Or(xs...) }, or},
+			gate{"nand", k, func(b *Builder, xs []*Node) *Node { return b.Nand(xs...) }, func(v []bool) bool { return !and(v) }},
+			gate{"nor", k, func(b *Builder, xs []*Node) *Node { return b.Nor(xs...) }, func(v []bool) bool { return !or(v) }},
+			gate{"xor", k, func(b *Builder, xs []*Node) *Node { return b.Xor(xs...) }, xor},
+			gate{"xnor", k, func(b *Builder, xs []*Node) *Node { return b.Xnor(xs...) }, func(v []bool) bool { return !xor(v) }},
+		)
+	}
+	for _, g := range gates {
+		b := NewBuilder(g.name)
+		xs := make([]*Node, g.arity)
+		for i := range xs {
+			xs[i] = b.Input(string(rune('a' + i)))
+		}
+		nd := g.build(b, xs)
+		b.Output("y", nd)
+		b.MustBuild()
+		if nd.Type != Table {
+			t.Fatalf("%s/%d: node is a %v, want a table", g.name, g.arity, nd.Type)
+		}
 
-	m := bdd.New(3)
-	env := Env{x: m.MkVar(0), y: m.MkVar(1), z: m.MkVar(2)}
-	memo := make(map[*Node]bdd.Ref)
-	for k := 0; k < 8; k++ {
-		vals := map[*Node]bool{x: k&4 != 0, y: k&2 != 0, z: k&1 != 0}
-		asn := []bool{k&4 != 0, k&2 != 0, k&1 != 0}
-		simMemo := make(map[*Node]bool)
-		for _, nd := range net.Outputs {
-			want := Simulate(nd, vals, simMemo)
-			got := m.Eval(EvalBDD(m, nd, env, memo), asn)
-			if got != want {
-				t.Fatalf("node %s (%v): sim %v, bdd %v at input %d", nd.Name, nd.Type, want, got, k)
+		m := bdd.New(g.arity)
+		env := Env{}
+		for i, x := range xs {
+			env[x] = m.MkVar(bdd.Var(i))
+		}
+		f := EvalBDD(m, nd, env, make(map[*Node]bdd.Ref))
+		asn := make([]bool, g.arity)
+		for k := 0; k < 1<<g.arity; k++ {
+			vals := make(map[*Node]bool, g.arity)
+			for i, x := range xs {
+				asn[i] = k&(1<<i) != 0
+				vals[x] = asn[i]
+			}
+			want := g.want(asn)
+			if got := Simulate(nd, vals, make(map[*Node]bool)); got != want {
+				t.Fatalf("%s/%d at %v: Simulate %v, want %v", g.name, g.arity, asn, got, want)
+			}
+			if got := m.Eval(f, asn); got != want {
+				t.Fatalf("%s/%d at %v: EvalBDD %v, want %v", g.name, g.arity, asn, got, want)
 			}
 		}
 	}
@@ -231,7 +318,7 @@ func TestEvalBDDMissingBindingPanics(t *testing.T) {
 
 func TestGateTypeString(t *testing.T) {
 	for gt, want := range map[GateType]string{
-		Input: "input", Const: "const", And: "and", Table: "table", Mux: "mux",
+		Input: "input", Const: "const", Table: "table", GateType(99): "invalid",
 	} {
 		if gt.String() != want {
 			t.Fatalf("GateType %d = %q", gt, gt.String())
@@ -249,32 +336,35 @@ func TestNetworkAccessorsAndStrings(t *testing.T) {
 			t.Fatalf("missing name for gate type %d", gt)
 		}
 	}
-	if GateType(99).String() != "invalid" {
-		t.Fatal("invalid gate type name")
-	}
-	// Single-operand n-ary collapses to a buffer.
+	// Single-operand n-ary collapses to a buffer: the table "1".
 	b := NewBuilder("one")
 	x := b.Input("x")
-	if nd := b.And(x); nd.Type != Buf {
-		t.Fatal("unary And must become Buf")
+	if nd := b.And(x); nd.Type != Table || len(nd.Fanin) != 1 || nd.Fanin[0] != x ||
+		len(nd.Cover) != 1 || nd.Cover[0] != "1" {
+		t.Fatalf("unary And must be the buffer table of x, got %v %q", nd.Type, nd.Cover)
 	}
 }
 
 func TestValidateArityErrors(t *testing.T) {
-	mk := func(t GateType, fanin int) *Node {
-		nd := &Node{Name: "n", Type: t}
+	mk := func(t GateType, fanin int, cover ...string) *Node {
+		nd := &Node{Name: "n", Type: t, Cover: cover}
 		for i := 0; i < fanin; i++ {
 			nd.Fanin = append(nd.Fanin, &Node{Name: "i", Type: Input})
 		}
 		return nd
 	}
 	bad := []*Node{
-		mk(Input, 1), mk(Const, 2), mk(Not, 2), mk(Buf, 0),
-		mk(Mux, 2), mk(And, 1), mk(Or, 0), {Name: "z", Type: GateType(99)},
+		mk(Input, 1), mk(Const, 2), mk(Table, 2, "1"), mk(Table, 1, "10"),
+		mk(Table, 0, "1"), mk(Table, 2, "11", "1x"), {Name: "z", Type: GateType(99)},
 	}
 	for _, nd := range bad {
 		if checkArity(nd) == nil {
-			t.Errorf("arity violation not caught for %v with %d fanins", nd.Type, len(nd.Fanin))
+			t.Errorf("arity violation not caught for %v with %d fanins and cover %q", nd.Type, len(nd.Fanin), nd.Cover)
+		}
+	}
+	for _, nd := range []*Node{mk(Table, 0), mk(Table, 3, "1-0", "---"), mk(Const, 0), mk(Input, 0)} {
+		if err := checkArity(nd); err != nil {
+			t.Errorf("well-formed %v rejected: %v", nd.Type, err)
 		}
 	}
 }

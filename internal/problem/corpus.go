@@ -29,10 +29,11 @@ import (
 
 // ExpandLine parses one corpus line against baseDir. A spec, @pla or @blif
 // line yields one instance; an `@netblif path` line expands a BLIF network
-// into one EBM instance per internal node — the whole-network optimizer's
-// workload (package network) expressed as corpus entries, so load runs and
-// the harness can replay exactly the per-node minimizations a network
-// sweep performs. Blank lines and comments return (nil, nil).
+// into one instance per named internal node, each the `@blif path node`
+// instance: [f, ¬ODC] over the primary inputs and latch outputs
+// (logic.NodeISF). These are not the instances a network sweep minimizes,
+// which are [f_local, care] over a node's fanin variables inside a window
+// (package network). Blank lines and comments return (nil, nil).
 func ExpandLine(line, baseDir string) ([]*Problem, error) {
 	trimmed := strings.TrimSpace(line)
 	if trimmed == "" || strings.HasPrefix(trimmed, "#") {

@@ -186,7 +186,7 @@ func (p *Problem) Build(m *bdd.Manager) (core.ISF, error) {
 		}
 		return core.ISF{F: f, C: c}, nil
 	case KindBLIF:
-		f, c, err := logic.NodeISF(m, p.net, BLIFEnv(m, p.net), p.target)
+		f, c, err := logic.NodeISF(m, p.net, blifEnv(m, p.net), p.target)
 		if err != nil {
 			return core.ISF{}, err
 		}
@@ -208,10 +208,10 @@ func (p *Problem) NewManager() (*bdd.Manager, core.ISF, error) {
 // for callers that need more than the ISF, e.g. replacement verification.
 func (p *Problem) Network() *logic.Network { return p.net }
 
-// BLIFEnv binds a network's primary inputs and latch outputs (present-
-// state variables) to BDD variables in declaration order — the binding the
-// fsm compiler and the bddmin CLI both use.
-func BLIFEnv(m *bdd.Manager, net *logic.Network) logic.Env {
+// blifEnv binds a network's primary inputs and latch outputs (present-
+// state variables) to BDD variables in declaration order: the variables a
+// BLIF instance's ISF is built over, and those pickNode scans nodes on.
+func blifEnv(m *bdd.Manager, net *logic.Network) logic.Env {
 	env := logic.Env{}
 	v := 0
 	for _, in := range net.Inputs {
@@ -246,7 +246,7 @@ func pickNode(net *logic.Network, name string) (*logic.Node, error) {
 		return nil, fmt.Errorf("problem: no node named %q in %s", name, net.Name)
 	}
 	scratch := bdd.New(net.PrimaryInputCount() + net.LatchCount())
-	env := BLIFEnv(scratch, net)
+	env := blifEnv(scratch, net)
 	var first *logic.Node
 	for _, nd := range net.Nodes() {
 		if !internal(nd) {
