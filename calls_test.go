@@ -45,7 +45,7 @@ func TestExperimentsCallsPinned(t *testing.T) {
 			made[gc.Benchmark] = gc.NodesMade
 		}
 	}
-	for name, want := range map[string]uint64{"s344": 196401, "mult16b": 101567, "minmax5": 45382, "tlc": 1502} {
+	for name, want := range map[string]uint64{"s344": 196138, "mult16b": 99304, "minmax5": 44852, "tlc": 1482} {
 		if made[name] != want {
 			t.Errorf("%s: nodes made %d, want %d", name, made[name], want)
 		}

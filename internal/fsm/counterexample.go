@@ -61,19 +61,26 @@ func (p *Product) FindCounterexample(opts Options) (*Counterexample, Result) {
 	// already built. Run it unbudgeted.
 	prev := m.SetBudget(nil)
 	defer m.SetBudget(prev)
-	bad := m.And(rings[len(rings)-1], p.bad)
-	return p.extractTrace(rings, bad), res
+	return p.extractTrace(rings), res
 }
 
-// extractTrace walks the onion rings backwards from a set of bad states
-// in the last ring, selecting at each step a concrete predecessor state
-// and the input that drives it forward, then appends the input that
-// exposes the output difference in the final state.
-func (p *Product) extractTrace(rings []bdd.Ref, bad bdd.Ref) *Counterexample {
+// extractTrace builds the bad states of the last ring and walks the onion
+// rings backwards from one of them, selecting at each step a concrete
+// predecessor state and the input that drives it forward, then appends
+// the input that exposes the output difference in the final state.
+func (p *Product) extractTrace(rings []bdd.Ref) *Counterexample {
 	m := p.M
+	// The last ring's bad states, ∨_i ∃w. ring·(oA_i ⊕ oB_i).
+	inputCube := m.CubeVars(p.A.InputVars...)
+	xors := make([]bdd.Ref, len(p.A.Outputs))
+	bad := make([]bdd.Ref, len(p.A.Outputs))
+	for i := range p.A.Outputs {
+		xors[i] = m.Xor(p.A.Outputs[i], p.B.Outputs[i])
+		bad[i] = m.AndExists(rings[len(rings)-1], xors[i], inputCube)
+	}
 	// Pick one bad state in the last ring; the backward walk mutates
 	// target, so remember where the difference shows.
-	badState := p.pickState(bad)
+	badState := p.pickState(m.OrN(bad...))
 	target := badState
 	depth := len(rings) - 1
 	inputs := make([][]bool, 0, depth+1)
@@ -103,10 +110,6 @@ func (p *Product) extractTrace(rings []bdd.Ref, bad bdd.Ref) *Counterexample {
 		inputs[i], inputs[j] = inputs[j], inputs[i]
 	}
 	// Final step: an input showing the output difference at the bad state.
-	xors := make([]bdd.Ref, len(p.A.Outputs))
-	for i := range p.A.Outputs {
-		xors[i] = m.Xor(p.A.Outputs[i], p.B.Outputs[i])
-	}
 	show := m.And(m.OrN(xors...), p.stateCube(badState))
 	cube, ok := m.OneCube(show)
 	if !ok {

@@ -1,6 +1,7 @@
 package fsm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -127,16 +128,32 @@ func TestCounterexampleRandomMutants(t *testing.T) {
 	}
 }
 
+// TestCounterexampleBothEngines checks that CheckEquivalence and
+// FindCounterexample run the same image computation, so they find a
+// difference at the same BFS step, and that the trace is one input per
+// step plus the one that shows the difference. It pins both strings of
+// each pair: the counters walk 15 and 7 rings back from the miscompare,
+// and the random pair one.
 func TestCounterexampleBothEngines(t *testing.T) {
-	// CheckEquivalence and FindCounterexample run the same image
-	// computation, so they find a difference at the same BFS step, and the
-	// trace is one input per step plus the one that shows the difference.
-	pairs := [][2]*logic.Network{
-		{toggleNet(t, false), toggleNet(t, true)},
-		{enabledCounter(4, false), enabledCounter(4, true)},
+	pairs := []struct {
+		a, b          *logic.Network
+		result, trace string
+	}{
+		{toggleNet(t, false), toggleNet(t, true),
+			"DIFFERENT after 0 iterations, 1 states reached, peak frontier 0 nodes, 0 minimize calls",
+			"step 0: 0\n"},
+		{enabledCounter(4, false), enabledCounter(4, true),
+			"DIFFERENT after 15 iterations, 16 states reached, peak frontier 9 nodes, 14 minimize calls",
+			enabledSteps(16)},
+		{enabledCounter(3, false), enabledCounter(3, true),
+			"DIFFERENT after 7 iterations, 8 states reached, peak frontier 7 nodes, 6 minimize calls",
+			enabledSteps(8)},
+		{circuits.RandomControlFSM("a", 52, 5, 3, 2), circuits.RandomControlFSM("b", 152, 5, 3, 2),
+			"DIFFERENT after 1 iterations, 9 states reached, peak frontier 11 nodes, 0 minimize calls",
+			"step 0: 101\nstep 1: 000\n"},
 	}
 	for _, pair := range pairs {
-		a, b := pair[0], pair[1]
+		a, b := pair.a, pair.b
 		p, err := NewProduct(bdd.New(0), a, b)
 		if err != nil {
 			t.Fatal(err)
@@ -154,7 +171,20 @@ func TestCounterexampleBothEngines(t *testing.T) {
 			t.Fatalf("%s/%s: CheckEquivalence stopped at step %d, FindCounterexample at %d with %d steps",
 				a.Name, b.Name, check.Iterations, res.Iterations, ce.Length())
 		}
+		if res.String() != pair.result || ce.String() != pair.trace {
+			t.Errorf("%s/%s: %q with trace\n%swant %q with trace\n%s", a.Name, b.Name, res, ce, pair.result, pair.trace)
+		}
 	}
+}
+
+// enabledSteps is the trace "step t: 1" for t = 0..n-1: the counter's
+// enable held high.
+func enabledSteps(n int) string {
+	var b strings.Builder
+	for t := 0; t < n; t++ {
+		fmt.Fprintf(&b, "step %d: 1\n", t)
+	}
+	return b.String()
 }
 
 func TestCounterexampleHonorsOptions(t *testing.T) {

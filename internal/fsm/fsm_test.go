@@ -493,8 +493,11 @@ func TestProductAccessors(t *testing.T) {
 	}
 	// Bad states exist off the diagonal (copy A ahead of copy B), but
 	// never at the synchronized reset.
-	if !m.Disjoint(p.bad, p.initial) {
+	if !p.agrees(p.initial) {
 		t.Fatal("reset state must not miscompare in a self-product")
+	}
+	if p.agrees(bdd.One) {
+		t.Fatal("states off the diagonal must miscompare")
 	}
 }
 
@@ -509,19 +512,32 @@ func orChainBad(p *Product) bdd.Ref {
 	return m.Exists(diff, m.CubeVars(p.A.InputVars...))
 }
 
-func TestProductBadMatchesOrChain(t *testing.T) {
-	check := func(label string, a, b *logic.Network) (*Product, uint64) {
+// TestAgreesMatchesOrChain checks the traversal's miscompare test against
+// the predicate it replaces: on every ring of a traversal, and on the set
+// of all states, agrees holds exactly when the ring is disjoint from
+// orChainBad. It runs every suite self-product and mutant pairs that
+// miscompare at reset, after one step and after 15, and bounds the nodes
+// NewProduct makes on scf, so an eagerly built predicate fails it.
+// s641, s953 and s1238 stop after two steps: their whole traversals take
+// 1–3 s each, and several times that under the race detector.
+func TestAgreesMatchesOrChain(t *testing.T) {
+	check := func(label string, a, b *logic.Network, opts Options) (equal bool, made uint64) {
 		t.Helper()
 		m := bdd.New(0)
 		p, err := NewProduct(m, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		made := m.NodesMade()
-		if p.bad != orChainBad(p) {
-			t.Fatalf("%s: Bad() differs from the OR chain of output XORs", label)
+		made = m.NodesMade()
+		rings := []bdd.Ref{m.Protect(p.initial)}
+		res := p.traverse(opts, &rings)
+		bad := orChainBad(p)
+		for i, ring := range append(rings, bdd.One) {
+			if got, want := p.agrees(ring), m.Disjoint(ring, bad); got != want {
+				t.Fatalf("%s: ring %d of %d: agrees %v, disjoint from the OR chain %v", label, i, len(rings), got, want)
+			}
 		}
-		return p, made
+		return res.Equal, made
 	}
 	for _, name := range circuits.Names() {
 		info, err := circuits.ByName(name)
@@ -529,17 +545,30 @@ func TestProductBadMatchesOrChain(t *testing.T) {
 			t.Fatal(err)
 		}
 		net := info.Build()
-		_, made := check(name, net, net)
-		// scf has the suite's widest Table nodes. Summing their rows, and
-		// the output XORs, one term at a time makes 1,315,113 nodes.
-		if name == "scf" && made > 800000 {
-			t.Errorf("NewProduct(scf, scf) made %d nodes, want at most 800000", made)
+		opts := Options{GCEvery: 1}
+		if name == "s641" || name == "s953" || name == "s1238" {
+			opts.MaxIterations = 2
+		}
+		if equal, made := check(name, net, net, opts); !equal {
+			t.Fatalf("%s: self-product miscompares", name)
+		} else if name == "scf" && made > 250000 {
+			// scf has the suite's widest Table nodes. Compiling both
+			// copies makes 181,433 nodes; the eager miscompare predicate
+			// made 386,081 more.
+			t.Errorf("NewProduct(scf, scf) made %d nodes, want at most 250000", made)
 		}
 	}
-	a := circuits.RandomControlFSM("a", 30, 5, 3, 2)
-	b := circuits.RandomControlFSM("b", 130, 5, 3, 2)
-	if p, _ := check("mutant pair", a, b); p.bad == bdd.Zero {
-		t.Fatal("mutant pair: Bad() is empty, so the check above compared nothing")
+	pairs := [][2]*logic.Network{
+		{circuits.RandomControlFSM("a", 30, 5, 3, 2), circuits.RandomControlFSM("b", 130, 5, 3, 2)},
+		{circuits.RandomControlFSM("a", 52, 5, 3, 2), circuits.RandomControlFSM("b", 152, 5, 3, 2)},
+		{enabledCounter(4, false), enabledCounter(4, true)},
+		{circuits.TrafficLight(), trafficMutant(true)},
+	}
+	for _, pair := range pairs {
+		label := pair[0].Name + "/" + pair[1].Name
+		if equal, _ := check(label, pair[0], pair[1], Options{GCEvery: 1}); equal {
+			t.Fatalf("%s: mutant pair reported equal, so no ring miscompared", label)
+		}
 	}
 }
 

@@ -8,16 +8,16 @@ import (
 )
 
 // Product is the synchronous product of two machines over shared inputs:
-// the two compiled machines, the combined initial state, and the
-// "miscompare" predicate (some input makes the outputs differ). Images
-// are computed by ImageFV.
+// the two compiled machines and the combined initial state. Images are
+// computed by ImageFV. No miscompare predicate is built: the traversal
+// tests each new frontier with agrees, which runs the OSM match kernel,
+// and FindCounterexample builds bad states only after a miscompare.
 type Product struct {
 	M *bdd.Manager
 	A *Machine
 	B *Machine
 
 	initial bdd.Ref
-	bad     bdd.Ref // states from which some input shows an output mismatch
 }
 
 // NewProduct compiles the two networks into one Manager (which must be
@@ -43,16 +43,19 @@ func NewProduct(m *bdd.Manager, a, b *logic.Network) (*Product, error) {
 	}
 	p := &Product{M: m, A: ma, B: mb}
 	p.initial = m.And(ma.Init, mb.Init)
-
-	// Miscompare: ∃w. ∨_i (oA_i ⊕ oB_i), computed as ∨_i ∃w. (oA_i ⊕ oB_i)
-	// because ∃ distributes over ∨. Each output's XOR loses the inputs
-	// before any sum is formed, and OrN folds the quantified terms as a
-	// balanced tree.
-	inputs := m.CubeVars(vb.Inputs...)
-	diffs := make([]bdd.Ref, len(ma.Outputs))
-	for i := range ma.Outputs {
-		diffs[i] = m.Exists(m.Xor(ma.Outputs[i], mb.Outputs[i]), inputs)
-	}
-	p.bad = m.OrN(diffs...)
 	return p, nil
+}
+
+// agrees reports whether no state of S miscompares: under every input,
+// each output of A equals the same output of B at every state of S. With
+// the care set given twice, [oA_i, S] OSM-matches [oB_i, S] (Definition
+// 5) exactly when (oA_i ⊕ oB_i)·S = 0, so the match kernel answers
+// without building a node; its S ≤ S half exits at once.
+func (p *Product) agrees(S bdd.Ref) bool {
+	for i, oa := range p.A.Outputs {
+		if !p.M.MatchOSM(oa, S, p.B.Outputs[i], S) {
+			return false
+		}
+	}
+	return true
 }

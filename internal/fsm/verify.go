@@ -101,17 +101,20 @@ type Result struct {
 // CheckEquivalence runs the breadth-first product traversal of Coudert et
 // al. / Touati et al.: starting from the combined reset state, it
 // repeatedly minimizes the frontier against the reached set, computes the
-// image, and tests the miscompare predicate. It returns Equal=false as
+// image, and tests each new frontier for a miscompare with the OSM match
+// kernel (the reset state is tested first). It returns Equal=false as
 // soon as a reachable miscomparing state appears.
 func (p *Product) CheckEquivalence(opts Options) Result {
 	return p.traverse(opts, nil)
 }
 
 // traverse is the BFS loop behind CheckEquivalence and FindCounterexample.
-// When rings is non-nil, every new frontier is protected and appended to
-// it (the onion rings of the trace extraction); the caller unprotects
-// them. A traversal that finds a miscompare stops with it in the last
-// ring.
+// The miscompare test runs on the reset state and then on each new
+// frontier alone (agrees): the reached states before it have already
+// passed. When rings is non-nil, every new frontier is protected and
+// appended to it (the onion rings of the trace extraction); the caller
+// unprotects them. A traversal that finds a miscompare stops with it in
+// the last ring.
 func (p *Product) traverse(opts Options, rings *[]bdd.Ref) Result {
 	m := p.M
 	minimize := opts.Minimize
@@ -121,7 +124,7 @@ func (p *Product) traverse(opts Options, rings *[]bdd.Ref) Result {
 	res := Result{Equal: true}
 	reached := p.initial
 	frontier := p.initial
-	if !m.Disjoint(reached, p.bad) {
+	if !p.agrees(reached) {
 		res.Equal = false
 		return p.withReached(res, reached)
 	}
@@ -172,7 +175,7 @@ func (p *Product) traverse(opts Options, rings *[]bdd.Ref) Result {
 			if rings != nil {
 				*rings = append(*rings, m.Protect(frontier))
 			}
-			if !m.Disjoint(reached, p.bad) {
+			if !p.agrees(frontier) {
 				res.Equal = false
 				return
 			}
@@ -200,7 +203,7 @@ func (p *Product) withReached(res Result, reached bdd.Ref) Result {
 // persistentRoots lists the product's long-lived functions, so explicit
 // GCs during traversal keep them alive alongside the protected sets.
 func (p *Product) persistentRoots() []bdd.Ref {
-	roots := []bdd.Ref{p.initial, p.bad}
+	roots := []bdd.Ref{p.initial}
 	for _, mc := range []*Machine{p.A, p.B} {
 		roots = append(roots, mc.Init)
 		roots = append(roots, mc.Next...)

@@ -58,33 +58,24 @@ func (b *Builder) Not(a *Node) *Node { return b.Table([]*Node{a}, []string{"0"})
 func (b *Builder) Buf(a *Node) *Node { return b.Table([]*Node{a}, []string{"1"}) }
 
 // And returns the conjunction of the operands: one cube of 1s.
-func (b *Builder) And(xs ...*Node) *Node { return b.nary(xs, []string{strings.Repeat("1", len(xs))}) }
+func (b *Builder) And(xs ...*Node) *Node { return b.Table(xs, []string{strings.Repeat("1", len(xs))}) }
 
 // Or returns the disjunction of the operands: one row per operand, holding
 // its positive literal.
-func (b *Builder) Or(xs ...*Node) *Node { return b.nary(xs, literals(len(xs), '1')) }
+func (b *Builder) Or(xs ...*Node) *Node { return b.Table(xs, literals(len(xs), '1')) }
 
 // Nand returns the complemented conjunction: one row per operand, holding
 // its negative literal.
-func (b *Builder) Nand(xs ...*Node) *Node { return b.nary(xs, literals(len(xs), '0')) }
+func (b *Builder) Nand(xs ...*Node) *Node { return b.Table(xs, literals(len(xs), '0')) }
 
 // Nor returns the complemented disjunction: one cube of 0s.
-func (b *Builder) Nor(xs ...*Node) *Node { return b.nary(xs, []string{strings.Repeat("0", len(xs))}) }
+func (b *Builder) Nor(xs ...*Node) *Node { return b.Table(xs, []string{strings.Repeat("0", len(xs))}) }
 
 // Xor returns the parity of the operands: its odd minterms.
-func (b *Builder) Xor(xs ...*Node) *Node { return b.nary(xs, parity(len(xs), true)) }
+func (b *Builder) Xor(xs ...*Node) *Node { return b.Table(xs, parity(len(xs), true)) }
 
 // Xnor returns the complemented parity: its even minterms.
-func (b *Builder) Xnor(xs ...*Node) *Node { return b.nary(xs, parity(len(xs), false)) }
-
-// nary adds the table of an n-ary gate; a single operand gives its buffer,
-// whatever the gate.
-func (b *Builder) nary(xs []*Node, cover []string) *Node {
-	if len(xs) == 1 {
-		return b.Buf(xs[0])
-	}
-	return b.Table(xs, cover)
-}
+func (b *Builder) Xnor(xs ...*Node) *Node { return b.Table(xs, parity(len(xs), false)) }
 
 // literals returns k rows over k fanins, row i holding fanin i's literal
 // lit and don't cares elsewhere.

@@ -83,7 +83,7 @@ func TestBuilderFullAdder(t *testing.T) {
 
 // TestGateSemanticsAgainstBDD checks every Builder gate against Go's
 // boolean operators on every input assignment, through both Simulate and
-// EvalBDD: Not, Buf and Mux, and the n-ary gates at 2 to 4 operands and
+// EvalBDD: Not, Buf and Mux, and the n-ary gates at 1 to 4 operands and
 // at none, where each is its identity (And 1, Or 0, ...).
 func TestGateSemanticsAgainstBDD(t *testing.T) {
 	and := func(v []bool) bool {
@@ -119,7 +119,7 @@ func TestGateSemanticsAgainstBDD(t *testing.T) {
 		{"mux", 3, func(b *Builder, xs []*Node) *Node { return b.Mux(xs[0], xs[1], xs[2]) },
 			func(v []bool) bool { return v[0] && v[1] || !v[0] && v[2] }},
 	}
-	for _, k := range []int{0, 2, 3, 4} {
+	for _, k := range []int{0, 1, 2, 3, 4} {
 		gates = append(gates,
 			gate{"and", k, func(b *Builder, xs []*Node) *Node { return b.And(xs...) }, and},
 			gate{"or", k, func(b *Builder, xs []*Node) *Node { return b.Or(xs...) }, or},
